@@ -2,10 +2,9 @@
 full automorphism groups, maximum independent sets, block systems, and a
 desk-scale verification suite for the structural claims relating them."""
 
-from .actions import (ActionOnSets, BlockSystem, action_kernel,
-                      conjecture_candidate_group, induce_action,
-                      minimal_block_system, quotient_action,
-                      verify_block_system)
+from .actions import (ActionOnSets, BlockSystem, conjecture_candidate_group,
+                      induce_action, kernel_order, minimal_block_system,
+                      quotient_action, verify_block_system)
 from .autsearch import (AutResult, are_isomorphic, automorphism_group,
                         canonical_certificate, common_neighborhood,
                         equitable_refinement)
@@ -18,8 +17,7 @@ from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
 from .indsets import (delta_family, delta_set, max_independent_sets,
                       verify_mis_characterization)
 from .perms import (ConnectionSet, Permutation, StabilizerChain,
-                    build_stabilizer_chain, connection_set, enumerate_group,
-                    group_order)
+                    build_stabilizer_chain, connection_set)
 from .suite import (ClaimReport, ReportDocument, run_full_suite,
                     test_conjecture, verify_prop_2_6, verify_section3_iso,
                     verify_theorem_1_2)

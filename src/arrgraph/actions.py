@@ -11,10 +11,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import Config, DEFAULT_CONFIG
-from .errors import FamilyError, IntransitiveActionError, ValidationError
-from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
-                    enumerate_group, symmetric_group_generators)
+from .errors import (ArrgraphError, FamilyError, IntransitiveActionError,
+                     ValidationError)
+from .perms import Permutation, build_stabilizer_chain, symmetric_group_generators
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,16 @@ def induce_action(generators: Sequence[Permutation],
     return ActionOnSets(family, tuple(movers))
 
 
-def action_kernel(chain: StabilizerChain,
-                  family: Sequence[frozenset[int]],
-                  config: Config = DEFAULT_CONFIG) -> list[Permutation]:
-    """All group elements fixing every family member setwise, by full
-    enumeration of the group (guarded by the enumeration threshold)."""
-    family = [frozenset(s) for s in family]
-    kernel = []
-    for p in enumerate_group(chain, config.enum_threshold):
-        if all(all(p(v) in s for v in s) for s in family):
-            kernel.append(p)
-    return kernel
+def kernel_order(group_order: int, action: ActionOnSets) -> int:
+    """Order of the kernel of the action of a group G of order group_order
+    whose generators map to action.movers: |G| / |G^family|, the order of
+    the image G^family taken from a stabilizer chain."""
+    image_order = build_stabilizer_chain(action.movers, degree=len(action.family)).order()
+    order, rem = divmod(group_order, image_order)
+    if rem:
+        raise ArrgraphError(
+            f"image order {image_order} does not divide group order {group_order}")
+    return order
 
 
 def verify_block_system(action: ActionOnSets, candidate: BlockSystem) -> bool:
@@ -163,19 +161,13 @@ def quotient_action(action: ActionOnSets, blocks: BlockSystem
     if not verify_block_system(action, blocks):
         raise ValidationError("not a block system for this action")
     block_of = blocks.block_of()
-    b = len(blocks.blocks)
-    quotient_movers = []
-    for mover in action.movers:
-        images = [block_of[mover(block[0])] for block in blocks.blocks]
-        quotient_movers.append(Permutation(images) if b > 1 else Permutation([0]))
+    quotient_movers = [Permutation(block_of[mover(block[0])] for block in blocks.blocks)
+                       for mover in action.movers]
     family = tuple(frozenset(block) for block in blocks.blocks)
     quotient = ActionOnSets(family, tuple(quotient_movers))
-    action_order = build_stabilizer_chain(list(action.movers),
-                                          degree=len(action.family)).order()
-    quotient_order = build_stabilizer_chain(quotient_movers, degree=max(b, 1)).order()
-    kernel_order, rem = divmod(action_order, quotient_order)
-    assert rem == 0
-    return quotient, quotient_order, kernel_order
+    action_order = build_stabilizer_chain(action.movers, degree=len(action.family)).order()
+    kernel = kernel_order(action_order, quotient)
+    return quotient, action_order // kernel, kernel
 
 
 # --------------------------------------------------------------------------

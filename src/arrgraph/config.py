@@ -16,14 +16,11 @@ ENV_PREFIX = "ARRGRAPH_"
 
 @dataclass(frozen=True)
 class Config:
-    # Max group size for full element enumeration (kernel computation).
-    enum_threshold: int = 10**6
-    # Max nodes of the individualization-refinement search tree.
+    # Max nodes of each search tree: the individualization-refinement
+    # search and the maximum-independent-set search.
     node_budget: int = 10**7
     # Max vertex count for graph construction.
     vertex_guard: int = 50_000
-    # Max vertex count for full enumeration of maximum independent sets.
-    enumerate_all_guard: int = 60
     # Worker pool size for the verification suite.
     workers: int = 1
     # Seed for all derived RNG streams (shuffled copies, random subsets).

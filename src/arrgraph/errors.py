@@ -13,8 +13,9 @@ class ValidationError(ArrgraphError, ValueError):
 
 
 class BudgetError(ArrgraphError, RuntimeError):
-    """A configured resource guard (node budget, enumeration threshold,
-    vertex-count guard) was exceeded. Never a wrong answer."""
+    """A configured resource guard (the node budget of the automorphism or
+    independent-set search, the vertex-count guard) was exceeded. Never a
+    wrong answer."""
 
 
 class IntransitiveActionError(ArrgraphError, ValueError):

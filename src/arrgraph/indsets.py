@@ -1,9 +1,11 @@
 """Maximum independent sets of A(n,k,k) and the families that attain them.
 
 The search works on the complement graph: a maximum independent set is a
-maximum clique of the complement, found by branch and bound with a greedy
-coloring bound; full enumeration uses maximal-clique enumeration with
-pivoting, filtered to maximum size.
+maximum clique of the complement. One branch and bound with a greedy
+coloring bound (Tomita-Kameda) serves both modes: size_only prunes every
+branch that cannot beat the best clique so far, enumerate_all keeps the
+branches that can tie it and collects every maximum clique. The node budget
+bounds both.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import ValidationError
+from .errors import ArrgraphError, BudgetError, ValidationError
 from .graphs import Graph, rank_tuple
 
 SIZE_ONLY = "size_only"
@@ -61,9 +63,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _max_clique(adj: list[int], nv: int) -> list[int]:
-    """Exact maximum clique, branch and bound with greedy coloring bound."""
-    best: list[int] = []
+def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
+                 node_budget: int) -> list[list[int]]:
+    """Maximum cliques of the graph with bitmask adjacency adj, by branch and
+    bound with a greedy coloring bound (Tomita & Kameda, J. Global Optim.
+    2007). Returns one maximum clique, or with enumerate_all every one of
+    them; each clique is sorted. More than node_budget search nodes raise
+    BudgetError."""
+    best = 0
+    found: list[list[int]] = []
+    nodes = 0
 
     def color_order(p_mask: int) -> list[tuple[int, int]]:
         order = []
@@ -80,41 +89,30 @@ def _max_clique(adj: list[int], nv: int) -> list[int]:
         return order
 
     def expand(current: list[int], p_mask: int) -> None:
-        nonlocal best
-        order = color_order(p_mask)
-        for v, color in reversed(order):
-            if len(current) + color <= len(best):
+        nonlocal best, found, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError(f"clique search exceeded node budget {node_budget}")
+        # colors never increase along the reversed order, so the first vertex
+        # whose bound cannot reach the target ends this node
+        for v, color in reversed(color_order(p_mask)):
+            bound = len(current) + color
+            if bound < best or (bound == best and not enumerate_all):
                 return
             current.append(v)
             nxt = p_mask & adj[v]
             if nxt:
                 expand(current, nxt)
-            elif len(current) > len(best):
-                best = list(current)
+            elif len(current) > best:
+                best = len(current)
+                found = [sorted(current)]
+            elif len(current) == best and enumerate_all:
+                found.append(sorted(current))
             current.pop()
             p_mask &= ~(1 << v)
 
     expand([], (1 << nv) - 1)
-    return sorted(best)
-
-
-def _maximal_cliques(adj: list[int], nv: int):
-    """Maximal-clique enumeration with pivoting (Bron-Kerbosch)."""
-
-    def rec(r: list[int], p: int, x: int):
-        if p == 0 and x == 0:
-            yield sorted(r)
-            return
-        # pivot: vertex of p|x with most neighbors inside p
-        pivot = max(_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
-        for v in _bits(p & ~adj[pivot]):
-            r.append(v)
-            yield from rec(r, p & adj[v], x & adj[v])
-            r.pop()
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    yield from rec([], (1 << nv) - 1, 0)
+    return found
 
 
 def is_independent(graph: Graph, vertices) -> bool:
@@ -140,32 +138,20 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
                          config: Config = DEFAULT_CONFIG
                          ) -> tuple[int, Optional[list[list[int]]]]:
     """Exact independence number; in enumerate_all mode also the complete,
-    deterministically sorted list of maximum independent sets."""
+    deterministically sorted list of maximum independent sets. Both modes
+    run the same search, bounded by config.node_budget."""
     if graph.vertex_count < 1:
         raise ValidationError("need at least one vertex")
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValidationError(f"unknown mode {mode!r}")
-    cadj = _complement(graph)
-    nv = graph.vertex_count
-    if mode == SIZE_ONLY:
-        clique = _max_clique(cadj, nv)
-        assert is_maximal_independent(graph, clique)
-        return len(clique), None
-    if nv > config.enumerate_all_guard:
-        raise ValidationError(
-            f"enumerate_all limited to {config.enumerate_all_guard} vertices, graph has {nv}")
-    alpha = 0
-    sets: list[list[int]] = []
-    for clique in _maximal_cliques(cadj, nv):
-        if len(clique) > alpha:
-            alpha = len(clique)
-            sets = [clique]
-        elif len(clique) == alpha:
-            sets.append(clique)
-    sets.sort()
+    sets = _max_cliques(_complement(graph), graph.vertex_count,
+                        mode == ENUMERATE_ALL, config.node_budget)
     for s in sets:
-        assert is_maximal_independent(graph, s)
-    return alpha, sets
+        if not is_maximal_independent(graph, s):
+            raise ArrgraphError(f"clique search returned {s}, not a maximal independent set")
+    if mode == SIZE_ONLY:
+        return len(sets[0]), None
+    return len(sets[0]), sorted(sets)
 
 
 def independence_number_oracle(graph: Graph) -> int:
@@ -200,26 +186,24 @@ class MISReport:
     vertex_count: int
     size_found: int
     size_expected: int
-    count_found: Optional[int]
+    count_found: int
     count_expected: int
-    full_enumeration: bool
-    sets_match_family: Optional[bool]
+    sets_match_family: bool
     family_members_maximum: bool
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        ok = self.size_found == self.size_expected and self.family_members_maximum
-        if self.full_enumeration:
-            ok = ok and self.count_found == self.count_expected and bool(self.sets_match_family)
-        self.passed = ok
+        self.passed = (self.size_found == self.size_expected
+                       and self.count_found == self.count_expected
+                       and self.sets_match_family and self.family_members_maximum)
 
 
 def verify_mis_characterization(n: int, k: int,
                                 config: Config = DEFAULT_CONFIG,
                                 graph: Optional[Graph] = None) -> MISReport:
     """Check that the maximum independent sets of A(n,k,k) are exactly the
-    delta sets: independence number (n-1)!/(n-k)!, count n*k, and (when the
-    graph is small enough to enumerate) setwise equality."""
+    delta sets: independence number (n-1)!/(n-k)!, count n*k, and setwise
+    equality."""
     if n <= 2:
         raise ValidationError(f"the characterization requires n > 2, got n={n}")
     if not 1 <= k <= n:
@@ -227,30 +211,14 @@ def verify_mis_characterization(n: int, k: int,
     if graph is None:
         from .graphs import build_arrangement_graph
         graph = build_arrangement_graph(n, k, k, config)
-    nv = graph.vertex_count
-    size_expected = math.factorial(n - 1) // math.factorial(n - k)
-    count_expected = n * k
-    family = delta_family(n, k)
-    family_sets = sorted(sorted(s) for _, s in family)
-
-    if nv <= config.enumerate_all_guard:
-        size, sets = max_independent_sets(graph, ENUMERATE_ALL, config)
-        return MISReport(
-            n=n, k=k, vertex_count=nv,
-            size_found=size, size_expected=size_expected,
-            count_found=len(sets), count_expected=count_expected,
-            full_enumeration=True,
-            sets_match_family=(sets == family_sets),
-            family_members_maximum=all(
-                len(s) == size and is_maximal_independent(graph, s) for s in family_sets),
-        )
-    size, _ = max_independent_sets(graph, SIZE_ONLY, config)
+    family_sets = sorted(sorted(s) for _, s in delta_family(n, k))
+    size, sets = max_independent_sets(graph, ENUMERATE_ALL, config)
     return MISReport(
-        n=n, k=k, vertex_count=nv,
-        size_found=size, size_expected=size_expected,
-        count_found=None, count_expected=count_expected,
-        full_enumeration=False,
-        sets_match_family=None,
+        n=n, k=k, vertex_count=graph.vertex_count,
+        size_found=size,
+        size_expected=math.factorial(n - 1) // math.factorial(n - k),
+        count_found=len(sets), count_expected=n * k,
+        sets_match_family=(sets == family_sets),
         family_members_maximum=all(
             len(s) == size and is_maximal_independent(graph, s) for s in family_sets),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetError, ValidationError
 
@@ -103,18 +103,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(x) for x in self.to_one_based()) + "]"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def fixed_point_count(p: Permutation) -> int:
-    return p.fixed_point_count()
 
 
 def transposition(degree: int, a: int, b: int) -> Permutation:
@@ -353,44 +341,10 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()
 
-    def elements(self, threshold: int = 10**6) -> Iterator[Permutation]:
-        """Yield every group element exactly once, in deterministic order
-        (products of transversal representatives, deepest level first).
-
-        Refuses when the order exceeds the threshold.
-        """
-        order = self.order()
-        if order > threshold:
-            raise BudgetError(
-                f"group of order {order} exceeds enumeration threshold {threshold}")
-        nodes = self._nodes()
-        ident = Permutation.identity(self.degree)
-
-        def rec(i: int) -> Iterator[Permutation]:
-            # right-coset decomposition: G_i = union over x of G_{i+1} * t_x
-            if i == len(nodes):
-                yield ident
-                return
-            node = nodes[i]
-            for x in sorted(node.transversal):
-                t = node.transversal[x]
-                for u in rec(i + 1):
-                    yield u.compose(t)
-
-        return rec(0)
-
 
 def build_stabilizer_chain(generators: Iterable[Permutation],
                            degree: Optional[int] = None) -> StabilizerChain:
     return StabilizerChain(generators, degree)
-
-
-def group_order(chain: StabilizerChain) -> int:
-    return chain.order()
-
-
-def enumerate_group(chain: StabilizerChain, threshold: int = 10**6) -> Iterator[Permutation]:
-    return chain.elements(threshold)
 
 
 def brute_force_closure(generators: Iterable[Permutation],

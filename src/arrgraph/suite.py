@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .actions import (action_kernel, column_partition, conjecture_candidate_group,
-                      induce_action, quotient_action, row_partition,
+from .actions import (column_partition, conjecture_candidate_group, induce_action,
+                      kernel_order, quotient_action, row_partition,
                       verify_block_system)
 from .autsearch import AutResult, automorphism_group
 from .config import Config, DEFAULT_CONFIG
@@ -109,9 +109,9 @@ def _arrangement(n: int, k: int, r: int, config: Config) -> Graph:
     return _cached(("arr", n, k, r), lambda: build_arrangement_graph(n, k, r, config))
 
 
-def _cayley(n: int, kind: str, f: Optional[int], config: Config) -> Graph:
-    return _cached(("cay", n, kind, f),
-                   lambda: build_cayley_graph(n, connection_set(n, kind, f), config))
+def _cayley(n: int, fixed: int, config: Config) -> Graph:
+    return _cached(("cay", n, fixed),
+                   lambda: build_cayley_graph(n, connection_set(n, "fixed", fixed), config))
 
 
 def _aut(key, graph: Graph, config: Config) -> AutResult:
@@ -126,6 +126,19 @@ def _shuffled(graph: Graph, rng: random.Random) -> Graph:
 
 def _rng(config: Config, claim_id: str) -> random.Random:
     return random.Random(f"{config.seed}:{claim_id}")
+
+
+def _shuffled_iso(n: int, fixed: int, config: Config) -> tuple[AutResult, AutResult]:
+    """Searches of shuffled copies of A(n,n,n-fixed) and Cay(S_n,F_fixed),
+    both drawn from the sec3 claim's stream, so every claim comparing the two
+    graphs sees the same copies whichever claim ran first."""
+    def search():
+        rng = _rng(config, f"sec3/iso/n={n}/fixed={fixed}")
+        arr = _shuffled(_arrangement(n, n, n - fixed, config), rng)
+        cay = _shuffled(_cayley(n, fixed, config), rng)
+        return automorphism_group(arr, config), automorphism_group(cay, config)
+
+    return _cached(("iso", n, fixed), search)
 
 
 def _delta_label(i: int, j: int) -> str:
@@ -187,8 +200,7 @@ def verify_prop_2_1(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
         computed={"size": report.size_found, "count": report.count_found},
         passed=report.passed,
         wall_time=time.perf_counter() - t0,
-        details={"full_enumeration": report.full_enumeration,
-                 "sets_match_family": report.sets_match_family,
+        details={"sets_match_family": report.sets_match_family,
                  "family_members_maximum": report.family_members_maximum},
     )
 
@@ -200,15 +212,14 @@ def verify_prop_2_2(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
     t0 = time.perf_counter()
     graph = _arrangement(n, k, k, config)
     aut = _aut(("arr", n, k, k), graph, config)
-    family = [s for _, s in delta_family(n, k)]
-    kernel = action_kernel(aut.chain, family, config)
-    passed = len(kernel) == 1 and kernel[0].is_identity()
+    action = induce_action(aut.generators, [s for _, s in delta_family(n, k)])
+    kernel = kernel_order(aut.order, action)
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
         expected=1,
-        computed=len(kernel),
-        passed=passed,
+        computed=kernel,
+        passed=(kernel == 1),
         wall_time=time.perf_counter() - t0,
         details={"group_order": aut.order},
     )
@@ -296,22 +307,21 @@ def verify_lemma_2_5(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRe
 def verify_prop_2_6(n: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
     """Cay(S_n,T) is isomorphic to A(n,n,2) and Cay(S_n,D) to A(n,n,n),
     checked by certificates on independently shuffled copies plus the
-    explicit tuple<->permutation witness."""
+    explicit tuple<->permutation witness. T and D are F_{n-2} and F_0, so
+    the shuffled searches are those of the matching sec3 claims."""
     if n <= 2:
         raise ValidationError("requires n > 2")
     claim_id = f"prop2.6/n={n}"
     t0 = time.perf_counter()
     results = {}
-    for kind, r in (("transpositions", 2), ("derangements", n)):
-        arr = _arrangement(n, n, r, config)
-        cay = _cayley(n, kind, None, config)
+    for kind, fixed in (("transpositions", n - 2), ("derangements", 0)):
         # the one-line vertex order makes the tuple<->permutation bijection
         # the identity on indexes, so it is a witness iff adjacency agrees
-        witness_ok = arr.adjacency == cay.adjacency
-        rng = _rng(config, f"{claim_id}/{kind}")
-        iso = (_aut(("shuf", "arr", n, n, r), _shuffled(arr, rng), config).certificate
-               == _aut(("shuf", "cay", n, kind), _shuffled(cay, rng), config).certificate)
-        results[kind] = {"certificates_equal": iso, "psi_witness": witness_ok}
+        witness_ok = (_arrangement(n, n, n - fixed, config).adjacency
+                      == _cayley(n, fixed, config).adjacency)
+        aut_a, aut_c = _shuffled_iso(n, fixed, config)
+        results[kind] = {"certificates_equal": aut_a.certificate == aut_c.certificate,
+                         "psi_witness": witness_ok}
     passed = all(v["certificates_equal"] and v["psi_witness"] for v in results.values())
     return ClaimReport(
         claim_id=claim_id,
@@ -331,18 +341,14 @@ def verify_section3_iso(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> 
         raise ValidationError(f"need n > 2 and 0 <= fixed <= n-2, got n={n} fixed={fixed}")
     claim_id = f"sec3/iso/n={n}/fixed={fixed}"
     t0 = time.perf_counter()
-    r = n - fixed
-    arr = _arrangement(n, n, r, config)
-    cay = _cayley(n, "fixed", fixed, config)
-    rng = _rng(config, claim_id)
-    cert_a = _aut(("shuf", "arr", n, n, r), _shuffled(arr, rng), config).certificate
-    cert_c = _aut(("shuf", "cayf", n, fixed), _shuffled(cay, rng), config).certificate
+    aut_a, aut_c = _shuffled_iso(n, fixed, config)
+    iso = aut_a.certificate == aut_c.certificate
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "fixed": fixed},
         expected=True,
-        computed=(cert_a == cert_c),
-        passed=(cert_a == cert_c),
+        computed=iso,
+        passed=iso,
         wall_time=time.perf_counter() - t0,
         details={},
     )
@@ -360,7 +366,7 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
     claim_id = f"conj3.1/n={n}/fixed={fixed}"
     anchored = fixed in (0, n - 2)
     t0 = time.perf_counter()
-    graph = _cayley(n, "fixed", fixed, config)
+    graph = _cayley(n, fixed, config)
     expected_candidate = 2 * math.factorial(n) ** 2
     candidates = conjecture_candidate_group(n)
     preserve = all(is_automorphism(graph, g) for g in candidates)

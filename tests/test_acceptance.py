@@ -87,16 +87,13 @@ def test_criterion_4_maximum_independent_sets():
     for n in range(3, 6):
         for k in range(1, n + 1):
             r = verify_prop_2_1(n, k)
-            ok = ok and r.passed
-            nv = math.factorial(n) // math.factorial(n - k)
-            if nv <= 60:
-                ok = ok and r.details["full_enumeration"] and r.details["sets_match_family"]
-            else:
-                ok = ok and not r.details["full_enumeration"]
-                ok = ok and r.details["family_members_maximum"]
+            ok = ok and r.passed and r.details["sets_match_family"]
+            ok = ok and r.details["family_members_maximum"]
+            ok = ok and r.computed == {"size": math.factorial(n - 1) // math.factorial(n - k),
+                                       "count": n * k}
     report(4, ok, "maximum independent sets of A(n,k,k) are exactly the delta "
-                  "family (full enumeration <= 60 vertices, size + membership "
-                  "on the 120-vertex instances)", time.perf_counter() - t0)
+                  "family (full enumeration on every instance, up to 120 "
+                  "vertices)", time.perf_counter() - t0)
 
 
 def test_criterion_5_trivial_kernels():

@@ -5,19 +5,20 @@ import math
 
 import pytest
 
-from arrgraph.actions import (BlockSystem, action_kernel, column_partition,
+from arrgraph.actions import (BlockSystem, column_partition,
                               conjecture_candidate_group, induce_action,
-                              minimal_block_system, quotient_action,
-                              row_partition, verify_block_system)
+                              kernel_order, minimal_block_system,
+                              quotient_action, row_partition,
+                              verify_block_system)
 from arrgraph.autsearch import automorphism_group
-from arrgraph.config import Config
-from arrgraph.errors import (BudgetError, FamilyError, IntransitiveActionError,
-                             ValidationError)
+from arrgraph.errors import (ArrgraphError, FamilyError,
+                             IntransitiveActionError, ValidationError)
 from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
                              build_arrangement_graph, build_cayley_graph,
                              is_automorphism, vertex_permutation)
 from arrgraph.indsets import delta_family
-from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
+from arrgraph.perms import (Permutation, brute_force_closure,
+                            build_stabilizer_chain, connection_set,
                             symmetric_group_generators, transposition)
 
 
@@ -84,32 +85,47 @@ def test_induce_action_rejects_non_invariant_family():
 # -- kernels ------------------------------------------------------------------
 
 
+def closure_kernel_order(aut, family):
+    """Kernel order counted over every element of the group."""
+    group = brute_force_closure(aut.generators, degree=aut.chain.degree)
+    assert len(group) == aut.order
+    return sum(1 for p in group
+               if all(frozenset(p(v) for v in s) == s for s in family))
+
+
 def test_kernel_a422_trivial():
-    g = build_arrangement_graph(4, 2, 2)
-    aut = automorphism_group(g)
-    kernel = action_kernel(aut.chain, omega(4, 2))
-    assert kernel == [Permutation.identity(12)]
+    aut = automorphism_group(build_arrangement_graph(4, 2, 2))
+    action = induce_action(aut.generators, omega(4, 2))
+    assert kernel_order(aut.order, action) == closure_kernel_order(aut, omega(4, 2)) == 1
 
 
 def test_kernel_a333_trivial():
-    g = build_arrangement_graph(3, 3, 3)
-    aut = automorphism_group(g)
+    aut = automorphism_group(build_arrangement_graph(3, 3, 3))
     assert aut.order == 72
-    kernel = action_kernel(aut.chain, omega(3, 3))
-    assert len(kernel) == 1 and kernel[0].is_identity()
+    action = induce_action(aut.generators, omega(3, 3))
+    assert kernel_order(aut.order, action) == closure_kernel_order(aut, omega(3, 3)) == 1
+
+
+def test_kernel_nontrivial_matches_closure():
+    # on the sets "tuples containing value i" the position swap of A(4,2,2)
+    # acts trivially, so the kernel has order k! = 2
+    g = build_arrangement_graph(4, 2, 2)
+    aut = automorphism_group(g)
+    family = [frozenset(v for v in range(g.vertex_count) if i in g.labels[v])
+              for i in range(4)]
+    action = induce_action(aut.generators, family)
+    assert kernel_order(aut.order, action) == closure_kernel_order(aut, family) == 2
 
 
 def test_kernel_trivial_group():
-    chain = build_stabilizer_chain([], degree=12)
-    kernel = action_kernel(chain, omega(4, 2))
-    assert kernel == [Permutation.identity(12)]
+    assert kernel_order(1, induce_action([], omega(4, 2))) == 1
 
 
-def test_kernel_respects_threshold():
-    g = build_arrangement_graph(4, 2, 2)
-    aut = automorphism_group(g)
-    with pytest.raises(BudgetError):
-        action_kernel(aut.chain, omega(4, 2), Config(enum_threshold=10))
+def test_kernel_order_rejects_non_divisor():
+    # the image of a group of order 5 cannot have order 2
+    action = induce_action([transposition(4, 0, 1)], [frozenset([i]) for i in range(4)])
+    with pytest.raises(ArrgraphError):
+        kernel_order(5, action)
 
 
 # -- block systems ------------------------------------------------------------

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from arrgraph import graphio
 from arrgraph.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from arrgraph.graphs import build_arrangement_graph
@@ -85,11 +87,12 @@ def test_aut_missing_file(capsys):
     assert code == EXIT_VALIDATION
 
 
-def test_aut_budget_exit_code(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", [["aut"], ["mis", "--all"]], ids=["aut", "mis-all"])
+def test_aut_budget_exit_code(command, capsys, tmp_path, monkeypatch):
     path = tmp_path / "a422.json"
     path.write_text(graphio.to_graphdoc(build_arrangement_graph(4, 2, 2)))
     monkeypatch.setenv("ARRGRAPH_NODE_BUDGET", "2")
-    code, _, err = run(capsys, "aut", str(path))
+    code, _, err = run(capsys, *command, str(path))
     assert code == EXIT_BUDGET
     assert "budget" in err
 

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from arrgraph import indsets
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
-from arrgraph.errors import ValidationError
+from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
 from arrgraph.graphs import Graph, build_arrangement_graph, differing_coordinates
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
                               independence_number_oracle, is_independent,
@@ -96,10 +97,20 @@ def test_mis_size_only():
 
 def test_mis_guard_and_mode_validation():
     g = build_arrangement_graph(4, 2, 2)
-    with pytest.raises(ValidationError):
-        max_independent_sets(g, ENUMERATE_ALL, Config(enumerate_all_guard=5))
+    for mode in (SIZE_ONLY, ENUMERATE_ALL):
+        with pytest.raises(BudgetError):
+            max_independent_sets(g, mode, Config(node_budget=2))
     with pytest.raises(ValidationError):
         max_independent_sets(g, "approximate")
+
+
+def test_mis_result_check_raises(monkeypatch):
+    # the check that every returned set is maximal independent survives -O
+    monkeypatch.setattr(indsets, "is_maximal_independent", lambda graph, s: False)
+    g = build_arrangement_graph(4, 2, 2)
+    for mode in (SIZE_ONLY, ENUMERATE_ALL):
+        with pytest.raises(ArrgraphError):
+            max_independent_sets(g, mode)
 
 
 def test_emitted_sets_independent_and_maximal():
@@ -121,6 +132,15 @@ def test_oracle_equivalence_small_corpus(corpus):
             assert size == independence_number_oracle(g), name
 
 
+def all_maximum_independent_sets(g):
+    """Every maximum independent set, by scanning all vertex subsets."""
+    indep = [list(s) for size in range(g.vertex_count + 1)
+             for s in itertools.combinations(range(g.vertex_count), size)
+             if is_independent(g, s)]
+    alpha = max(len(s) for s in indep)
+    return sorted(s for s in indep if len(s) == alpha)
+
+
 def test_oracle_equivalence_random_graphs():
     rng = random.Random(SEED)
     for _ in range(20):
@@ -132,7 +152,7 @@ def test_oracle_equivalence_random_graphs():
                       else max_independent_sets(g, SIZE_ONLY))
         assert size == independence_number_oracle(g)
         if sets is not None:
-            assert all(len(s) == size for s in sets)
+            assert sets == all_maximum_independent_sets(g)
 
 
 # -- the characterization -----------------------------------------------------
@@ -140,7 +160,7 @@ def test_oracle_equivalence_random_graphs():
 
 def test_characterization_4_2():
     report = verify_mis_characterization(4, 2)
-    assert report.passed and report.full_enumeration
+    assert report.passed
     assert report.size_found == 3 and report.count_found == 8
     assert report.sets_match_family
 
@@ -157,11 +177,12 @@ def test_characterization_rejects_small_n():
 
 
 def test_characterization_size_only_path():
-    # 120-vertex instance: enumeration waived, family membership still checked
-    report = verify_mis_characterization(5, 4)
-    assert report.passed and not report.full_enumeration
-    assert report.size_found == 24 and report.count_found is None
-    assert report.family_members_maximum
+    # the 120-vertex instances are checked setwise like the smaller ones
+    for k, size in [(4, 24), (5, 24)]:
+        report = verify_mis_characterization(5, k)
+        assert report.passed and report.sets_match_family
+        assert report.size_found == size and report.count_found == 5 * k
+        assert report.family_members_maximum
 
 
 def test_aut_permutes_delta_family():

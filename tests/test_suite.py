@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arrgraph import suite
 from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.suite import (ReportDocument, run_full_suite, suite_jobs,
@@ -75,6 +76,27 @@ def test_section3_iso_claim():
     assert verify_section3_iso(4, 0).passed
     with pytest.raises(ValidationError):
         verify_section3_iso(4, 3)
+
+
+def test_section3_iso_independent_of_prop_2_6():
+    # prop2.6 reuses the shuffled searches of sec3 fixed = n-2 and fixed = 0,
+    # so sec3 sees the same copies whether or not prop2.6 ran first
+    def sec3_runs():
+        out = []
+        for fixed in range(3):
+            record = verify_section3_iso(4, fixed).to_json_obj()
+            record.pop("wall_time")
+            searches = suite._shuffled_iso(4, fixed, Config())
+            out.append((record, [aut.generators for aut in searches]))
+        return out
+
+    suite.clear_cache()
+    alone = sec3_runs()
+    suite.clear_cache()
+    assert verify_prop_2_6(4).passed
+    after_prop_2_6 = sec3_runs()
+    suite.clear_cache()
+    assert alone == after_prop_2_6
 
 
 def test_conjecture_anchored_cases():
