@@ -10,6 +10,11 @@ leaves is the canonical form.
 
 The search is fully deterministic: target cell = first non-singleton cell
 of smallest size, branching in ascending vertex index.
+
+Every automorphism found is sifted through a stabilizer chain the search
+extends as it goes. Orbit pruning uses all of them, but only the chain
+non-members are checked with ``is_automorphism`` and kept as generators: a
+member is a product of automorphisms already checked.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
 from .graphs import Graph, is_automorphism
-from .perms import Permutation, StabilizerChain, build_stabilizer_chain
+from .perms import Permutation, StabilizerChain
 
 OrderedPartition = list[list[int]]
 
@@ -42,10 +47,10 @@ def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> Or
     Splits every cell by neighbor counts into every (current) cell until
     stable; fragments of a split cell replace it in place, ordered by
     ascending neighbor count. Deterministic given the cell order, and
-    idempotent.
+    idempotent. Empty cells are dropped.
     """
     _validate_partition(graph, partition)
-    return _refine(graph.adjacency, [sorted(c) for c in partition])
+    return _refine(graph.adjacency, [sorted(c) for c in partition if c])
 
 
 def _mask(cell: Iterable[int]) -> int:
@@ -55,38 +60,102 @@ def _mask(cell: Iterable[int]) -> int:
     return m
 
 
-def _refine(adj: list[int], cells: OrderedPartition) -> OrderedPartition:
-    queue = [_mask(c) for c in cells]
+def _refine(adj: list[int], cells: OrderedPartition,
+            queue: Optional[list[int]] = None) -> OrderedPartition:
+    """Split cells by neighbour counts into splitters taken first in, first
+    out (all cells, as masks, unless `queue` is given) until stable.
+
+    For each splitter the counts of all vertices are added up at once as
+    bit-planes (plane j holds bit j of every count), so a cell is stable when
+    every plane masks it to nothing or to the whole cell; only cells that
+    split are grouped vertex by vertex. A split cell is replaced in place by
+    its fragments in ascending count, and all fragments but the last join the
+    queue: by the time the last would be popped, its parent cell and its
+    earlier siblings have been applied, so the partition is already
+    equitable with respect to it.
+    """
+    cells = list(cells)
+    if queue is None:
+        queue = [_mask(c) for c in cells]
+    # the non-singleton cells as (index, mask), ascending index
+    open_cells = [(i, _mask(c)) for i, c in enumerate(cells) if len(c) > 1]
     qi = 0
-    while qi < len(queue):
+    while qi < len(queue) and open_cells:
         splitter = queue[qi]
         qi += 1
-        newcells: OrderedPartition = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                newcells.append(cell)
+        planes: list[int] = []
+        rest = splitter
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            carry = adj[low.bit_length() - 1]
+            j = 0
+            while carry:
+                if j == len(planes):
+                    planes.append(carry)
+                    break
+                plane = planes[j]
+                planes[j] = plane ^ carry
+                carry &= plane
+                j += 1
+        splits = set()
+        for i, m in open_cells:
+            for plane in planes:
+                part = plane & m
+                if part and part != m:
+                    splits.add(i)
+                    break
+        if not splits:
+            continue
+        reopened = []
+        shift = 0
+        for i, m in open_cells:
+            if i not in splits:
+                reopened.append((i + shift, m))
                 continue
             groups: dict[int, list[int]] = {}
-            for v in cell:
+            for v in cells[i + shift]:
                 groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(groups) == 1:
-                newcells.append(cell)
-                continue
-            changed = True
-            for count in sorted(groups):
-                frag = groups[count]
-                newcells.append(frag)
-                queue.append(_mask(frag))
-        if changed:
-            cells = newcells
+            frags = [groups[count] for count in sorted(groups)]
+            fmasks = [_mask(f) for f in frags]
+            queue.extend(fmasks[:-1])
+            cells[i + shift:i + shift + 1] = frags
+            for f, fm in zip(frags, fmasks):
+                if len(f) > 1:
+                    reopened.append((i + shift, fm))
+                shift += 1
+            shift -= 1
+        open_cells = reopened
     return cells
+
+
+def _in_explored_orbit(v: int, explored: list[int],
+                       fixing: list[tuple[int, ...]]) -> bool:
+    """Orbit pruning: skip v if the automorphisms fixing the individualized
+    prefix pointwise (given as image tuples) map an already-explored
+    sibling into v's orbit."""
+    orbit = set(explored)
+    frontier = list(explored)
+    while frontier:
+        x = frontier.pop()
+        for g in fixing:
+            y = g[x]
+            if y == v:
+                return True
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return False
 
 
 @dataclass
 class AutResult:
     """Automorphism generators, exact group order, and a canonical
-    certificate (equal certificates iff isomorphic graphs)."""
+    certificate (equal certificates iff isomorphic graphs).
+
+    generators are the automorphisms the search found that were not yet
+    members of the group generated by those before them, in the order
+    found; chain is the stabilizer chain the search built from them."""
 
     generators: list[Permutation]
     chain: StabilizerChain
@@ -104,9 +173,16 @@ class _IRSearch:
         self.graph = graph
         self.adj = graph.adjacency
         self.n = graph.vertex_count
+        self.neighbours = [list(graph.neighbors(v)) for v in range(self.n)]
         self.config = config
         self.nodes = 0
+        # images of every distinct non-identity automorphism found, for
+        # orbit pruning
+        self.automorphisms: list[tuple[int, ...]] = []
+        self.seen: set[tuple[int, ...]] = set()
+        # the verified chain non-members among them, which generate chain
         self.gens: list[Permutation] = []
+        self.chain = StabilizerChain([], degree=self.n)
         self.first: Optional[tuple[bytes, list[int]]] = None
         self.best: Optional[tuple[bytes, list[int]]] = None
 
@@ -133,53 +209,35 @@ class _IRSearch:
             self._leaf([c[0] for c in cells])
             return
         explored: list[int] = []
+        # images of the automorphisms found so far that fix the prefix
+        # pointwise; the list of automorphisms only grows, so scan new ones
+        fixing: list[tuple[int, ...]] = []
+        scanned = 0
         for v in sorted(cells[target]):
-            if explored and self._in_explored_orbit(v, explored, prefix):
-                continue
+            if explored:
+                for g in self.automorphisms[scanned:]:
+                    if [g[p] for p in prefix] == prefix:
+                        fixing.append(g)
+                scanned = len(self.automorphisms)
+                if fixing and _in_explored_orbit(v, explored, fixing):
+                    continue
             explored.append(v)
             child = (cells[:target]
                      + [[v], [u for u in cells[target] if u != v]]
                      + cells[target + 1:])
-            self._node(_refine(self.adj, child), prefix + [v])
-
-    def _in_explored_orbit(self, v: int, explored: list[int], prefix: list[int]) -> bool:
-        """Orbit pruning: skip v if some discovered automorphism fixing the
-        individualized prefix pointwise maps an already-explored sibling
-        into v's orbit."""
-        fixing = [g for g in self.gens if all(g(p) == p for p in prefix)]
-        if not fixing:
-            return False
-        orbit = set(explored)
-        frontier = list(explored)
-        while frontier:
-            x = frontier.pop()
-            for g in fixing:
-                y = g(x)
-                if y == v:
-                    return True
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return False
+            # cells is equitable, so only the new singleton can split anything
+            self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
 
     # -- leaves
 
     def _leaf_cert(self, lab: list[int]) -> bytes:
         # adjacency matrix of the relabeled graph, row-major bits
-        pos = [0] * self.n
+        bit = [0] * self.n
         for i, v in enumerate(lab):
-            pos[v] = i
+            bit[v] = 1 << i
         nbytes = (self.n + 7) // 8
-        out = bytearray()
-        for v in lab:
-            row = self.adj[v]
-            r = 0
-            while row:
-                low = row & -row
-                r |= 1 << pos[low.bit_length() - 1]
-                row ^= low
-            out += r.to_bytes(nbytes, "little")
-        return bytes(out)
+        rows = (sum(map(bit.__getitem__, self.neighbours[v])) for v in lab)
+        return b"".join(r.to_bytes(nbytes, "little") for r in rows)
 
     def _leaf(self, lab: list[int]) -> None:
         cert = self._leaf_cert(lab)
@@ -197,11 +255,17 @@ class _IRSearch:
         imgs = [0] * self.n
         for a, b in zip(lab1, lab2):
             imgs[a] = b
-        g = Permutation(imgs)
-        if g.is_identity() or g in self.gens:
+        g = Permutation._trusted(tuple(imgs))
+        if g.images in self.seen or g.is_identity():
+            return
+        self.seen.add(g.images)
+        self.automorphisms.append(g.images)
+        # a member is a product of verified automorphisms, hence one itself
+        if self.chain.contains(g):
             return
         if not is_automorphism(self.graph, g):
             raise AssertionError("IR search produced a non-automorphism")
+        self.chain.add_generator(g)
         self.gens.append(g)
 
 
@@ -211,17 +275,16 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
         raise ValidationError("automorphism search needs at least one vertex")
     search = _IRSearch(graph, config)
     search.run()
-    chain = build_stabilizer_chain(search.gens, degree=graph.vertex_count)
     cert_bits, lab = search.best
     pos = [0] * graph.vertex_count
     for i, v in enumerate(lab):
         pos[v] = i
     return AutResult(
         generators=search.gens,
-        chain=chain,
-        order=chain.order(),
+        chain=search.chain,
+        order=search.chain.order(),
         certificate=zlib.compress(cert_bits, 6),
-        canonical_labeling=Permutation(pos),
+        canonical_labeling=Permutation._trusted(tuple(pos)),
     )
 
 

@@ -38,7 +38,12 @@ def from_edgelist(text: str) -> Graph:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["vertices"]:
-                vertex_count = int(parts[1])
+                try:
+                    vertex_count = int(parts[1])
+                except (IndexError, ValueError):
+                    raise ValidationError(f"bad vertex count line: {line!r}")
+                if vertex_count < 0:
+                    raise ValidationError(f"negative vertex count: {line!r}")
             continue
         try:
             u, v = map(int, line.split())
@@ -83,11 +88,32 @@ def from_graphdoc(text: str) -> Graph:
         raise ValidationError(f"not a graph document: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _GRAPHDOC_MAGIC:
         raise ValidationError("not a graph document (missing format marker)")
-    labels = [tuple(x - 1 for x in lab) for lab in doc["labels"]]
+    labels = [tuple(x - 1 for x in _int_list(lab, "label"))
+              for lab in _list(doc.get("labels"), "labels")]
     if len(labels) != doc.get("vertex_count"):
         raise ValidationError("label count does not match vertex_count")
-    edges = [tuple(e) for e in doc["edges"]]
-    return Graph(labels, edges, doc.get("metadata", {}))
+    edges = []
+    for e in _list(doc.get("edges"), "edges"):
+        if len(_int_list(e, "edge")) != 2:
+            raise ValidationError(f"edge {e} does not have two endpoints")
+        edges.append(tuple(e))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("graph document metadata is not an object")
+    return Graph(labels, edges, metadata)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"graph document {what} missing or not a list")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not (isinstance(value, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        raise ValidationError(f"graph document {what} {value!r} is not a list of integers")
+    return value
 
 
 def dump(graph: Graph, fmt: str) -> str:

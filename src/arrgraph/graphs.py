@@ -238,14 +238,15 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
     if f.degree != graph.vertex_count:
         raise ValidationError("vertex permutation of wrong degree")
     adj = graph.adjacency
+    images = f.images
     for v in range(graph.vertex_count):
         image_row = 0
         row = adj[v]
         while row:
             low = row & -row
-            image_row |= 1 << f(low.bit_length() - 1)
+            image_row |= 1 << images[low.bit_length() - 1]
             row ^= low
-        if image_row != adj[f(v)]:
+        if image_row != adj[images[v]]:
             return False
     return True
 

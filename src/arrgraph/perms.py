@@ -4,7 +4,12 @@ Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
 - composition is left-to-right: ``(p * q)(i) == q(p(i))`` (apply p first),
-  matching the superscript action notation i^(pq) = (i^p)^q.
+  matching the superscript action notation i^(pq) = (i^p)^q;
+- images are validated at the API boundary only: ``Permutation(...)`` checks
+  that it is given a permutation, while results of internal arithmetic
+  (``compose``, ``inverse``, ``identity``, stabilizer chains, the IR search)
+  are built with the trusted constructor ``Permutation._trusted``, which
+  skips the check because a composite of permutations is one.
 """
 
 from __future__ import annotations
@@ -34,8 +39,18 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a permutation, without checking.
+        Internal only: outside input goes through the validating constructor."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        if degree < 1:
+            raise ValidationError("permutation degree must be >= 1")
+        return cls._trusted(tuple(range(degree)))
 
     @classmethod
     def from_one_based(cls, images: Iterable[int]) -> "Permutation":
@@ -59,8 +74,7 @@ class Permutation:
         if self.degree != other.degree:
             raise ValidationError(
                 f"degree mismatch: {self.degree} vs {other.degree}")
-        o = other.images
-        return Permutation(o[x] for x in self.images)
+        return Permutation._trusted(tuple(map(other.images.__getitem__, self.images)))
 
     __mul__ = compose
 
@@ -68,13 +82,13 @@ class Permutation:
         inv = [0] * self.degree
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def fixed_point_count(self) -> int:
         return sum(1 for i, x in enumerate(self.images) if i == x)
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def parity(self) -> int:
         """0 for even, 1 for odd."""
@@ -213,14 +227,19 @@ class _Node:
     introduced at this level, the fundamental orbit with transversal, and the
     stabilizer subgroup as the next node."""
 
-    __slots__ = ("degree", "point", "gens", "transversal", "stab")
+    __slots__ = ("degree", "point", "gens", "transversal", "inverses",
+                 "sifted", "stab")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.point: Optional[int] = None
         self.gens: list[Permutation] = []
-        # transversal[x] maps self.point to x
+        # transversal[x] maps self.point to x; inverses caches t^-1 per x
         self.transversal: dict[int, Permutation] = {}
+        self.inverses: dict[int, Permutation] = {}
+        # images of the Schreier generators already sifted into stab; the
+        # stabilizer only grows, so sifting one of them again is a no-op
+        self.sifted: set[tuple[int, ...]] = set()
         self.stab: Optional["_Node"] = None
 
     def generators(self) -> list[Permutation]:
@@ -233,21 +252,31 @@ class _Node:
             out.extend(self.stab.generators())
         return out
 
-    def sift(self, p: Permutation) -> Permutation:
-        if self.point is None:
-            return p
-        x = p(self.point)
-        if x != self.point:
-            t = self.transversal.get(x)
-            if t is None:
-                return p
-            p = p.compose(t.inverse())
-        return self.stab.sift(p)
+    def inverse(self, x: int) -> Permutation:
+        """The inverse of transversal[x], computed once per orbit build."""
+        inv = self.inverses.get(x)
+        if inv is None:
+            inv = self.inverses[x] = self.transversal[x].inverse()
+        return inv
 
-    def add_gen(self, p: Permutation) -> None:
+    def sift(self, p: Permutation) -> Permutation:
+        node = self
+        while node.point is not None:
+            x = p.images[node.point]
+            if x != node.point:
+                if x not in node.transversal:
+                    return p
+                p = p.compose(node.inverse(x))
+            node = node.stab
+        return p
+
+    def add_gen(self, p: Permutation) -> bool:
+        """Add p to the group; False (and no change) if it is a member."""
         residue = self.sift(p)
-        if not residue.is_identity():
-            self._add_nonmember(residue)
+        if residue.is_identity():
+            return False
+        self._add_nonmember(residue)
+        return True
 
     def _add_nonmember(self, p: Permutation) -> None:
         if self.point is None:
@@ -263,6 +292,7 @@ class _Node:
     def _rebuild_orbit(self) -> None:
         allgens = self.generators()
         self.transversal = {self.point: Permutation.identity(self.degree)}
+        self.inverses = {}
         frontier = [self.point]
         while frontier:
             new = []
@@ -278,11 +308,14 @@ class _Node:
     def _close_schreier(self) -> None:
         allgens = self.generators()
         for x in sorted(self.transversal):
-            t = self.transversal[x]
+            t = self.transversal[x].images
             for g in allgens:
-                u = self.transversal[g(x)]
-                schreier = t.compose(g).compose(u.inverse())
-                self.stab.add_gen(schreier)
+                # images of t * g * transversal[g(x)]^-1
+                u_inv = self.inverse(g.images[x]).images
+                schreier = tuple(map(u_inv.__getitem__, map(g.images.__getitem__, t)))
+                if schreier not in self.sifted:
+                    self.sifted.add(schreier)
+                    self.stab.add_gen(Permutation._trusted(schreier))
 
     def order(self) -> int:
         if self.point is None:
@@ -295,7 +328,9 @@ class StabilizerChain:
 
     Deterministic (non-randomized) construction: base points are taken in
     increasing order of first moved point, so two builds from the same
-    generator list give identical bases, orbits and transversals.
+    generator list give identical bases, orbits and transversals. The chain
+    is incremental: ``add_generator`` extends it by one generator, and a
+    chain built from a list equals one extended by its members in order.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -304,13 +339,10 @@ class StabilizerChain:
             if not generators:
                 raise ValidationError("degree required for an empty generator list")
             degree = generators[0].degree
-        for g in generators:
-            if g.degree != degree:
-                raise ValidationError("generators of mixed degree")
         self.degree = degree
         self._root = _Node(degree)
         for g in generators:
-            self._root.add_gen(g)
+            self.add_generator(g)
 
     def _nodes(self) -> list[_Node]:
         out = []
@@ -340,6 +372,13 @@ class StabilizerChain:
 
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()
+
+    def add_generator(self, p: Permutation) -> bool:
+        """Extend the group by p. Returns False, changing nothing, when p is
+        already a member."""
+        if p.degree != self.degree:
+            raise ValidationError("generators of mixed degree")
+        return self._root.add_gen(p)
 
 
 def build_stabilizer_chain(generators: Iterable[Permutation],

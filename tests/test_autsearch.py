@@ -1,10 +1,11 @@
 """Equitable refinement, the IR search, certificates, and isomorphism."""
 
+import hashlib
 import random
 
 import pytest
 
-from arrgraph.autsearch import (automorphism_group, are_isomorphic,
+from arrgraph.autsearch import (_IRSearch, automorphism_group, are_isomorphic,
                                 brute_force_automorphism_count,
                                 canonical_certificate, common_neighborhood,
                                 equitable_refinement, unit_partition)
@@ -13,7 +14,7 @@ from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism,
                              rank_tuple)
-from arrgraph.perms import Permutation, connection_set
+from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
 
 SEED = 20240811
 
@@ -209,3 +210,176 @@ def test_candidate_generators_sift_into_aut(n, k, r):
     aut = automorphism_group(g)
     for cand in candidate_aut_generators(n, k, r, g):
         assert aut.chain.contains(cand)
+
+
+# -- pinned search behaviour --------------------------------------------------
+#
+# Node counts, certificates and stabilizer chains as the search produced them
+# before refinement, orbit bookkeeping and permutation arithmetic were
+# optimised. A change to the search shows here as a diff in review.
+
+_ALL = "all"  # a fundamental orbit that is the whole vertex set
+
+PINNED_SEARCHES = {
+    ((4, 4, 3), "plain"): (391, "e3bcc3e00bf5aaf0", None, None),
+    ((4, 4, 4), "plain"): (62, "8dddcfe6c632ea11", None, None),
+    ((5, 4, 3), "plain"): (43, "a702d45f1f2e08ba", None, None),
+    ((4, 4, 3), "shuffled"): (
+        451, "e3bcc3e00bf5aaf0",
+        [17, 13, 9, 12, 7, 5, 8, 4, 2, 18, 11, 6, 16, 14, 1, 10, 3, 0],
+        [_ALL, [9, 13, 23], [9, 23], [2, 4, 5, 7, 8, 12, 15, 20], [5, 7, 20],
+         [5, 20], [2, 4, 8, 15], [2, 4, 15], [2, 15],
+         [0, 1, 3, 6, 10, 11, 14, 16, 18, 19, 21, 22], [6, 11, 21], [6, 21],
+         [0, 1, 3, 10, 14, 16, 19, 22], [1, 14, 22], [1, 22], [0, 3, 10, 19],
+         [0, 3, 19], [0, 19]]),
+    ((4, 4, 4), "shuffled"): (
+        123, "8dddcfe6c632ea11", [1, 5, 2, 0],
+        [_ALL, [2, 4, 5, 7, 9, 13], [2, 4, 9, 13], [0, 11]]),
+    ((5, 4, 3), "shuffled"): (
+        43, "a702d45f1f2e08ba", [1, 3],
+        [_ALL, [3, 11, 16, 23, 36, 42, 46, 47, 48, 49, 53, 56, 63, 69, 78, 79,
+                83, 85, 87, 99, 100, 109, 110, 114]]),
+}
+
+
+@pytest.mark.parametrize("nkr,labelling", sorted(PINNED_SEARCHES),
+                         ids=lambda x: "A%d%d%d" % x if isinstance(x, tuple) else x)
+def test_search_pinned(nkr, labelling):
+    nodes, cert_prefix, base, orbits = PINNED_SEARCHES[(nkr, labelling)]
+    g = build_arrangement_graph(*nkr)
+    if labelling == "shuffled":
+        g = shuffled(g, random.Random(SEED))
+    search = _IRSearch(g, Config())
+    search.run()
+    assert search.nodes == nodes
+    result = automorphism_group(g)
+    assert hashlib.sha256(result.certificate).hexdigest()[:16] == cert_prefix
+    if base is not None:
+        assert result.chain.base == base
+        everything = list(range(g.vertex_count))
+        assert result.chain.fundamental_orbits() == [
+            everything if o == _ALL else o for o in orbits]
+
+
+# -- refinement against the per-vertex reference ------------------------------
+
+
+def reference_refine(adj, cells):
+    """The original per-vertex refinement: every splitter regroups every
+    non-singleton cell by its neighbour count, fragments in ascending count
+    replace the cell in place and join the queue in that order."""
+    def mask(cell):
+        m = 0
+        for v in cell:
+            m |= 1 << v
+        return m
+
+    queue = [mask(c) for c in cells]
+    qi = 0
+    while qi < len(queue):
+        splitter = queue[qi]
+        qi += 1
+        newcells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                newcells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(groups) == 1:
+                newcells.append(cell)
+                continue
+            changed = True
+            for count in sorted(groups):
+                newcells.append(groups[count])
+                queue.append(mask(groups[count]))
+        if changed:
+            cells = newcells
+    return cells
+
+
+def _random_graph(rng):
+    from arrgraph.graphs import Graph
+    shape = rng.choice(["dense", "sparse", "edgeless", "disconnected", "regular"])
+    nv = rng.randint(1, 40)
+    if shape == "edgeless":
+        edges = []
+    elif shape == "disconnected":
+        # two random pieces and a few isolated vertices, never joined
+        cut = rng.randint(0, nv)
+        p = rng.random()
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                 if (u < cut) == (v < cut) and v < nv - 2 and rng.random() < p]
+    elif shape == "regular":
+        # a circulant: vertex-transitive, so refinement alone splits nothing
+        steps = rng.sample(range(1, nv // 2 + 1), min(2, nv // 2))
+        edges = {tuple(sorted((u, (u + s) % nv))) for u in range(nv) for s in steps}
+        edges = [e for e in edges if e[0] != e[1]]
+    else:
+        p = rng.uniform(0.3, 0.9) if shape == "dense" else rng.uniform(0.02, 0.2)
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < p]
+    order = list(range(nv))
+    rng.shuffle(order)
+    return Graph([(i,) for i in range(nv)],
+                 [(order[u], order[v]) for u, v in edges])
+
+
+def _random_ordered_partition(rng, nv):
+    vertices = list(range(nv))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, nv), rng.randint(0, min(nv - 1, 5)))) if nv > 1 else []
+    bounds = [0] + cuts + [nv]
+    cells = [vertices[a:b] for a, b in zip(bounds, bounds[1:])]
+    if rng.random() < 0.1:
+        cells.insert(rng.randint(0, len(cells)), [])  # dropped by refinement
+    return cells
+
+
+def test_refinement_matches_reference_random_graphs(corpus):
+    rng = random.Random(SEED + 3)
+    graphs = [_random_graph(rng) for _ in range(240)]
+    graphs += list(corpus.values()) + [build_arrangement_graph(4, 3, 2),
+                                       build_arrangement_graph(5, 3, 3)]
+    shapes = set()
+    for g in graphs:
+        for _ in range(3):
+            cells = _random_ordered_partition(rng, g.vertex_count)
+            expected = reference_refine(g.adjacency, [sorted(c) for c in cells])
+            assert equitable_refinement(g, cells) == expected
+        shapes.add((g.edge_count() == 0, g.is_connected()))
+    # edgeless, disconnected and connected graphs all took part
+    assert {(True, False), (False, False), (False, True)} <= shapes
+
+
+# -- generators kept by the search --------------------------------------------
+
+
+def _searched_graphs(corpus):
+    rng = random.Random(SEED + 4)
+    graphs = dict(corpus)
+    for nkr in [(4, 4, 3), (4, 3, 2), (5, 3, 3)]:
+        g = build_arrangement_graph(*nkr)
+        graphs["A%d%d%d" % nkr] = g
+        graphs["A%d%d%d shuffled" % nkr] = shuffled(g, rng)
+    return graphs
+
+
+def test_generators_are_chain_non_members(corpus):
+    for name, g in _searched_graphs(corpus).items():
+        result = automorphism_group(g)
+        for i, f in enumerate(result.generators):
+            assert is_automorphism(g, f), name
+            prefix = build_stabilizer_chain(result.generators[:i], degree=g.vertex_count)
+            assert not prefix.contains(f), (name, i)
+
+
+def test_generators_rebuild_the_chain(corpus):
+    for name, g in _searched_graphs(corpus).items():
+        result = automorphism_group(g)
+        rebuilt = build_stabilizer_chain(result.generators, degree=g.vertex_count)
+        assert rebuilt.base == result.chain.base, name
+        assert rebuilt.fundamental_orbits() == result.chain.fundamental_orbits(), name
+        assert rebuilt.strong_generators() == result.chain.strong_generators(), name
+        assert rebuilt.order() == result.order, name

@@ -143,3 +143,31 @@ def test_conjecture_anchored(capsys):
     code, out, _ = run(capsys, "conjecture", "--n", "4", "--k", "2")
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+
+
+_A422_DOC = json.loads(graphio.to_graphdoc(build_arrangement_graph(4, 2, 2)))
+
+
+def _doc_without_labels():
+    doc = dict(_A422_DOC)
+    del doc["labels"]
+    return json.dumps(doc)
+
+
+def _doc_with_three_entry_edge():
+    doc = dict(_A422_DOC)
+    doc["edges"] = doc["edges"][:-1] + [[0, 1, 2]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _doc_without_labels(),
+    _doc_with_three_entry_edge(),
+    "# vertices x\n0 1\n",
+], ids=["graphdoc-no-labels", "edge-three-entries", "edgelist-vertices-x"])
+def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "aut", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")

@@ -238,3 +238,53 @@ def test_chain_deterministic():
     assert c1.base == c2.base
     assert c1.fundamental_orbits() == c2.fundamental_orbits()
     assert c1.strong_generators() == c2.strong_generators()
+
+
+def test_chain_add_generator_is_incremental():
+    rng = random.Random(SEED + 6)
+    for _ in range(20):
+        d = rng.randint(2, 7)
+        gens = [random_perm(rng, d) for _ in range(rng.randint(1, 4))]
+        batch = build_stabilizer_chain(gens, degree=d)
+        chain = build_stabilizer_chain([], degree=d)
+        for g in gens:
+            was_member = chain.contains(g)
+            assert chain.add_generator(g) is not was_member
+            assert not chain.add_generator(g)  # now a member: no change
+        assert chain.base == batch.base
+        assert chain.fundamental_orbits() == batch.fundamental_orbits()
+        assert chain.strong_generators() == batch.strong_generators()
+    with pytest.raises(ValidationError):
+        build_stabilizer_chain([], degree=3).add_generator(cycle(4))
+
+
+# -- validation at the API boundary -------------------------------------------
+
+
+def test_public_constructor_still_validates():
+    for bad in ([0, 0, 1], [1, 2, 3], [0, 2], [], [0, "1"], [0.0, 1]):
+        with pytest.raises(ValidationError):
+            Permutation(bad)
+    with pytest.raises(ValidationError):
+        Permutation.identity(0)
+    with pytest.raises(ValidationError):
+        cycle(3).compose(cycle(4))
+
+
+def test_internal_arithmetic_matches_validated_constructor():
+    rng = random.Random(SEED + 7)
+    for _ in range(50):
+        d = rng.randint(1, 9)
+        p, q = random_perm(rng, d), random_perm(rng, d)
+        composite = p.compose(q)
+        assert composite == Permutation([q(p(i)) for i in range(d)])
+        assert type(composite.images) is tuple
+        assert p.inverse() == Permutation(sorted(range(d), key=p))
+        assert Permutation.identity(d) == Permutation(range(d))
+
+
+def test_trusted_constructor_not_exported():
+    import arrgraph
+    assert not hasattr(arrgraph, "_trusted")
+    assert all(not name.startswith("_trusted") for name in dir(arrgraph))
+    assert "_trusted" not in getattr(arrgraph, "__all__", [])
