@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import graphio
-from .actions import (column_partition, induce_action, quotient_action,
-                      row_partition, verify_block_system)
 from .autsearch import automorphism_group
 from .config import Config
 from .errors import BudgetError, ValidationError
 from .graphs import build_arrangement_graph, build_cayley_graph
-from .indsets import ENUMERATE_ALL, SIZE_ONLY, delta_family, max_independent_sets
+from .indsets import ENUMERATE_ALL, SIZE_ONLY, max_independent_sets
 from .perms import connection_set
-from .suite import run_full_suite, test_conjecture, verify_prop_2_1
+from .suite import (ReportDocument, run_full_suite, test_conjecture,
+                    verify_blocks, verify_lemma_2_5, verify_prop_2_1)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,28 +89,16 @@ def cmd_mis(args, config: Config) -> int:
 
 def cmd_blocks(args, config: Config) -> int:
     n, k = args.n, args.k
-    report = verify_prop_2_1(n, k, config)
-    graph_ok = report.passed
-    from .graphs import build_arrangement_graph as _bag
-    graph = _bag(n, k, k, config)
-    aut = automorphism_group(graph, config)
-    family = [s for _, s in delta_family(n, k)]
-    action = induce_action(aut.generators, family)
-    sigma = row_partition(n, k)
-    sigma_prime = column_partition(n, k)
-    ok1 = verify_block_system(action, sigma)
-    ok2 = verify_block_system(action, sigma_prime)
-    print(f"family of {len(family)} maximum independent sets "
-          f"({'verified' if graph_ok else 'MISMATCH'})")
-    print(f"Sigma: {len(sigma.blocks)} blocks of size {k} -> "
-          f"{'block system' if ok1 else 'NOT a block system'}")
-    print(f"Sigma': {len(sigma_prime.blocks)} blocks of size {n} -> "
-          f"{'block system' if ok2 else 'NOT a block system'}")
+    claims = [verify_prop_2_1(n, k, config), verify_blocks(n, k, config)]
     if k < n:
-        _, qo, ko = quotient_action(action, sigma)
-        print(f"quotient by Sigma: order {qo} (n! = {math.factorial(n)}), "
-              f"kernel order {ko} (k! = {math.factorial(k)})")
-    return EXIT_OK if (graph_ok and ok1 and ok2) else EXIT_CLAIM_FAILED
+        claims.append(verify_lemma_2_5(n, k, config))
+    doc = ReportDocument(claims)
+    print(doc.summary_text(), end="")
+    if k == n:
+        violation = claims[1].details["inversion_violation"]
+        print("k = n: Sigma and Sigma' are checked under the value/position "
+              f"relabelings; inversion violation: {json.dumps(violation, sort_keys=True)}")
+    return EXIT_OK if doc.all_expected_pass() else EXIT_CLAIM_FAILED
 
 
 def cmd_verify(args, config: Config) -> int:

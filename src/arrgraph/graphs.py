@@ -193,17 +193,8 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
 
 
 # --------------------------------------------------------------------------
-# The tuple <-> permutation bijection and the three automorphism families
-
-
-def tuple_to_permutation(t: Sequence[int]) -> Permutation:
-    """The permutation mapping i to t[i] (full-length tuples only)."""
-    p = Permutation(t)  # validates bijection, i.e. k = n
-    return p
-
-
-def permutation_to_tuple(p: Permutation) -> tuple[int, ...]:
-    return p.images
+# The three automorphism families. A full-length tuple t is the one-line
+# form of the permutation Permutation(t), mapping i to t[i].
 
 
 def apply_value_permutation(g: Permutation, t: Sequence[int]) -> tuple[int, ...]:
@@ -224,7 +215,7 @@ def apply_position_permutation(h: Permutation, t: Sequence[int]) -> tuple[int, .
 def invert_tuple(t: Sequence[int]) -> tuple[int, ...]:
     """One-line form of the inverse permutation; an involution on full-length
     tuples (the extra vertex map beyond value/position relabelings)."""
-    return tuple_to_permutation(t).inverse().images
+    return Permutation(t).inverse().images
 
 
 def vertex_permutation(graph: Graph, tuple_map) -> Permutation:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -90,12 +91,13 @@ class ReportDocument:
 
 
 # --------------------------------------------------------------------------
-# per-process cache of expensive objects
+# per-process cache of expensive objects, keyed with the Config they used
 
 _CACHE: dict = {}
 
 
-def _cached(key, builder):
+def _cached(key, config: Config, builder):
+    key = (key, config)
     if key not in _CACHE:
         _CACHE[key] = builder()
     return _CACHE[key]
@@ -106,39 +108,60 @@ def clear_cache() -> None:
 
 
 def _arrangement(n: int, k: int, r: int, config: Config) -> Graph:
-    return _cached(("arr", n, k, r), lambda: build_arrangement_graph(n, k, r, config))
+    return _cached(("arr", n, k, r), config,
+                   lambda: build_arrangement_graph(n, k, r, config))
 
 
 def _cayley(n: int, fixed: int, config: Config) -> Graph:
-    return _cached(("cay", n, fixed),
+    return _cached(("cay", n, fixed), config,
                    lambda: build_cayley_graph(n, connection_set(n, "fixed", fixed), config))
 
 
-def _aut(key, graph: Graph, config: Config) -> AutResult:
-    return _cached(("aut",) + key, lambda: automorphism_group(graph, config))
+@dataclass(frozen=True)
+class _Search:
+    """The automorphism search of a copy of a graph whose vertex v sits at
+    index shuffle(v); claims speak about the plain labelling."""
+
+    shuffle: Permutation
+    aut: AutResult
+
+    def contains(self, g: Permutation) -> bool:
+        """Whether the plain-labelled vertex permutation g is an automorphism."""
+        return self.aut.chain.contains(self.shuffle.inverse() * g * self.shuffle)
 
 
-def _shuffled(graph: Graph, rng: random.Random) -> Graph:
+def _shuffled(graph: Graph, rng: random.Random, config: Config) -> _Search:
     images = list(range(graph.vertex_count))
     rng.shuffle(images)
-    return graph.relabeled(Permutation(images))
+    shuffle = Permutation(images)
+    return _Search(shuffle, automorphism_group(graph.relabeled(shuffle), config))
 
 
-def _rng(config: Config, claim_id: str) -> random.Random:
-    return random.Random(f"{config.seed}:{claim_id}")
-
-
-def _shuffled_iso(n: int, fixed: int, config: Config) -> tuple[AutResult, AutResult]:
+def _shuffled_iso(n: int, fixed: int, config: Config) -> tuple[_Search, _Search]:
     """Searches of shuffled copies of A(n,n,n-fixed) and Cay(S_n,F_fixed),
-    both drawn from the sec3 claim's stream, so every claim comparing the two
-    graphs sees the same copies whichever claim ran first."""
+    both drawn from the sec3 claim's stream. They are the only searches of
+    these graphs in a run: every claim about either graph reads its group
+    from here, whichever claim ran first."""
     def search():
-        rng = _rng(config, f"sec3/iso/n={n}/fixed={fixed}")
-        arr = _shuffled(_arrangement(n, n, n - fixed, config), rng)
-        cay = _shuffled(_cayley(n, fixed, config), rng)
-        return automorphism_group(arr, config), automorphism_group(cay, config)
+        rng = random.Random(f"{config.seed}:sec3/iso/n={n}/fixed={fixed}")
+        return (_shuffled(_arrangement(n, n, n - fixed, config), rng, config),
+                _shuffled(_cayley(n, fixed, config), rng, config))
 
-    return _cached(("iso", n, fixed), search)
+    return _cached(("iso", n, fixed), config, search)
+
+
+def _group(n: int, k: int, r: int, config: Config) -> _Search:
+    """The search standing for Aut(A(n,k,r)): for k = n the shuffled copy of
+    the sec3 class fixed = n - r, for k < n a search of the plain graph."""
+    if k == n:
+        return _shuffled_iso(n, n - r, config)[0]
+
+    def search():
+        graph = _arrangement(n, k, r, config)
+        return _Search(Permutation.identity(graph.vertex_count),
+                       automorphism_group(graph, config))
+
+    return _cached(("aut", n, k, r), config, search)
 
 
 def _delta_label(i: int, j: int) -> str:
@@ -147,6 +170,13 @@ def _delta_label(i: int, j: int) -> str:
 
 def _block_labels(blocks, n: int, k: int) -> list[list[str]]:
     return [[_delta_label(*divmod(x, k)) for x in block] for block in blocks.blocks]
+
+
+def _induced_action(search: _Search, n: int, k: int):
+    """The action of Aut(A(n,k,k)) on the delta family as the searched copy
+    labels it, in family order."""
+    return induce_action(search.aut.generators, [frozenset(map(search.shuffle, s))
+                                                 for _, s in delta_family(n, k)])
 
 
 # --------------------------------------------------------------------------
@@ -170,9 +200,10 @@ def verify_theorem_1_2(n: int, k: int, r: int,
     claim_id = f"thm1.2/{case}/n={n}/k={k}"
     t0 = time.perf_counter()
     graph = _arrangement(n, k, r, config)
-    aut = _aut(("arr", n, k, r), graph, config)
+    search = _group(n, k, r, config)
+    aut = search.aut
     candidates = candidate_aut_generators(n, k, r, graph, config)
-    contained = all(aut.chain.contains(g) for g in candidates)
+    contained = all(search.contains(g) for g in candidates)
     cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
     return ClaimReport(
         claim_id=claim_id,
@@ -210,10 +241,9 @@ def verify_prop_2_2(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
     is trivial."""
     claim_id = f"prop2.2/n={n}/k={k}"
     t0 = time.perf_counter()
-    graph = _arrangement(n, k, k, config)
-    aut = _aut(("arr", n, k, k), graph, config)
-    action = induce_action(aut.generators, [s for _, s in delta_family(n, k)])
-    kernel = kernel_order(aut.order, action)
+    search = _group(n, k, k, config)
+    action = _induced_action(search, n, k)
+    kernel = kernel_order(search.aut.order, action)
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
@@ -221,7 +251,7 @@ def verify_prop_2_2(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
         computed=kernel,
         passed=(kernel == 1),
         wall_time=time.perf_counter() - t0,
-        details={"group_order": aut.order},
+        details={"group_order": search.aut.order},
     )
 
 
@@ -234,19 +264,17 @@ def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRepor
     under the tuple-inversion map (searched for, not assumed)."""
     claim_id = f"blocks/n={n}/k={k}"
     t0 = time.perf_counter()
-    graph = _arrangement(n, k, k, config)
-    family = [s for _, s in delta_family(n, k)]
     sigma = row_partition(n, k)
     sigma_prime = column_partition(n, k)
     details: dict = {"sigma": _block_labels(sigma, n, k),
                      "sigma_prime": _block_labels(sigma_prime, n, k)}
     if k < n:
-        aut = _aut(("arr", n, k, k), graph, config)
-        action = induce_action(aut.generators, family)
+        action = _induced_action(_group(n, k, k, config), n, k)
         sigma_ok = verify_block_system(action, sigma)
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
-        gens = candidate_aut_generators(n, n, n, graph, config)
+        family = [s for _, s in delta_family(n, k)]
+        gens = candidate_aut_generators(n, n, n, _arrangement(n, n, n, config), config)
         pq_action = induce_action(gens[:-1], family)
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
@@ -286,10 +314,7 @@ def verify_lemma_2_5(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRe
         raise ValidationError("the quotient check applies to k < n only")
     claim_id = f"lemma2.5/n={n}/k={k}"
     t0 = time.perf_counter()
-    graph = _arrangement(n, k, k, config)
-    aut = _aut(("arr", n, k, k), graph, config)
-    family = [s for _, s in delta_family(n, k)]
-    action = induce_action(aut.generators, family)
+    action = _induced_action(_group(n, k, k, config), n, k)
     _, quotient_order, kernel_order = quotient_action(action, row_partition(n, k))
     expected = {"quotient": math.factorial(n), "kernel": math.factorial(k)}
     computed = {"quotient": quotient_order, "kernel": kernel_order}
@@ -319,8 +344,8 @@ def verify_prop_2_6(n: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
         # the identity on indexes, so it is a witness iff adjacency agrees
         witness_ok = (_arrangement(n, n, n - fixed, config).adjacency
                       == _cayley(n, fixed, config).adjacency)
-        aut_a, aut_c = _shuffled_iso(n, fixed, config)
-        results[kind] = {"certificates_equal": aut_a.certificate == aut_c.certificate,
+        arr, cay = _shuffled_iso(n, fixed, config)
+        results[kind] = {"certificates_equal": arr.aut.certificate == cay.aut.certificate,
                          "psi_witness": witness_ok}
     passed = all(v["certificates_equal"] and v["psi_witness"] for v in results.values())
     return ClaimReport(
@@ -341,8 +366,8 @@ def verify_section3_iso(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> 
         raise ValidationError(f"need n > 2 and 0 <= fixed <= n-2, got n={n} fixed={fixed}")
     claim_id = f"sec3/iso/n={n}/fixed={fixed}"
     t0 = time.perf_counter()
-    aut_a, aut_c = _shuffled_iso(n, fixed, config)
-    iso = aut_a.certificate == aut_c.certificate
+    arr, cay = _shuffled_iso(n, fixed, config)
+    iso = arr.aut.certificate == cay.aut.certificate
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "fixed": fixed},
@@ -378,8 +403,9 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
         "connected": graph.is_connected(),
     }
     try:
-        aut = _aut(("cayf", n, fixed), graph, config)
-        contained = all(aut.chain.contains(g) for g in candidates)
+        search = _shuffled_iso(n, fixed, config)[1]
+        aut = search.aut
+        contained = all(search.contains(g) for g in candidates)
         equal = aut.order == cand_order and contained
         details.update({"aut_order": aut.order, "candidates_contained": contained,
                         "conjecture_holds": equal})
@@ -408,29 +434,22 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
 
 
 def _job_claims(job: tuple, config: Config) -> list[ClaimReport]:
-    kind = job[0]
+    """The claims of one job. A job holds every claim that reads its
+    searches, so each graph is searched once per run whatever the worker count."""
+    kind, n, arg = job
     if kind == "akk":
-        _, n, k = job
-        out = [verify_theorem_1_2(n, k, k, config),
-               verify_prop_2_1(n, k, config),
-               verify_prop_2_2(n, k, config),
-               verify_blocks(n, k, config)]
-        if k < n:
-            out.append(verify_lemma_2_5(n, k, config))
-        return out
-    if kind == "ann2":
-        _, n = job
-        return [verify_theorem_1_2(n, n, 2, config)]
-    if kind == "prop2.6":
-        _, n = job
-        return [verify_prop_2_6(n, config)]
-    if kind == "sec3":
-        _, n, fixed = job
-        return [verify_section3_iso(n, fixed, config)]
-    if kind == "conj":
-        _, n, fixed = job
-        return [test_conjecture(n, fixed, config)]
-    raise ValidationError(f"unknown job {job!r}")
+        return [verify_theorem_1_2(n, arg, arg, config), verify_prop_2_1(n, arg, config),
+                verify_prop_2_2(n, arg, config), verify_blocks(n, arg, config),
+                verify_lemma_2_5(n, arg, config)]
+    out = []
+    for fixed in arg:
+        out += [verify_section3_iso(n, fixed, config), test_conjecture(n, fixed, config)]
+    if kind == "knn":
+        # the k = n claims read the searches of fixed = 0 and fixed = n-2
+        out += [verify_theorem_1_2(n, n, n, config), verify_theorem_1_2(n, n, 2, config),
+                verify_prop_2_1(n, n, config), verify_prop_2_2(n, n, config),
+                verify_blocks(n, n, config), verify_prop_2_6(n, config)]
+    return out
 
 
 def suite_jobs(n_max: int, include_n6: bool = False) -> list[tuple]:
@@ -438,16 +457,11 @@ def suite_jobs(n_max: int, include_n6: bool = False) -> list[tuple]:
         raise ValidationError(f"n_max must be between 3 and 5, got {n_max}")
     jobs: list[tuple] = []
     for n in range(3, n_max + 1):
-        for k in range(1, n + 1):
-            jobs.append(("akk", n, k))
-        jobs.append(("ann2", n))
-        jobs.append(("prop2.6", n))
-        for fixed in range(0, n - 1):
-            jobs.append(("sec3", n, fixed))
-            jobs.append(("conj", n, fixed))
+        jobs += [("akk", n, k) for k in range(1, n)]
+        jobs.append(("knn", n, (0, n - 2)))
+        jobs += [("fixed", n, (fixed,)) for fixed in range(1, n - 2)]
     if include_n6:
-        for k in (1, 2):
-            jobs.append(("akk", 6, k))
+        jobs += [("akk", 6, k) for k in (1, 2)]
     return jobs
 
 
@@ -458,13 +472,12 @@ def run_full_suite(n_max: int = 5, config: Config = DEFAULT_CONFIG,
     Individual claim failures are collected, never fatal; the document's
     all_expected_pass() reflects only claims that carry an expectation."""
     jobs = suite_jobs(n_max, include_n6)
-    claims: list[ClaimReport] = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for result in pool.map(_job_claims, jobs, [config] * len(jobs)):
-                claims.extend(result)
+    # a fork pool starts all its workers at once, so never more than can run
+    workers = min(config.workers, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_job_claims, jobs, [config] * len(jobs)))
     else:
-        for job in jobs:
-            claims.extend(_job_claims(job, config))
-    claims.sort(key=lambda c: c.claim_id)
-    return ReportDocument(claims)
+        results = [_job_claims(job, config) for job in jobs]
+    return ReportDocument(sorted((c for claims in results for c in claims),
+                                 key=lambda c: c.claim_id))

@@ -109,9 +109,22 @@ def test_mis_command(capsys, tmp_path):
 def test_blocks_command(capsys):
     code, out, _ = run(capsys, "blocks", "--n", "4", "--k", "2")
     assert code == EXIT_OK
-    assert "Sigma: 4 blocks of size 2 -> block system" in out
-    assert "Sigma': 2 blocks of size 4 -> block system" in out
-    assert "quotient by Sigma: order 24" in out
+    assert "prop2.1/n=4/k=2" in out
+    assert "blocks/n=4/k=2" in out
+    assert "{'quotient': 24, 'kernel': 2}" in out
+    assert "3 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocks_command_k_eq_n(n, capsys):
+    # Sigma and Sigma' are block systems under the value/position
+    # relabelings only; the inversion map breaks them, as the suite records
+    code, out, _ = run(capsys, "blocks", "--n", str(n), "--k", str(n))
+    assert code == EXIT_OK
+    assert f"blocks/n={n}/k={n}" in out and "PASS" in out and "FAIL" not in out
+    violation = json.loads(out.split("inversion violation: ", 1)[1])
+    assert violation["block"] != violation["image"]
+    assert "lemma2.5" not in out
 
 
 def test_verify_command(capsys, tmp_path):

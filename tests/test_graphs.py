@@ -12,9 +12,8 @@ from arrgraph.graphs import (Graph, apply_position_permutation,
                              apply_value_permutation, build_arrangement_graph,
                              build_cayley_graph, candidate_aut_generators,
                              differing_coordinates, invert_tuple,
-                             is_automorphism, permutation_to_tuple, rank_tuple,
-                             tuple_count, tuple_to_permutation, unrank_tuple,
-                             vertex_permutation)
+                             is_automorphism, rank_tuple, tuple_count,
+                             unrank_tuple, vertex_permutation)
 from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
                             cycle, symmetric_group_generators, transposition)
 
@@ -187,16 +186,19 @@ def test_is_connected():
 
 
 def test_psi_examples():
-    p = tuple_to_permutation(t1(2, 3, 1))
+    # psi reads a full-length tuple as the one-line form of a permutation
+    p = Permutation(t1(2, 3, 1))
     assert p.to_one_based() == [2, 3, 1]
-    assert tuple_to_permutation(tuple(range(4))).is_identity()
+    assert Permutation(tuple(range(4))).is_identity()
     for imgs in itertools.permutations(range(4)):
-        assert permutation_to_tuple(tuple_to_permutation(imgs)) == imgs
+        assert Permutation(imgs).images == imgs
 
 
 def test_psi_requires_full_tuples():
     with pytest.raises(ValidationError):
-        tuple_to_permutation((0, 2))  # k < n: not a bijection on 0..1
+        Permutation((0, 2))  # k < n: not a bijection on 0..1
+    with pytest.raises(ValidationError):
+        invert_tuple((0, 2))
 
 
 def test_apply_value_permutation():
@@ -232,7 +234,7 @@ def test_apply_h_examples():
     assert invert_tuple(ident) == ident
     for imgs in itertools.permutations(range(4)):
         assert invert_tuple(invert_tuple(imgs)) == imgs
-        assert tuple_to_permutation(invert_tuple(imgs)) == tuple_to_permutation(imgs).inverse()
+        assert Permutation(invert_tuple(imgs)) == Permutation(imgs).inverse()
 
 
 def test_pq_commute_pointwise():
@@ -267,9 +269,9 @@ def test_psi_is_isomorphism_witness(n):
         g = build_arrangement_graph(n, n, r)
         elems = connection_set(n, kind).elements
         for u in range(g.vertex_count):
-            pu = tuple_to_permutation(g.labels[u])
+            pu = Permutation(g.labels[u])
             for v in range(g.vertex_count):
-                pv = tuple_to_permutation(g.labels[v])
+                pv = Permutation(g.labels[v])
                 assert g.has_edge(u, v) == (pu.compose(pv.inverse()) in elems)
 
 

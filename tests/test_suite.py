@@ -1,12 +1,15 @@
 """The claim suite: individual claims and the full run."""
 
 import json
+import os
 
 import pytest
 
 from arrgraph import suite
 from arrgraph.config import Config
-from arrgraph.errors import ValidationError
+from arrgraph.errors import BudgetError, ValidationError
+from arrgraph.graphs import candidate_aut_generators, is_automorphism
+from arrgraph.perms import transposition
 from arrgraph.suite import (ReportDocument, run_full_suite, suite_jobs,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
@@ -87,7 +90,8 @@ def test_section3_iso_independent_of_prop_2_6():
             record = verify_section3_iso(4, fixed).to_json_obj()
             record.pop("wall_time")
             searches = suite._shuffled_iso(4, fixed, Config())
-            out.append((record, [aut.generators for aut in searches]))
+            out.append((record, [(search.shuffle, search.aut.generators)
+                                 for search in searches]))
         return out
 
     suite.clear_cache()
@@ -162,9 +166,89 @@ def test_suite_deterministic_modulo_wall_time():
 
 
 def test_suite_parallel_matches_serial():
-    serial = run_full_suite(3)
-    parallel = run_full_suite(3, Config(workers=2))
+    # n = 4 has a fixed-point class (fixed = 1) with a job of its own
+    serial = run_full_suite(4)
+    parallel = run_full_suite(4, Config(workers=2))
     strip = lambda doc: [
         {k: v for k, v in c.to_json_obj().items() if k != "wall_time"}
         for c in doc.claims]
     assert strip(serial) == strip(parallel)
+
+
+def test_suite_searches_each_graph_copy_once(monkeypatch):
+    searched = []  # the adjacency of every graph the suite searches
+    search = suite.automorphism_group
+
+    def counting(graph, config):
+        searched.append(tuple(graph.adjacency))
+        return search(graph, config)
+
+    monkeypatch.setattr(suite, "automorphism_group", counting)
+    suite.clear_cache()
+    assert run_full_suite(4).all_expected_pass()
+    # per n: one plain A(n,k,k) for each k < n, and the shuffled A(n,n,n-f)
+    # and Cay(S_n,F_f) for each fixed-point class f
+    assert len(searched) == 15
+    assert len(set(searched)) == 15
+
+    # with every job in a fresh process (the worst case of a worker pool)
+    # the count is the same: a job holds every claim reading its searches
+    searched.clear()
+    for job in suite_jobs(4):
+        suite.clear_cache()
+        suite._job_claims(job, Config())
+    assert len(searched) == 15
+    suite.clear_cache()
+
+
+def test_shuffled_search_answers_for_the_plain_graph():
+    # a plain-labelled automorphism is tested in the shuffled copy's chain
+    # after conjugation by the shuffle
+    plain = suite._arrangement(4, 4, 4, Config())
+    search = suite._group(4, 4, 4, Config())
+    assert not search.shuffle.is_identity()
+    assert search.aut.order == 1152
+    for g in candidate_aut_generators(4, 4, 4, plain):
+        assert search.contains(g)
+    swap = transposition(plain.vertex_count, 0, 1)
+    assert not is_automorphism(plain, swap) and not search.contains(swap)
+
+
+def test_cache_keys_include_config():
+    suite.clear_cache()
+    assert verify_theorem_1_2(4, 4, 4).passed
+    with pytest.raises(BudgetError):
+        verify_theorem_1_2(4, 4, 4, Config(node_budget=3))
+    one = suite._shuffled_iso(4, 1, Config(seed=1))
+    two = suite._shuffled_iso(4, 1, Config(seed=2))
+    assert one is not two
+    assert one[0].shuffle != two[0].shuffle
+    suite.clear_cache()
+
+
+@pytest.mark.parametrize("cpus,expected", [(64, [3]), (2, [2]), (1, []), (None, [])])
+def test_worker_pool_is_capped(cpus, expected, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # n_max = 3 is three jobs; a requested size of 100000 must never reach
+    # the pool, and a cap of 1 runs serially without one
+    doc = run_full_suite(3, Config(workers=100_000))
+    assert sizes == expected
+    assert doc.all_expected_pass() and len(doc.claims) == 20
