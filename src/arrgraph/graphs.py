@@ -93,6 +93,19 @@ class Graph:
         self.adjacency = adjacency
         self.metadata = dict(metadata or {})
 
+    @classmethod
+    def _from_adjacency(cls, labels: Sequence[tuple[int, ...]],
+                        adjacency: list[int], metadata: dict) -> "Graph":
+        """Wrap distinct tuple labels and a bitmask adjacency that is already
+        symmetric and loop-free, without checking or listing edges.
+        Internal only: outside input goes through the validating constructor."""
+        g = object.__new__(cls)
+        g.vertex_count = len(labels)
+        g.labels = tuple(labels)
+        g.adjacency = adjacency
+        g.metadata = dict(metadata)
+        return g
+
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
@@ -126,10 +139,16 @@ class Graph:
         """The graph with vertex v moved to index perm(v) (labels follow)."""
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
-        inv = perm.inverse()
-        labels = [self.labels[inv(i)] for i in range(self.vertex_count)]
-        edges = [(perm(u), perm(v)) for u, v in self.edges()]
-        return Graph(labels, edges, self.metadata)
+        images = perm.images
+        labels = [None] * self.vertex_count
+        adjacency = [0] * self.vertex_count
+        for u, label in enumerate(self.labels):
+            row = 0
+            for v in self.neighbors(u):
+                row |= 1 << images[v]
+            labels[images[u]] = label
+            adjacency[images[u]] = row
+        return Graph._from_adjacency(labels, adjacency, self.metadata)
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
@@ -151,7 +170,13 @@ class Graph:
 def build_arrangement_graph(n: int, k: int, r: int,
                             config: Config = DEFAULT_CONFIG) -> Graph:
     """A(n,k,r): vertices are k-tuples of distinct values in 0..n-1, edges
-    join tuples differing in exactly r coordinates."""
+    join tuples differing in exactly r coordinates.
+
+    Two tuples differ in r coordinates when they agree in k - r. The
+    vertices with value x at position j form the mask at[j][x]. For each
+    tuple t the k masks at[j][t[j]] are summed bit-sliced, with ripple
+    carry, and the row of t is one AND over the planes that selects the
+    count k - r. No edge list is formed."""
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
     nv = tuple_count(n, k)
@@ -159,14 +184,39 @@ def build_arrangement_graph(n: int, k: int, r: int,
         raise ValidationError(
             f"A({n},{k},{r}) has {nv} vertices, over the guard {config.vertex_guard}")
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
-    edges = [
-        (u, v)
-        for u in range(nv)
-        for v in range(u + 1, nv)
-        if differing_coordinates(labels[u], labels[v]) == r
-    ]
-    meta = {"family": "arrangement", "n": n, "k": k, "r": r}
-    return Graph(labels, edges, meta)
+    full = (1 << nv) - 1
+    at = []
+    for j in range(k):
+        holders: list[list[int]] = [[] for _ in range(n)]
+        for v, t in enumerate(labels):
+            holders[t[j]].append(v)
+        masks = []
+        for vertices in holders:
+            digits = bytearray(b"0") * nv  # digits[v] is bit v, read reversed
+            for v in vertices:
+                digits[v] = 49  # "1"
+            masks.append(int(digits[::-1], 2))
+        at.append(masks)
+    width = k.bit_length()
+    agree = k - r
+    adjacency = []
+    for t in labels:
+        # planes[p]: bit p of every vertex's agreement count with t
+        planes = [0] * width
+        for j, x in enumerate(t):
+            carry = at[j][x]
+            for p in range(width):
+                plane = planes[p]
+                planes[p] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+        row = full
+        for p, plane in enumerate(planes):
+            row &= plane if agree >> p & 1 else ~plane
+        adjacency.append(row)
+    return Graph._from_adjacency(
+        labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
 def build_cayley_graph(n: int, cset: ConnectionSet,
@@ -181,15 +231,18 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
             f"Cay(S_{n}) has {nv} vertices, over the guard {config.vertex_guard}")
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for i, lab in enumerate(labels):
-        g = Permutation(lab)
-        for s in cset.elements:
-            j = index[s.compose(g).images]
-            if i < j:
-                edges.append((i, j))
-    meta = {"family": "cayley", "n": n, "kind": cset.label()}
-    return Graph(labels, edges, meta)
+    elements = [s.images for s in cset.elements]
+    adjacency = []
+    for lab in labels:
+        # s*g in one-line form: i -> g(s(i)); S is inverse-closed and
+        # identity-free, so the rows are symmetric and loop-free
+        image = lab.__getitem__
+        row = 0
+        for s in elements:
+            row |= 1 << index[tuple(map(image, s))]
+        adjacency.append(row)
+    return Graph._from_adjacency(
+        labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,13 @@ coloring bound (Tomita-Kameda) serves both modes: size_only prunes every
 branch that cannot beat the best clique so far, enumerate_all keeps the
 branches that can tie it and collects every maximum clique. The node budget
 bounds both.
+
+Each node colors its candidates one class at a time, each class a bitmask
+(San Segundo et al.'s BBMC). Classes whose color cannot reach the bound are
+dropped whole; the node branches over the rest from the highest color down
+and within a class from the highest vertex down. Open nodes live on an
+explicit stack, so the depth of the search (the size of the independent
+set) is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -67,52 +74,72 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
                  node_budget: int) -> list[list[int]]:
     """Maximum cliques of the graph with bitmask adjacency adj, by branch and
     bound with a greedy coloring bound (Tomita & Kameda, J. Global Optim.
-    2007). Returns one maximum clique, or with enumerate_all every one of
-    them; each clique is sorted. More than node_budget search nodes raise
-    BudgetError."""
+    2007) kept as bitmask color classes (San Segundo et al., Comput. Oper.
+    Res. 2011). Returns one maximum clique, or with enumerate_all every one
+    of them; each clique is sorted. More than node_budget search nodes raise
+    BudgetError.
+
+    A color class takes the lowest candidates not adjacent to the class so
+    far. The color of a vertex bounds the clique it can still reach, so a
+    node ends at the first vertex whose color cannot beat the best clique
+    (or, with enumerate_all, tie it)."""
     best = 0
     found: list[list[int]] = []
     nodes = 0
-
-    def color_order(p_mask: int) -> list[tuple[int, int]]:
-        order = []
-        color = 0
-        rest = p_mask
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                rest &= ~(1 << v)
-                avail &= ~(adj[v] | (1 << v))
-        return order
-
-    def expand(current: list[int], p_mask: int) -> None:
-        nonlocal best, found, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetError(f"clique search exceeded node budget {node_budget}")
-        # colors never increase along the reversed order, so the first vertex
-        # whose bound cannot reach the target ends this node
-        for v, color in reversed(color_order(p_mask)):
-            bound = len(current) + color
-            if bound < best or (bound == best and not enumerate_all):
-                return
-            current.append(v)
-            nxt = p_mask & adj[v]
-            if nxt:
-                expand(current, nxt)
-            elif len(current) > best:
+    keep_ties = 0 if enumerate_all else 1
+    # outside[v]: the vertices a color class may still take once it has v
+    outside = [~(row | 1 << v) for v, row in enumerate(adj)]
+    current: list[int] = []
+    # one frame per open node: [candidates not yet branched on, the kept
+    # classes below the one in use, the untried vertices of the class in
+    # use, its color]
+    stack: list[list] = []
+    candidates: Optional[int] = (1 << nv) - 1  # a node to open, or None
+    while True:
+        if candidates is not None:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetError(f"clique search exceeded node budget {node_budget}")
+            classes = []
+            rest = candidates
+            while rest:
+                avail = rest
+                members = 0
+                while avail:
+                    low = avail & -avail
+                    members |= low
+                    avail &= outside[low.bit_length() - 1]
+                rest ^= members
+                classes.append(members)
+            # a vertex of color c extends the clique to at most
+            # len(current) + c vertices, so lower classes never pass the bound
+            lowest = max(best - len(current) + keep_ties, 1)
+            stack.append([candidates, classes[lowest - 1:], 0, len(classes) + 1])
+        frame = stack[-1]
+        if not frame[2] and frame[1]:
+            frame[2] = frame[1].pop()
+            frame[3] -= 1
+        # best may have grown since the node opened
+        if not frame[2] or frame[3] < best - len(current) + keep_ties:
+            stack.pop()
+            if not stack:
+                return found
+            current.pop()
+            candidates = None
+            continue
+        v = frame[2].bit_length() - 1
+        frame[2] ^= 1 << v
+        frame[0] ^= 1 << v
+        current.append(v)
+        candidates = frame[0] & adj[v]
+        if not candidates:
+            if len(current) > best:
                 best = len(current)
                 found = [sorted(current)]
             elif len(current) == best and enumerate_all:
                 found.append(sorted(current))
             current.pop()
-            p_mask &= ~(1 << v)
-
-    expand([], (1 << nv) - 1)
-    return found
+            candidates = None
 
 
 def is_independent(graph: Graph, vertices) -> bool:

@@ -106,6 +106,18 @@ def test_mis_command(capsys, tmp_path):
     assert "8 maximum independent sets" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--all"]], ids=["size", "all"])
+def test_mis_command_deep_clique(flags, capsys, tmp_path):
+    # the clique search is as deep as the independent set is large
+    path = tmp_path / "isolated.txt"
+    path.write_text("# vertices 1100\n")
+    code, out, _ = run(capsys, "mis", str(path), *flags)
+    assert code == EXIT_OK
+    assert out.startswith("independence number 1100\n")
+    if flags:
+        assert "1 maximum independent sets" in out
+
+
 def test_blocks_command(capsys):
     code, out, _ = run(capsys, "blocks", "--n", "4", "--k", "2")
     assert code == EXIT_OK

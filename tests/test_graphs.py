@@ -149,6 +149,98 @@ def test_cayley_degree_mismatch():
         build_cayley_graph(4, connection_set(3, "transpositions"))
 
 
+# -- the builders against direct constructions ----------------------------------
+
+
+def pair_scan_arrangement(n, k, r):
+    """Oracle: A(n,k,r) by comparing every pair of tuples, through the
+    validating constructor."""
+    labels = list(itertools.permutations(range(n), k))
+    nv = len(labels)
+    edges = [
+        (u, v)
+        for u in range(nv)
+        for v in range(u + 1, nv)
+        if differing_coordinates(labels[u], labels[v]) == r
+    ]
+    return Graph(labels, edges, {"family": "arrangement", "n": n, "k": k, "r": r})
+
+
+def composed_cayley(n, cset):
+    """Oracle: Cay(S_n, S) with every neighbour s*g from Permutation.compose,
+    through the validating constructor."""
+    labels = list(itertools.permutations(range(n)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    edges = []
+    for i, lab in enumerate(labels):
+        g = Permutation(lab)
+        for s in cset.elements:
+            j = index[s.compose(g).images]
+            if i < j:
+                edges.append((i, j))
+    return Graph(labels, edges, {"family": "cayley", "n": n, "kind": cset.label()})
+
+
+def assert_same_graph(built, oracle):
+    assert built.vertex_count == oracle.vertex_count
+    assert built.labels == oracle.labels
+    assert built.adjacency == oracle.adjacency
+    assert built.metadata == oracle.metadata
+
+
+def assert_symmetric_loop_free(g):
+    for u in range(g.vertex_count):
+        assert not g.has_edge(u, u)
+        assert all(g.has_edge(v, u) for v in g.neighbors(u))
+    assert all(0 <= row < 1 << g.vertex_count for row in g.adjacency)
+
+
+ARRANGEMENT_ORACLE_CASES = [(n, k, r) for n in range(1, 7) for k in range(1, n + 1)
+                            for r in range(1, k + 1)] + [(7, 4, 4), (7, 3, 2)]
+
+
+@pytest.mark.parametrize("n,k,r", ARRANGEMENT_ORACLE_CASES,
+                         ids=[f"A({n},{k},{r})" for n, k, r in ARRANGEMENT_ORACLE_CASES])
+def test_arrangement_matches_pair_scan(n, k, r):
+    g = build_arrangement_graph(n, k, r)
+    assert_same_graph(g, pair_scan_arrangement(n, k, r))
+    assert_symmetric_loop_free(g)
+
+
+CAYLEY_ORACLE_CASES = [(n, kind, None) for n in range(2, 6)
+                       for kind in ("transpositions", "derangements")] + [
+                      (n, "fixed", f) for n in range(2, 6) for f in range(n - 1)]
+
+
+@pytest.mark.parametrize("n,kind,fixed", CAYLEY_ORACLE_CASES,
+                         ids=[f"S{n}-{kind}{'' if f is None else f}"
+                              for n, kind, f in CAYLEY_ORACLE_CASES])
+def test_cayley_matches_composition(n, kind, fixed):
+    cset = connection_set(n, kind, fixed)
+    g = build_cayley_graph(n, cset)
+    assert_same_graph(g, composed_cayley(n, cset))
+    assert_symmetric_loop_free(g)
+
+
+def test_arrangement_7_7_7_is_derangement_regular():
+    # A(n,n,n) is Cay(S_n, D): every vertex has the D(7) = 1854 derangements
+    # of its tuple as neighbours
+    g = build_arrangement_graph(7, 7, 7)
+    assert g.vertex_count == 5040
+    assert g.degrees() == [1854] * 5040
+    assert not any(g.has_edge(u, u) for u in range(g.vertex_count))
+    for u in random.Random(SEED).sample(range(g.vertex_count), 12):
+        assert list(g.neighbors(u)) == [
+            v for v in range(g.vertex_count)
+            if differing_coordinates(g.labels[u], g.labels[v]) == 7]
+
+
+def test_adjacency_constructor_not_exported():
+    import arrgraph
+    assert all("_from_adjacency" not in name for name in dir(arrgraph))
+    assert "_from_adjacency" not in getattr(arrgraph, "__all__", [])
+
+
 # -- Graph basics -------------------------------------------------------------
 
 
@@ -175,6 +267,19 @@ def test_relabeled_preserves_structure():
     # labels travel with their vertices
     for v in range(12):
         assert h.labels[p(v)] == g.labels[v]
+
+
+def test_relabeled_matches_validated_construction():
+    rng = random.Random(SEED + 3)
+    for g in [build_arrangement_graph(4, 3, 2), build_arrangement_graph(3, 3, 1),
+              build_cayley_graph(4, connection_set(4, "fixed", 1))]:
+        imgs = list(range(g.vertex_count))
+        rng.shuffle(imgs)
+        p = Permutation(imgs)
+        inv = p.inverse()
+        oracle = Graph([g.labels[inv(i)] for i in range(g.vertex_count)],
+                       [(p(u), p(v)) for u, v in g.edges()], g.metadata)
+        assert_same_graph(g.relabeled(p), oracle)
 
 
 def test_is_connected():

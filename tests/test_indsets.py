@@ -155,6 +155,109 @@ def test_oracle_equivalence_random_graphs():
             assert sets == all_maximum_independent_sets(g)
 
 
+def tuple_colored_cliques(adj, nv, enumerate_all):
+    """Oracle: the clique search with the coloring as a list of (vertex,
+    color) pairs and one recursive call per node. Returns the cliques and
+    the node count."""
+    best = 0
+    found = []
+    nodes = 0
+
+    def color_order(p_mask):
+        order = []
+        color = 0
+        rest = p_mask
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                rest &= ~(1 << v)
+                avail &= ~(adj[v] | (1 << v))
+        return order
+
+    def expand(current, p_mask):
+        nonlocal best, found, nodes
+        nodes += 1
+        for v, color in reversed(color_order(p_mask)):
+            bound = len(current) + color
+            if bound < best or (bound == best and not enumerate_all):
+                return
+            current.append(v)
+            nxt = p_mask & adj[v]
+            if nxt:
+                expand(current, nxt)
+            elif len(current) > best:
+                best = len(current)
+                found = [sorted(current)]
+            elif len(current) == best and enumerate_all:
+                found.append(sorted(current))
+            current.pop()
+            p_mask &= ~(1 << v)
+
+    expand([], (1 << nv) - 1)
+    return found, nodes
+
+
+def cliques_within_exact_budget(adj, nv, enumerate_all, nodes):
+    """The cliques found with a node budget of `nodes`, after checking that
+    one node less raises: the search takes exactly `nodes` nodes."""
+    result = indsets._max_cliques(adj, nv, enumerate_all, nodes)
+    with pytest.raises(BudgetError):
+        indsets._max_cliques(adj, nv, enumerate_all, nodes - 1)
+    return result
+
+
+def test_clique_search_matches_tuple_coloring():
+    rng = random.Random(SEED + 2)
+    for trial in range(60):
+        nv = rng.randint(1, 40)
+        density = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                 if rng.random() < density]
+        adj = indsets._complement(Graph([(i,) for i in range(nv)], edges))
+        for enumerate_all in (False, True):
+            expected, nodes = tuple_colored_cliques(adj, nv, enumerate_all)
+            assert cliques_within_exact_budget(adj, nv, enumerate_all, nodes) == expected, trial
+
+
+# (n, k, r): search nodes and the one maximum independent set that size_only
+# returns, recorded from the search with (vertex, color) tuples
+PINNED_SIZE_ONLY = {
+    (5, 5, 3): (22623, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92, 93,
+                        112, 113, 118, 119]),
+    (6, 3, 2): (27805, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
+    (5, 4, 3): (6332, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
+    (5, 5, 4): (1569, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
+}
+
+
+@pytest.mark.parametrize("nkr", list(PINNED_SIZE_ONLY), ids=lambda nkr: "A(%d,%d,%d)" % nkr)
+def test_size_only_search_pinned(nkr):
+    nodes, clique = PINNED_SIZE_ONLY[nkr]
+    g = build_arrangement_graph(*nkr)
+    adj = indsets._complement(g)
+    assert indsets._max_cliques(adj, g.vertex_count, False, nodes) == [clique]
+    with pytest.raises(BudgetError):
+        max_independent_sets(g, SIZE_ONLY, Config(node_budget=nodes - 1))
+
+
+@pytest.mark.parametrize("n,k,nodes", [(4, 4, 69), (5, 3, 169)])
+def test_enumerate_all_search_pinned(n, k, nodes):
+    g = build_arrangement_graph(n, k, k)
+    adj = indsets._complement(g)
+    cliques = cliques_within_exact_budget(adj, g.vertex_count, True, nodes)
+    assert sorted(cliques) == sorted(sorted(s) for _, s in delta_family(n, k))
+
+
+def test_deep_clique_needs_no_recursion():
+    # 1100 isolated vertices: one clique of the complement, 1100 levels deep
+    g = Graph([(i,) for i in range(1100)], [])
+    assert max_independent_sets(g, SIZE_ONLY) == (1100, None)
+    assert max_independent_sets(g, ENUMERATE_ALL) == (1100, [list(range(1100))])
+
+
 # -- the characterization -----------------------------------------------------
 
 
