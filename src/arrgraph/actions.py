@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (ArrgraphError, FamilyError, IntransitiveActionError,
                      ValidationError)
@@ -96,19 +96,29 @@ def kernel_order(group_order: int, action: ActionOnSets) -> int:
     return order
 
 
-def verify_block_system(action: ActionOnSets, candidate: BlockSystem) -> bool:
-    """True iff every mover permutes the candidate blocks."""
+def block_violation(action: ActionOnSets, candidate: BlockSystem
+                    ) -> Optional[tuple[int, frozenset[int], frozenset[int], frozenset[int]]]:
+    """The first (mover index, block, image, overlapping block) where a mover
+    maps a candidate block onto a set that is no block: the image meets the
+    overlapping block, the first one it meets, without being equal to it.
+    None iff every mover permutes the candidate blocks."""
     m = len(action.family)
     flat = sorted(x for b in candidate.blocks for x in b)
     if flat != list(range(m)) or any(len(b) == 0 for b in candidate.blocks):
         raise ValidationError("candidate does not partition the family indexes")
     blocks = [frozenset(b) for b in candidate.blocks]
     block_set = set(blocks)
-    for mover in action.movers:
+    for mi, mover in enumerate(action.movers):
         for b in blocks:
-            if frozenset(mover(x) for x in b) not in block_set:
-                return False
-    return True
+            image = frozenset(mover(x) for x in b)
+            if image not in block_set:
+                return mi, b, image, next(b2 for b2 in blocks if image & b2)
+    return None
+
+
+def verify_block_system(action: ActionOnSets, candidate: BlockSystem) -> bool:
+    """True iff every mover permutes the candidate blocks."""
+    return block_violation(action, candidate) is None
 
 
 def minimal_block_system(action: ActionOnSets,

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: gen, aut, mis, blocks, verify, conjecture.
+Subcommands: gen, aut, mis, blocks, verify, conjecture. verify runs the
+claim suite for every n from 3 to --n-max, which is 3 to 6 (default 5).
 Exit codes: 0 success, 2 validation error, 3 budget exceeded,
 4 an expected claim failed.
 
@@ -102,7 +103,7 @@ def cmd_blocks(args, config: Config) -> int:
 
 
 def cmd_verify(args, config: Config) -> int:
-    doc = run_full_suite(args.n_max, config, include_n6=args.include_n6)
+    doc = run_full_suite(args.n_max, config)
     summary = doc.summary_text()
     _write_output(doc.to_jsonl(), args.report)
     if args.summary:
@@ -156,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_blocks.add_argument("--k", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="run the full claim suite")
-    p_verify.add_argument("--n-max", type=int, default=5)
-    p_verify.add_argument("--include-n6", action="store_true",
-                          help="add the A(6,k,k) cases with k <= 2")
+    p_verify.add_argument("--n-max", type=int, default=5,
+                          help="largest n of the suite, 3 to 6 (default 5)")
     p_verify.add_argument("--report", default=None,
                           help="path for the JSONL claim report")
     p_verify.add_argument("--summary", default=None,

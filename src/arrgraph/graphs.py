@@ -295,18 +295,14 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
     return True
 
 
-def candidate_aut_generators(n: int, k: int, r: int,
-                             graph: Optional[Graph] = None,
-                             config: Config = DEFAULT_CONFIG) -> list[Permutation]:
-    """Vertex permutations generating the expected automorphism group:
-    value relabelings for a generating pair of S_n, position relabelings for
-    a generating pair of S_k, plus tuple inversion when k = n.
+def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permutation]:
+    """Vertex permutations of graph = A(n,k,r) generating the expected
+    automorphism group: value relabelings for a generating pair of S_n,
+    position relabelings for a generating pair of S_k, plus tuple inversion
+    when k = n.
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
-    if graph is None:
-        graph = build_arrangement_graph(n, k, r, config)
-
     def pair(m: int) -> list[Permutation]:
         # the literal pair {(1 2), (1 2 ... m)}; empty for m = 1
         return [] if m < 2 else [transposition(m, 0, 1), cycle(m)]

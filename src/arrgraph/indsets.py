@@ -17,13 +17,12 @@ set) is not limited by Python's recursion limit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
 from typing import Optional
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, rank_tuple
+from .graphs import Graph
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
@@ -32,24 +31,14 @@ ENUMERATE_ALL = "enumerate_all"
 def delta_set(n: int, k: int, i: int, j: int) -> frozenset[int]:
     """Vertex indexes of A(n,k,*) whose tuples have entry j equal to i and
     avoid i in every other position. i and j are 0-based here; 1-based only
-    in serialized labels."""
+    in serialized labels.
+
+    The entries of a tuple are distinct, so entry j being i already keeps i
+    out of every other position."""
     if not (0 <= i < n and 0 <= j < k and k <= n):
         raise ValidationError(f"delta set parameters out of range: n={n} k={k} i={i} j={j}")
-    out = []
-
-    def rec(pos: int, t: list[int], used: set[int]):
-        if pos == k:
-            out.append(rank_tuple(t, n, k))
-            return
-        if pos == j:
-            rec(pos + 1, t + [i], used)
-            return
-        for x in range(n):
-            if x != i and x not in used:
-                rec(pos + 1, t + [x], used | {x})
-
-    rec(0, [], set())
-    return frozenset(out)
+    return frozenset(v for v, t in enumerate(itertools.permutations(range(n), k))
+                     if t[j] == i)
 
 
 def delta_family(n: int, k: int) -> list[tuple[tuple[int, int], frozenset[int]]]:
@@ -179,73 +168,3 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
     if mode == SIZE_ONLY:
         return len(sets[0]), None
     return len(sets[0]), sorted(sets)
-
-
-def independence_number_oracle(graph: Graph) -> int:
-    """Independent oracle: exhaustive subset scan, graphs up to 20 vertices."""
-    nv = graph.vertex_count
-    if nv > 20:
-        raise ValidationError("oracle limited to 20 vertices")
-    adj = graph.adjacency
-    best = 0
-    # DP over subsets: a set is independent iff (set minus its lowest vertex)
-    # is independent and that vertex has no neighbor inside
-    indep = bytearray(1 << nv)
-    indep[0] = 1
-    for m in range(1, 1 << nv):
-        v = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        if indep[rest] and adj[v] & rest == 0:
-            indep[m] = 1
-            c = m.bit_count()
-            if c > best:
-                best = c
-    return best
-
-
-@dataclass
-class MISReport:
-    """Outcome of checking the maximum-independent-set characterization of
-    A(n,k,k) against the delta family."""
-
-    n: int
-    k: int
-    vertex_count: int
-    size_found: int
-    size_expected: int
-    count_found: int
-    count_expected: int
-    sets_match_family: bool
-    family_members_maximum: bool
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = (self.size_found == self.size_expected
-                       and self.count_found == self.count_expected
-                       and self.sets_match_family and self.family_members_maximum)
-
-
-def verify_mis_characterization(n: int, k: int,
-                                config: Config = DEFAULT_CONFIG,
-                                graph: Optional[Graph] = None) -> MISReport:
-    """Check that the maximum independent sets of A(n,k,k) are exactly the
-    delta sets: independence number (n-1)!/(n-k)!, count n*k, and setwise
-    equality."""
-    if n <= 2:
-        raise ValidationError(f"the characterization requires n > 2, got n={n}")
-    if not 1 <= k <= n:
-        raise ValidationError(f"need 1 <= k <= n, got k={k} n={n}")
-    if graph is None:
-        from .graphs import build_arrangement_graph
-        graph = build_arrangement_graph(n, k, k, config)
-    family_sets = sorted(sorted(s) for _, s in delta_family(n, k))
-    size, sets = max_independent_sets(graph, ENUMERATE_ALL, config)
-    return MISReport(
-        n=n, k=k, vertex_count=graph.vertex_count,
-        size_found=size,
-        size_expected=math.factorial(n - 1) // math.factorial(n - k),
-        count_found=len(sets), count_expected=n * k,
-        sets_match_family=(sets == family_sets),
-        family_members_maximum=all(
-            len(s) == size and is_maximal_independent(graph, s) for s in family_sets),
-    )

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 
 
 class Permutation:
@@ -384,30 +384,3 @@ class StabilizerChain:
 def build_stabilizer_chain(generators: Iterable[Permutation],
                            degree: Optional[int] = None) -> StabilizerChain:
     return StabilizerChain(generators, degree)
-
-
-def brute_force_closure(generators: Iterable[Permutation],
-                        degree: Optional[int] = None,
-                        limit: int = 10**6) -> set[Permutation]:
-    """Closure of the generators under composition; independent oracle for
-    stabilizer-chain orders."""
-    generators = list(generators)
-    if degree is None:
-        if not generators:
-            raise ValidationError("degree required for an empty generator list")
-        degree = generators[0].degree
-    ident = Permutation.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in generators:
-                q = p.compose(g)
-                if q not in elems:
-                    elems.add(q)
-                    new.append(q)
-                    if len(elems) > limit:
-                        raise BudgetError(f"closure exceeded {limit} elements")
-        frontier = new
-    return elems

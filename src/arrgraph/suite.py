@@ -17,15 +17,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .actions import (column_partition, conjecture_candidate_group, induce_action,
-                      kernel_order, quotient_action, row_partition,
+from .actions import (block_violation, column_partition, conjecture_candidate_group,
+                      induce_action, kernel_order, quotient_action, row_partition,
                       verify_block_system)
 from .autsearch import AutResult, automorphism_group
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
-from .indsets import delta_family, verify_mis_characterization
+from .indsets import (ENUMERATE_ALL, delta_family, is_maximal_independent,
+                      max_independent_sets)
 from .perms import Permutation, build_stabilizer_chain, connection_set
 
 CASE_RKLTN = "r=k<n"
@@ -168,8 +169,9 @@ def _delta_label(i: int, j: int) -> str:
     return f"D_{i + 1}_{j + 1}"
 
 
-def _block_labels(blocks, n: int, k: int) -> list[list[str]]:
-    return [[_delta_label(*divmod(x, k)) for x in block] for block in blocks.blocks]
+def _labels(indexes, k: int) -> list[str]:
+    """Labels of delta family indexes, in index order."""
+    return [_delta_label(*divmod(x, k)) for x in sorted(indexes)]
 
 
 def _induced_action(search: _Search, n: int, k: int):
@@ -202,7 +204,7 @@ def verify_theorem_1_2(n: int, k: int, r: int,
     graph = _arrangement(n, k, r, config)
     search = _group(n, k, r, config)
     aut = search.aut
-    candidates = candidate_aut_generators(n, k, r, graph, config)
+    candidates = candidate_aut_generators(n, k, r, graph)
     contained = all(search.contains(g) for g in candidates)
     cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
     return ClaimReport(
@@ -219,20 +221,30 @@ def verify_theorem_1_2(n: int, k: int, r: int,
 
 
 def verify_prop_2_1(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
-    """Maximum independent sets of A(n,k,k) are exactly the delta family."""
+    """Maximum independent sets of A(n,k,k) are exactly the delta family:
+    independence number (n-1)!/(n-k)!, count n*k, and setwise equality."""
+    if n <= 2:
+        raise ValidationError(f"the characterization requires n > 2, got n={n}")
+    if not 1 <= k <= n:
+        raise ValidationError(f"need 1 <= k <= n, got k={k} n={n}")
     claim_id = f"prop2.1/n={n}/k={k}"
     t0 = time.perf_counter()
     graph = _arrangement(n, k, k, config)
-    report = verify_mis_characterization(n, k, config, graph)
+    family = sorted(sorted(s) for _, s in delta_family(n, k))
+    size, sets = max_independent_sets(graph, ENUMERATE_ALL, config)
+    expected = {"size": math.factorial(n - 1) // math.factorial(n - k), "count": n * k}
+    computed = {"size": size, "count": len(sets)}
+    details = {"sets_match_family": sets == family,
+               "family_members_maximum": all(
+                   len(s) == size and is_maximal_independent(graph, s) for s in family)}
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
-        expected={"size": report.size_expected, "count": report.count_expected},
-        computed={"size": report.size_found, "count": report.count_found},
-        passed=report.passed,
+        expected=expected,
+        computed=computed,
+        passed=computed == expected and all(details.values()),
         wall_time=time.perf_counter() - t0,
-        details={"sets_match_family": report.sets_match_family,
-                 "family_members_maximum": report.family_members_maximum},
+        details=details,
     )
 
 
@@ -266,20 +278,25 @@ def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRepor
     t0 = time.perf_counter()
     sigma = row_partition(n, k)
     sigma_prime = column_partition(n, k)
-    details: dict = {"sigma": _block_labels(sigma, n, k),
-                     "sigma_prime": _block_labels(sigma_prime, n, k)}
+    details: dict = {"sigma": [_labels(b, k) for b in sigma.blocks],
+                     "sigma_prime": [_labels(b, k) for b in sigma_prime.blocks]}
     if k < n:
         action = _induced_action(_group(n, k, k, config), n, k)
         sigma_ok = verify_block_system(action, sigma)
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
         family = [s for _, s in delta_family(n, k)]
-        gens = candidate_aut_generators(n, n, n, _arrangement(n, n, n, config), config)
+        gens = candidate_aut_generators(n, n, n, _arrangement(n, n, n, config))
         pq_action = induce_action(gens[:-1], family)
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
-        h_action = induce_action([gens[-1]], family)
-        details["inversion_violation"] = _find_block_violation(h_action, sigma, n, k)
+        witness = block_violation(induce_action([gens[-1]], family), sigma)
+        details["inversion_violation"] = None
+        if witness is not None:
+            mover, block, image, overlaps = witness
+            details["inversion_violation"] = {
+                "mover": mover, "block": _labels(block, k),
+                "image": _labels(image, k), "overlaps": _labels(overlaps, k)}
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
@@ -289,22 +306,6 @@ def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRepor
         wall_time=time.perf_counter() - t0,
         details=details,
     )
-
-
-def _find_block_violation(action, blocks, n: int, k: int) -> Optional[dict]:
-    """A (mover, block) pair whose image is neither equal to nor disjoint
-    from some block, serialized with family labels; None if no violation."""
-    block_sets = [frozenset(b) for b in blocks.blocks]
-    for mi, mover in enumerate(action.movers):
-        for b in block_sets:
-            img = frozenset(mover(x) for x in b)
-            for b2 in block_sets:
-                inter = img & b2
-                if inter and img != b2:
-                    lab = lambda s: sorted(_delta_label(*divmod(x, k)) for x in s)
-                    return {"mover": mi, "block": lab(b), "image": lab(img),
-                            "overlaps": lab(b2)}
-    return None
 
 
 def verify_lemma_2_5(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
@@ -452,26 +453,23 @@ def _job_claims(job: tuple, config: Config) -> list[ClaimReport]:
     return out
 
 
-def suite_jobs(n_max: int, include_n6: bool = False) -> list[tuple]:
-    if not 3 <= n_max <= 5:
-        raise ValidationError(f"n_max must be between 3 and 5, got {n_max}")
+def suite_jobs(n_max: int) -> list[tuple]:
+    if not 3 <= n_max <= 6:
+        raise ValidationError(f"n_max must be between 3 and 6, got {n_max}")
     jobs: list[tuple] = []
     for n in range(3, n_max + 1):
         jobs += [("akk", n, k) for k in range(1, n)]
         jobs.append(("knn", n, (0, n - 2)))
         jobs += [("fixed", n, (fixed,)) for fixed in range(1, n - 2)]
-    if include_n6:
-        jobs += [("akk", 6, k) for k in (1, 2)]
     return jobs
 
 
-def run_full_suite(n_max: int = 5, config: Config = DEFAULT_CONFIG,
-                   include_n6: bool = False) -> ReportDocument:
+def run_full_suite(n_max: int = 5, config: Config = DEFAULT_CONFIG) -> ReportDocument:
     """Run every claim for all admissible parameters up to n_max.
 
     Individual claim failures are collected, never fatal; the document's
     all_expected_pass() reflects only claims that carry an expectation."""
-    jobs = suite_jobs(n_max, include_n6)
+    jobs = suite_jobs(n_max)
     # a fork pool starts all its workers at once, so never more than can run
     workers = min(config.workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:

@@ -15,14 +15,14 @@ from arrgraph.autsearch import automorphism_group, canonical_certificate
 from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
                              build_arrangement_graph, invert_tuple,
                              vertex_permutation)
-from arrgraph.indsets import independence_number_oracle, max_independent_sets
-from arrgraph.perms import (Permutation, brute_force_closure,
-                            build_stabilizer_chain)
+from arrgraph.indsets import max_independent_sets
+from arrgraph.perms import Permutation, build_stabilizer_chain
 from arrgraph.suite import (test_conjecture as conjecture_probe,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
 from arrgraph.autsearch import common_neighborhood
+from oracles import brute_force_closure, independence_number_oracle
 
 SEED = 20240811
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from arrgraph.actions import (BlockSystem, column_partition,
+from arrgraph.actions import (BlockSystem, block_violation, column_partition,
                               conjecture_candidate_group, induce_action,
                               kernel_order, minimal_block_system,
                               quotient_action, row_partition,
@@ -17,9 +17,9 @@ from arrgraph.graphs import (apply_position_permutation, apply_value_permutation
                              build_arrangement_graph, build_cayley_graph,
                              is_automorphism, vertex_permutation)
 from arrgraph.indsets import delta_family
-from arrgraph.perms import (Permutation, brute_force_closure,
-                            build_stabilizer_chain, connection_set,
+from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
                             symmetric_group_generators, transposition)
+from oracles import brute_force_closure
 
 
 def omega(n, k):
@@ -240,14 +240,14 @@ def test_k_equals_n_inversion_violates_blocks():
     assert verify_block_system(pq, column_partition(4, 4))
     h_action = induce_action([gens[-1]], fam)
     mover = h_action.movers[0]
-    violated = False
-    for block in row_partition(4, 4).blocks:
-        img = frozenset(mover(x) for x in block)
-        for other in row_partition(4, 4).blocks:
-            inter = img & frozenset(other)
-            if inter and img != frozenset(other):
-                violated = True
-    assert violated
+    blocks = [frozenset(b) for b in row_partition(4, 4).blocks]
+    # every (block, image, overlapping block) the inversion gives, in search order
+    witnesses = [(0, block, img, other) for block in blocks
+                 for img in [frozenset(mover(x) for x in block)]
+                 for other in blocks if img & other and img != other]
+    assert witnesses
+    assert block_violation(h_action, row_partition(4, 4)) == witnesses[0]
+    assert block_violation(pq, row_partition(4, 4)) is None
 
 
 # -- conjecture candidate group -----------------------------------------------

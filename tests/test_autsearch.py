@@ -6,7 +6,6 @@ import random
 import pytest
 
 from arrgraph.autsearch import (_IRSearch, automorphism_group, are_isomorphic,
-                                brute_force_automorphism_count,
                                 canonical_certificate, common_neighborhood,
                                 equitable_refinement, unit_partition)
 from arrgraph.config import Config
@@ -15,6 +14,7 @@ from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism,
                              rank_tuple)
 from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
+from oracles import brute_force_automorphism_count
 
 SEED = 20240811
 

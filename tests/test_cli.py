@@ -156,6 +156,14 @@ def test_verify_invalid_n_max(capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_verify_has_no_include_n6_flag(capsys):
+    # --n-max 6 covers the n = 6 cases; there is no separate flag for them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--include-n6"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --include-n6" in capsys.readouterr().err
+
+
 def test_conjecture_command(capsys):
     code, out, _ = run(capsys, "conjecture", "--n", "4", "--k", "1")
     assert code == EXIT_OK

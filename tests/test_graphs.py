@@ -414,8 +414,8 @@ def test_is_automorphism_degree_mismatch():
 def test_candidate_generators_orders():
     cases = [((4, 2, 2), 4, 48), ((4, 4, 2), 5, 1152), ((4, 4, 4), 5, 1152)]
     for (n, k, r), count, order in cases:
-        gens = candidate_aut_generators(n, k, r)
-        assert len(gens) == count
         g = build_arrangement_graph(n, k, r)
+        gens = candidate_aut_generators(n, k, r, g)
+        assert len(gens) == count
         assert all(is_automorphism(g, f) for f in gens)
         assert build_stabilizer_chain(gens, degree=g.vertex_count).order() == order

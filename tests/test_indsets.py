@@ -6,15 +6,16 @@ import random
 
 import pytest
 
-from arrgraph import indsets
+from arrgraph import indsets, suite
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
 from arrgraph.graphs import Graph, build_arrangement_graph, differing_coordinates
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
-                              independence_number_oracle, is_independent,
-                              is_maximal_independent, max_independent_sets,
-                              verify_mis_characterization)
+                              is_independent, is_maximal_independent,
+                              max_independent_sets)
+from arrgraph.suite import verify_prop_2_1
+from oracles import independence_number_oracle
 
 SEED = 20240811
 
@@ -258,34 +259,49 @@ def test_deep_clique_needs_no_recursion():
     assert max_independent_sets(g, ENUMERATE_ALL) == (1100, [list(range(1100))])
 
 
-# -- the characterization -----------------------------------------------------
+# -- the characterization, as the prop2.1 claim checks it ---------------------
+
+FAMILY_MATCHES = {"sets_match_family": True, "family_members_maximum": True}
+
+
+def prop_2_1_fields(n, k):
+    r = verify_prop_2_1(n, k)
+    return r.passed, r.expected, r.computed, r.details
 
 
 def test_characterization_4_2():
-    report = verify_mis_characterization(4, 2)
-    assert report.passed
-    assert report.size_found == 3 and report.count_found == 8
-    assert report.sets_match_family
+    assert prop_2_1_fields(4, 2) == (
+        True, {"size": 3, "count": 8}, {"size": 3, "count": 8}, FAMILY_MATCHES)
 
 
 def test_characterization_3_3():
-    report = verify_mis_characterization(3, 3)
-    assert report.passed
-    assert report.size_found == 2 and report.count_found == 9
+    assert prop_2_1_fields(3, 3) == (
+        True, {"size": 2, "count": 9}, {"size": 2, "count": 9}, FAMILY_MATCHES)
 
 
 def test_characterization_rejects_small_n():
-    with pytest.raises(ValidationError):
-        verify_mis_characterization(2, 1)
+    for n, k in [(2, 1), (4, 0), (4, 5)]:
+        with pytest.raises(ValidationError):
+            verify_prop_2_1(n, k)
 
 
 def test_characterization_size_only_path():
     # the 120-vertex instances are checked setwise like the smaller ones
-    for k, size in [(4, 24), (5, 24)]:
-        report = verify_mis_characterization(5, k)
-        assert report.passed and report.sets_match_family
-        assert report.size_found == size and report.count_found == 5 * k
-        assert report.family_members_maximum
+    for k in (4, 5):
+        expected = {"size": 24, "count": 5 * k}
+        assert prop_2_1_fields(5, k) == (True, expected, expected, FAMILY_MATCHES)
+
+
+def test_characterization_detects_a_wrong_family(monkeypatch):
+    # a family member that is no maximum independent set fails the claim
+    # even though the size and the count of the sets found are right
+    family = delta_family(4, 2)
+    monkeypatch.setattr(suite, "delta_family",
+                        lambda n, k: family[:-1] + [(family[-1][0], frozenset({0}))])
+    expected = {"size": 3, "count": 8}
+    assert prop_2_1_fields(4, 2) == (
+        False, expected, expected,
+        {"sets_match_family": False, "family_members_maximum": False})
 
 
 def test_aut_permutes_delta_family():

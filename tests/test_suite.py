@@ -54,9 +54,15 @@ def test_blocks_claim_k_lt_n():
 
 
 def test_blocks_claim_k_eq_n_records_violation():
-    r = verify_blocks(4, 4)
-    assert r.passed
-    assert r.details["inversion_violation"] is not None
+    # the inversion maps the row block of value 1 onto the column block of
+    # position 1, which meets that row block in D_1_1 only
+    for n in (4, 5):
+        r = verify_blocks(n, n)
+        assert r.passed
+        row = [f"D_1_{j}" for j in range(1, n + 1)]
+        assert r.details["inversion_violation"] == {
+            "block": row, "image": [f"D_{i}_1" for i in range(1, n + 1)],
+            "mover": 0, "overlaps": row}
 
 
 def test_lemma_2_5_claim():
@@ -125,9 +131,21 @@ def test_suite_jobs_bounds():
     with pytest.raises(ValidationError):
         suite_jobs(2)
     with pytest.raises(ValidationError):
-        suite_jobs(6)
-    jobs = suite_jobs(3, include_n6=True)
-    assert ("akk", 6, 1) in jobs and ("akk", 6, 2) in jobs
+        suite_jobs(7)
+    jobs = suite_jobs(6)
+    assert jobs[:len(suite_jobs(5))] == suite_jobs(5)
+    assert jobs[len(suite_jobs(5)):] == (
+        [("akk", 6, k) for k in range(1, 6)] + [("knn", 6, (0, 4))]
+        + [("fixed", 6, (fixed,)) for fixed in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cheap_n6_jobs_pass(k):
+    # the rest of the n = 6 suite takes minutes and runs as its own CI job
+    claims = suite._job_claims(("akk", 6, k), Config())
+    assert [c.claim_id.split("/")[0] for c in claims] == [
+        "thm1.2", "prop2.1", "prop2.2", "blocks", "lemma2.5"]
+    assert all(c.passed for c in claims)
 
 
 def test_run_full_suite_n3():
