@@ -11,6 +11,27 @@ leaves is the canonical form.
 The search is fully deterministic: target cell = first non-singleton cell
 of smallest size, branching in ascending vertex index.
 
+Two rules prune the tree, and both only skip leaves that have an equal leaf
+earlier in that order:
+
+- orbit pruning: a node skips a child in the orbit of an explored sibling
+  under the automorphisms found so far that fix its prefix pointwise, since
+  such an automorphism maps the sibling's subtree onto the child's;
+- return to the first-path ancestor: when a leaf has the first leaf's
+  certificate, the automorphism γ between them maps the first path onto
+  this leaf's path, so it fixes their common prefix of length d pointwise
+  and maps the first path's subtree at depth d + 1 onto the current one.
+  Every leaf left below depth d + 1 is then the image of an earlier leaf
+  with the same certificate, and the search backs up to the depth-d node
+  at once. γ also joins the orbit pruning there.
+
+The first leaf of the smallest certificate therefore is never skipped, so
+the canonical form and labeling are those of the unpruned tree. At each
+first-path node, a child that some automorphism fixing the prefix maps the
+first-path child to is either pruned by a found one or searched until a
+leaf matches the first leaf, which finds one; this is why the found
+automorphisms generate the whole group.
+
 Every automorphism found is sifted through a stabilizer chain the search
 extends as it goes. Orbit pruning uses all of them, but only the chain
 non-members are checked with ``is_automorphism`` and kept as generators: a
@@ -148,6 +169,17 @@ def _in_explored_orbit(v: int, explored: list[int],
     return False
 
 
+@dataclass(frozen=True)
+class SearchStats:
+    """Counters of one IR search: tree nodes and leaves visited, distinct
+    non-identity automorphisms found, and those kept as generators."""
+
+    nodes: int
+    leaves: int
+    found: int
+    kept: int
+
+
 @dataclass
 class AutResult:
     """Automorphism generators, exact group order, and a canonical
@@ -155,7 +187,8 @@ class AutResult:
 
     generators are the automorphisms the search found that were not yet
     members of the group generated by those before them, in the order
-    found; chain is the stabilizer chain the search built from them."""
+    found; chain is the stabilizer chain the search built from them;
+    stats counts the search's work."""
 
     generators: list[Permutation]
     chain: StabilizerChain
@@ -163,6 +196,7 @@ class AutResult:
     certificate: bytes
     # canonical_labeling maps original vertex index -> canonical position
     canonical_labeling: Permutation
+    stats: SearchStats
 
     def certificate_hex(self) -> str:
         return self.certificate.hex()
@@ -176,6 +210,7 @@ class _IRSearch:
         self.neighbours = [list(graph.neighbors(v)) for v in range(self.n)]
         self.config = config
         self.nodes = 0
+        self.leaves = 0
         # images of every distinct non-identity automorphism found, for
         # orbit pruning
         self.automorphisms: list[tuple[int, ...]] = []
@@ -184,6 +219,8 @@ class _IRSearch:
         self.gens: list[Permutation] = []
         self.chain = StabilizerChain([], degree=self.n)
         self.first: Optional[tuple[bytes, list[int]]] = None
+        # the vertices individualized on the way to the first leaf
+        self.first_prefix: list[int] = []
         self.best: Optional[tuple[bytes, list[int]]] = None
 
     def run(self) -> None:
@@ -192,9 +229,30 @@ class _IRSearch:
             return
         self._node(_refine(self.adj, [list(range(self.n))]), [])
 
+    def result(self) -> AutResult:
+        cert_bits, lab = self.best
+        pos = [0] * self.n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        return AutResult(
+            generators=self.gens,
+            chain=self.chain,
+            order=self.chain.order(),
+            certificate=zlib.compress(cert_bits, 6),
+            canonical_labeling=Permutation._trusted(tuple(pos)),
+            stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
+                              found=len(self.automorphisms),
+                              kept=len(self.gens)),
+        )
+
     # -- search tree
 
-    def _node(self, cells: OrderedPartition, prefix: list[int]) -> None:
+    def _node(self, cells: OrderedPartition, prefix: list[int]) -> int:
+        """Search the subtree below the node reached by individualizing
+        prefix. Returns the depth the search backs up to: the node's own
+        depth once its subtree is done, or a smaller one when a leaf below
+        matched the first leaf."""
+        depth = len(prefix)
         self.nodes += 1
         if self.nodes > self.config.node_budget:
             raise BudgetError(
@@ -206,8 +264,7 @@ class _IRSearch:
                 target = i
                 smallest = len(cell)
         if target < 0:
-            self._leaf([c[0] for c in cells])
-            return
+            return self._leaf([c[0] for c in cells], prefix)
         explored: list[int] = []
         # images of the automorphisms found so far that fix the prefix
         # pointwise; the list of automorphisms only grows, so scan new ones
@@ -226,7 +283,10 @@ class _IRSearch:
                      + [[v], [u for u in cells[target] if u != v]]
                      + cells[target + 1:])
             # cells is equitable, so only the new singleton can split anything
-            self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
+            back = self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
+            if back < depth:
+                return back
+        return depth
 
     # -- leaves
 
@@ -239,17 +299,26 @@ class _IRSearch:
         rows = (sum(map(bit.__getitem__, self.neighbours[v])) for v in lab)
         return b"".join(r.to_bytes(nbytes, "little") for r in rows)
 
-    def _leaf(self, lab: list[int]) -> None:
+    def _leaf(self, lab: list[int], prefix: list[int]) -> int:
+        self.leaves += 1
         cert = self._leaf_cert(lab)
         if self.first is None:
             self.first = self.best = (cert, lab)
-            return
+            self.first_prefix = prefix
+            return len(prefix)
         if cert == self.first[0]:
             self._record_automorphism(self.first[1], lab)
+            # back up to the deepest node shared with the first path; no
+            # leaf's path is a prefix of another's, so the two differ
+            d = 0
+            while prefix[d] == self.first_prefix[d]:
+                d += 1
+            return d
         if cert < self.best[0]:
             self.best = (cert, lab)
         elif cert == self.best[0] and self.best is not self.first:
             self._record_automorphism(self.best[1], lab)
+        return len(prefix)
 
     def _record_automorphism(self, lab1: list[int], lab2: list[int]) -> None:
         imgs = [0] * self.n
@@ -275,17 +344,7 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
         raise ValidationError("automorphism search needs at least one vertex")
     search = _IRSearch(graph, config)
     search.run()
-    cert_bits, lab = search.best
-    pos = [0] * graph.vertex_count
-    for i, v in enumerate(lab):
-        pos[v] = i
-    return AutResult(
-        generators=search.gens,
-        chain=search.chain,
-        order=search.chain.order(),
-        certificate=zlib.compress(cert_bits, 6),
-        canonical_labeling=Permutation._trusted(tuple(pos)),
-    )
+    return search.result()
 
 
 def canonical_certificate(graph: Graph, config: Config = DEFAULT_CONFIG) -> bytes:

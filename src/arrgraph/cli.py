@@ -73,6 +73,12 @@ def cmd_aut(args, config: Config) -> int:
     if args.generators:
         for g in result.generators:
             print("generator", g)
+    if args.stats:
+        stats = result.stats
+        print(f"nodes {stats.nodes}")
+        print(f"leaves {stats.leaves}")
+        print(f"automorphisms found {stats.found}")
+        print(f"generators kept {stats.kept}")
     return EXIT_OK
 
 
@@ -146,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aut = sub.add_parser("aut", help="exact automorphism group order")
     p_aut.add_argument("graphfile")
     p_aut.add_argument("--generators", action="store_true")
+    p_aut.add_argument("--stats", action="store_true",
+                       help="print the search counters, one per line")
 
     p_mis = sub.add_parser("mis", help="exact independence number")
     p_mis.add_argument("graphfile")

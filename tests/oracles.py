@@ -1,10 +1,13 @@
 """Independent oracles the tests check the engines against: closure of a
-generating set, automorphism count by trying every bijection, and
-independence number by scanning every vertex subset."""
+generating set, automorphism count by trying every bijection, independence
+number by scanning every vertex subset, and the IR search with orbit
+pruning only."""
 
 import itertools
 from typing import Iterable, Optional
 
+from arrgraph.autsearch import AutResult, _in_explored_orbit, _IRSearch, _refine
+from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, is_automorphism
 from arrgraph.perms import Permutation
@@ -69,3 +72,60 @@ def independence_number_oracle(graph: Graph) -> int:
             if c > best:
                 best = c
     return best
+
+
+class OrbitPruningSearch(_IRSearch):
+    """The IR search without the return to the first-path ancestor: after
+    every leaf the search goes on with its remaining siblings, and only
+    orbit pruning skips children. Its orders, certificates and canonical
+    labelings are the reference for the search's."""
+
+    def _node(self, cells, prefix):
+        self.nodes += 1
+        if self.nodes > self.config.node_budget:
+            raise BudgetError(
+                f"IR search exceeded node budget {self.config.node_budget}")
+        target = -1
+        smallest = self.n + 1
+        for i, cell in enumerate(cells):
+            if 1 < len(cell) < smallest:
+                target = i
+                smallest = len(cell)
+        if target < 0:
+            self._leaf([c[0] for c in cells])
+            return
+        explored = []
+        fixing = []
+        scanned = 0
+        for v in sorted(cells[target]):
+            if explored:
+                for g in self.automorphisms[scanned:]:
+                    if [g[p] for p in prefix] == prefix:
+                        fixing.append(g)
+                scanned = len(self.automorphisms)
+                if fixing and _in_explored_orbit(v, explored, fixing):
+                    continue
+            explored.append(v)
+            child = (cells[:target]
+                     + [[v], [u for u in cells[target] if u != v]]
+                     + cells[target + 1:])
+            self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
+
+    def _leaf(self, lab):
+        cert = self._leaf_cert(lab)
+        if self.first is None:
+            self.first = self.best = (cert, lab)
+            return
+        if cert == self.first[0]:
+            self._record_automorphism(self.first[1], lab)
+        if cert < self.best[0]:
+            self.best = (cert, lab)
+        elif cert == self.best[0] and self.best is not self.first:
+            self._record_automorphism(self.best[1], lab)
+
+
+def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:
+    """`automorphism_group` as `OrbitPruningSearch` computes it."""
+    search = OrbitPruningSearch(graph, Config())
+    search.run()
+    return search.result()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from arrgraph.autsearch import (_IRSearch, automorphism_group, are_isomorphic,
+from arrgraph.autsearch import (SearchStats, automorphism_group, are_isomorphic,
                                 canonical_certificate, common_neighborhood,
                                 equitable_refinement, unit_partition)
 from arrgraph.config import Config
@@ -14,7 +14,8 @@ from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism,
                              rank_tuple)
 from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
-from oracles import brute_force_automorphism_count
+from oracles import (brute_force_automorphism_count,
+                     orbit_pruning_automorphism_group)
 
 SEED = 20240811
 
@@ -214,18 +215,19 @@ def test_candidate_generators_sift_into_aut(n, k, r):
 
 # -- pinned search behaviour --------------------------------------------------
 #
-# Node counts, certificates and stabilizer chains as the search produced them
-# before refinement, orbit bookkeeping and permutation arithmetic were
-# optimised. A change to the search shows here as a diff in review.
+# Certificates and stabilizer chains as the search produced them before
+# refinement, orbit bookkeeping and permutation arithmetic were optimised;
+# node counts as of the return to the first-path ancestor. A change to the
+# search shows here as a diff in review.
 
 _ALL = "all"  # a fundamental orbit that is the whole vertex set
 
 PINNED_SEARCHES = {
-    ((4, 4, 3), "plain"): (391, "e3bcc3e00bf5aaf0", None, None),
-    ((4, 4, 4), "plain"): (62, "8dddcfe6c632ea11", None, None),
-    ((5, 4, 3), "plain"): (43, "a702d45f1f2e08ba", None, None),
+    ((4, 4, 3), "plain"): (190, "e3bcc3e00bf5aaf0", None, None),
+    ((4, 4, 4), "plain"): (28, "8dddcfe6c632ea11", None, None),
+    ((5, 4, 3), "plain"): (21, "a702d45f1f2e08ba", None, None),
     ((4, 4, 3), "shuffled"): (
-        451, "e3bcc3e00bf5aaf0",
+        223, "e3bcc3e00bf5aaf0",
         [17, 13, 9, 12, 7, 5, 8, 4, 2, 18, 11, 6, 16, 14, 1, 10, 3, 0],
         [_ALL, [9, 13, 23], [9, 23], [2, 4, 5, 7, 8, 12, 15, 20], [5, 7, 20],
          [5, 20], [2, 4, 8, 15], [2, 4, 15], [2, 15],
@@ -233,10 +235,10 @@ PINNED_SEARCHES = {
          [0, 1, 3, 10, 14, 16, 19, 22], [1, 14, 22], [1, 22], [0, 3, 10, 19],
          [0, 3, 19], [0, 19]]),
     ((4, 4, 4), "shuffled"): (
-        123, "8dddcfe6c632ea11", [1, 5, 2, 0],
+        34, "8dddcfe6c632ea11", [1, 5, 2, 0],
         [_ALL, [2, 4, 5, 7, 9, 13], [2, 4, 9, 13], [0, 11]]),
     ((5, 4, 3), "shuffled"): (
-        43, "a702d45f1f2e08ba", [1, 3],
+        21, "a702d45f1f2e08ba", [1, 3],
         [_ALL, [3, 11, 16, 23, 36, 42, 46, 47, 48, 49, 53, 56, 63, 69, 78, 79,
                 83, 85, 87, 99, 100, 109, 110, 114]]),
 }
@@ -249,16 +251,66 @@ def test_search_pinned(nkr, labelling):
     g = build_arrangement_graph(*nkr)
     if labelling == "shuffled":
         g = shuffled(g, random.Random(SEED))
-    search = _IRSearch(g, Config())
-    search.run()
-    assert search.nodes == nodes
     result = automorphism_group(g)
+    assert result.stats.nodes == nodes
     assert hashlib.sha256(result.certificate).hexdigest()[:16] == cert_prefix
     if base is not None:
         assert result.chain.base == base
         everything = list(range(g.vertex_count))
         assert result.chain.fundamental_orbits() == [
             everything if o == _ALL else o for o in orbits]
+
+
+def test_search_stats_pinned():
+    stats = automorphism_group(build_arrangement_graph(5, 4, 3)).stats
+    assert stats == SearchStats(nodes=21, leaves=6, found=5, kept=5)
+
+
+@pytest.mark.parametrize("nkr", [(4, 4, 4), (5, 5, 5), (5, 5, 3), (5, 5, 2)],
+                         ids=lambda nkr: "A%d%d%d" % nkr)
+def test_shuffled_nodes_within_twice_plain(nkr):
+    g = build_arrangement_graph(*nkr)
+    plain = automorphism_group(g).stats.nodes
+    mixed = automorphism_group(shuffled(g, random.Random(SEED))).stats.nodes
+    assert mixed <= 2 * plain
+
+
+# -- the search against the one with orbit pruning only ----------------------
+
+
+def _assert_matches_orbit_pruning(g, name):
+    result = automorphism_group(g)
+    reference = orbit_pruning_automorphism_group(g)
+    assert result.order == reference.order, name
+    assert result.certificate == reference.certificate, name
+    assert result.canonical_labeling == reference.canonical_labeling, name
+    if g.vertex_count <= 8:
+        assert result.order == brute_force_automorphism_count(g), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_search_matches_orbit_pruning_arrangement_graphs(n):
+    rng = random.Random(SEED + 5 + n)
+    for k in range(1, n + 1):
+        for r in range(1, k + 1):
+            g = build_arrangement_graph(n, k, r)
+            if g.edge_count() == 0:
+                continue
+            for i, h in enumerate([g, shuffled(g, rng), shuffled(g, rng)]):
+                _assert_matches_orbit_pruning(h, (n, k, r, i))
+
+
+def test_search_matches_orbit_pruning_corpus(corpus):
+    for name, g in corpus.items():
+        _assert_matches_orbit_pruning(g, name)
+
+
+def test_search_matches_orbit_pruning_random_graphs():
+    rng = random.Random(SEED + 5)
+    graphs = [_random_graph(rng, max_vertices=12) for _ in range(40)]
+    for i, g in enumerate(graphs):
+        _assert_matches_orbit_pruning(g, i)
+    assert any(not g.is_connected() and g.edge_count() for g in graphs)
 
 
 # -- refinement against the per-vertex reference ------------------------------
@@ -300,10 +352,10 @@ def reference_refine(adj, cells):
     return cells
 
 
-def _random_graph(rng):
+def _random_graph(rng, max_vertices=40):
     from arrgraph.graphs import Graph
     shape = rng.choice(["dense", "sparse", "edgeless", "disconnected", "regular"])
-    nv = rng.randint(1, 40)
+    nv = rng.randint(1, max_vertices)
     if shape == "edgeless":
         edges = []
     elif shape == "disconnected":

@@ -204,3 +204,13 @@ def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
     code, _, err = run(capsys, "aut", str(path))
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ")
+
+
+def test_aut_stats(capsys, tmp_path):
+    path = tmp_path / "a543.json"
+    path.write_text(graphio.to_graphdoc(build_arrangement_graph(5, 4, 3)))
+    code, out, _ = run(capsys, "aut", str(path), "--stats")
+    assert code == EXIT_OK
+    assert out.splitlines()[2:] == ["nodes 21", "leaves 6",
+                                    "automorphisms found 5",
+                                    "generators kept 5"]
