@@ -11,9 +11,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .config import Config, DEFAULT_CONFIG
 from .errors import (ArrgraphError, FamilyError, IntransitiveActionError,
                      ValidationError)
-from .perms import Permutation, build_stabilizer_chain, symmetric_group_generators
+from .perms import (Permutation, build_stabilizer_chain, check_symmetric_group_size,
+                    symmetric_group_generators)
 
 
 @dataclass(frozen=True)
@@ -200,15 +202,16 @@ def column_partition(n: int, k: int) -> BlockSystem:
 # Candidate automorphism group of Cay(S_n, F_k)
 
 
-def conjecture_candidate_group(n: int) -> list[Permutation]:
+def conjecture_candidate_group(n: int, config: Config = DEFAULT_CONFIG) -> list[Permutation]:
     """Generators, on Cayley-graph vertex indexes, of the group built from
     right multiplications, conjugations, and inversion.
 
     Vertex indexes follow the one-line lexicographic order used by
     build_cayley_graph; the generated order is computed downstream, never
-    assumed."""
+    assumed. S_n must pass the vertex guard."""
     if n < 3:
         raise ValidationError(f"candidate group needs n >= 3, got {n}")
+    check_symmetric_group_size(n, config)
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
     perms = [Permutation(lab) for lab in labels]

@@ -57,7 +57,7 @@ def cmd_gen(args, config: Config) -> int:
         graph = build_arrangement_graph(args.n, args.k, args.r, config)
     else:
         kind, f = _parse_connection_kind(args.set)
-        graph = build_cayley_graph(args.n, connection_set(args.n, kind, f), config)
+        graph = build_cayley_graph(args.n, connection_set(args.n, kind, f, config), config)
     doc = graphio.dump(graph, args.format)
     _write_output(doc, args.output)
     print(f"{graph.vertex_count} vertices, {graph.edge_count()} edges",
@@ -66,7 +66,7 @@ def cmd_gen(args, config: Config) -> int:
 
 
 def cmd_aut(args, config: Config) -> int:
-    graph = graphio.load_file(args.graphfile)
+    graph = graphio.load_file(args.graphfile, config)
     result = automorphism_group(graph, config)
     print(f"order {result.order}")
     print(f"certificate {result.certificate_hex()}")
@@ -83,7 +83,7 @@ def cmd_aut(args, config: Config) -> int:
 
 
 def cmd_mis(args, config: Config) -> int:
-    graph = graphio.load_file(args.graphfile)
+    graph = graphio.load_file(args.graphfile, config)
     mode = ENUMERATE_ALL if args.all else SIZE_ONLY
     size, sets = max_independent_sets(graph, mode, config)
     print(f"independence number {size}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
 from .graphs import Graph
 
@@ -28,7 +29,13 @@ def to_edgelist(graph: Graph) -> str:
     return "\n".join([header] + lines) + "\n"
 
 
-def from_edgelist(text: str) -> Graph:
+def _check_vertex_guard(vertex_count: int, config: Config) -> None:
+    if vertex_count > config.vertex_guard:
+        raise ValidationError(
+            f"{vertex_count} vertices, over the guard {config.vertex_guard}")
+
+
+def from_edgelist(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     vertex_count = None
     edges = []
     for line in text.splitlines():
@@ -52,6 +59,7 @@ def from_edgelist(text: str) -> Graph:
         edges.append((u, v))
     if vertex_count is None:
         vertex_count = max((max(u, v) for u, v in edges), default=-1) + 1
+    _check_vertex_guard(vertex_count, config)
     labels = [(i,) for i in range(vertex_count)]
     return Graph(labels, edges, {"family": "plain"})
 
@@ -81,13 +89,15 @@ def to_graphdoc(graph: Graph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def from_graphdoc(text: str) -> Graph:
+def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"not a graph document: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _GRAPHDOC_MAGIC:
         raise ValidationError("not a graph document (missing format marker)")
+    if isinstance(doc.get("vertex_count"), int):
+        _check_vertex_guard(doc["vertex_count"], config)
     labels = [tuple(x - 1 for x in _int_list(lab, "label"))
               for lab in _list(doc.get("labels"), "labels")]
     if len(labels) != doc.get("vertex_count"):
@@ -126,14 +136,15 @@ def dump(graph: Graph, fmt: str) -> str:
     raise ValidationError(f"unknown format {fmt!r}; choose from {FORMATS}")
 
 
-def load(text: str) -> Graph:
-    """Read a graphdoc or, as a fallback, an edge list."""
+def load(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
+    """Read a graphdoc or, as a fallback, an edge list. A vertex count over
+    the vertex guard is rejected before any vertex is allocated."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return from_graphdoc(text)
-    return from_edgelist(text)
+        return from_graphdoc(text, config)
+    return from_edgelist(text, config)
 
 
-def load_file(path: str) -> Graph:
+def load_file(path: str, config: Config = DEFAULT_CONFIG) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return load(fh.read())
+        return load(fh.read(), config)

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .perms import ConnectionSet, Permutation, cycle, transposition
+from .perms import (ConnectionSet, Permutation, check_symmetric_group_size, cycle,
+                    transposition)
 
 
 def validate_tuple(t: Sequence[int], n: int, k: int) -> tuple[int, ...]:
@@ -225,10 +226,7 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
     form), with an edge from g to s*g for every s in S."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
-    nv = math.factorial(n)
-    if nv > config.vertex_guard:
-        raise ValidationError(
-            f"Cay(S_{n}) has {nv} vertices, over the guard {config.vertex_guard}")
+    check_symmetric_group_size(n, config)
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
     elements = [s.images for s in cset.elements]

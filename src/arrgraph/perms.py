@@ -1,5 +1,7 @@
-"""Exact permutation arithmetic and stabilizer chains.
+"""Exact permutation arithmetic, connection sets, and stabilizer chains.
 
+Stabilizer chains are built by incremental Schreier-Sims that closes each
+(orbit point, generator) pair of a level once (see ``StabilizerChain``).
 Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
@@ -15,9 +17,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
 
 
@@ -79,10 +83,7 @@ class Permutation:
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(_inverse(self.images))
 
     def fixed_point_count(self) -> int:
         return sum(1 for i, x in enumerate(self.images) if i == x)
@@ -141,6 +142,13 @@ def symmetric_group_generators(degree: int) -> list[Permutation]:
     return [transposition(degree, 0, 1), cycle(degree)]
 
 
+def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    return tuple(inv)
+
+
 # --------------------------------------------------------------------------
 # Connection sets of Cayley graphs on the symmetric group
 
@@ -189,12 +197,22 @@ class ConnectionSet:
         return self.kind
 
 
-def connection_set(n: int, kind: str, fixed_points: Optional[int] = None) -> ConnectionSet:
-    """All permutations of S_n of the requested kind.
+def check_symmetric_group_size(n: int, config: Config = DEFAULT_CONFIG) -> None:
+    """ValidationError if S_n has more elements than the vertex guard; n!
+    is not formed past the guard, so a huge n fails at once."""
+    size = 1
+    for i in range(2, n + 1):
+        size *= i
+        if size > config.vertex_guard:
+            raise ValidationError(
+                f"S_{n} has more than {config.vertex_guard} elements, over the vertex guard")
 
-    "transpositions" and "derangements" coincide with fixed-point counts
-    n-2 and 0 respectively.
-    """
+
+def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
+                   config: Config = DEFAULT_CONFIG) -> ConnectionSet:
+    """All permutations of S_n of the requested kind, once S_n passes the
+    vertex guard. "transpositions" and "derangements" coincide with
+    fixed-point counts n-2 and 0 respectively."""
     if n < 2:
         raise ValidationError(f"connection sets need n >= 2, got {n}")
     if kind == KIND_TRANSPOSITIONS:
@@ -210,6 +228,7 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None) -> Con
         want = fixed_points
     else:
         raise ValidationError(f"unknown connection set kind {kind!r}")
+    check_symmetric_group_size(n, config)
     elems = frozenset(
         Permutation(imgs)
         for imgs in itertools.permutations(range(n))
@@ -219,118 +238,43 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None) -> Con
 
 
 # --------------------------------------------------------------------------
-# Deterministic Schreier-Sims
+# Deterministic incremental Schreier-Sims
 
 
-class _Node:
-    """One level of a stabilizer chain: a base point, the strong generators
-    introduced at this level, the fundamental orbit with transversal, and the
-    stabilizer subgroup as the next node."""
+class _Level:
+    """One chain level: its base point, the generators of the group at this
+    level (each fixes the earlier base points), and the fundamental orbit in
+    discovery order. trans[x] maps the base point to x and inv[x] is its
+    inverse, image tuples made once when x joins the orbit; applied[j]
+    counts the generators already applied to orbit[j]."""
 
-    __slots__ = ("degree", "point", "gens", "transversal", "inverses",
-                 "sifted", "stab")
+    __slots__ = ("point", "gens", "orbit", "applied", "trans", "inv")
 
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.point: Optional[int] = None
-        self.gens: list[Permutation] = []
-        # transversal[x] maps self.point to x; inverses caches t^-1 per x
-        self.transversal: dict[int, Permutation] = {}
-        self.inverses: dict[int, Permutation] = {}
-        # images of the Schreier generators already sifted into stab; the
-        # stabilizer only grows, so sifting one of them again is a no-op
-        self.sifted: set[tuple[int, ...]] = set()
-        self.stab: Optional["_Node"] = None
-
-    def generators(self) -> list[Permutation]:
-        """Generators of the group at this level (this level's plus all
-        deeper ones; deeper generators fix this level's base point but may
-        still extend the fundamental orbit indirectly -- they are part of
-        the strong generating set)."""
-        out = list(self.gens)
-        if self.stab is not None:
-            out.extend(self.stab.generators())
-        return out
-
-    def inverse(self, x: int) -> Permutation:
-        """The inverse of transversal[x], computed once per orbit build."""
-        inv = self.inverses.get(x)
-        if inv is None:
-            inv = self.inverses[x] = self.transversal[x].inverse()
-        return inv
-
-    def sift(self, p: Permutation) -> Permutation:
-        node = self
-        while node.point is not None:
-            x = p.images[node.point]
-            if x != node.point:
-                if x not in node.transversal:
-                    return p
-                p = p.compose(node.inverse(x))
-            node = node.stab
-        return p
-
-    def add_gen(self, p: Permutation) -> bool:
-        """Add p to the group; False (and no change) if it is a member."""
-        residue = self.sift(p)
-        if residue.is_identity():
-            return False
-        self._add_nonmember(residue)
-        return True
-
-    def _add_nonmember(self, p: Permutation) -> None:
-        if self.point is None:
-            self.point = min(i for i in range(self.degree) if p(i) != i)
-            self.stab = _Node(self.degree)
-        if p(self.point) == self.point:
-            self.stab._add_nonmember(p)
-        else:
-            self.gens.append(p)
-        self._rebuild_orbit()
-        self._close_schreier()
-
-    def _rebuild_orbit(self) -> None:
-        allgens = self.generators()
-        self.transversal = {self.point: Permutation.identity(self.degree)}
-        self.inverses = {}
-        frontier = [self.point]
-        while frontier:
-            new = []
-            for x in frontier:
-                t = self.transversal[x]
-                for g in allgens:
-                    y = g(x)
-                    if y not in self.transversal:
-                        self.transversal[y] = t.compose(g)
-                        new.append(y)
-            frontier = sorted(new)
-
-    def _close_schreier(self) -> None:
-        allgens = self.generators()
-        for x in sorted(self.transversal):
-            t = self.transversal[x].images
-            for g in allgens:
-                # images of t * g * transversal[g(x)]^-1
-                u_inv = self.inverse(g.images[x]).images
-                schreier = tuple(map(u_inv.__getitem__, map(g.images.__getitem__, t)))
-                if schreier not in self.sifted:
-                    self.sifted.add(schreier)
-                    self.stab.add_gen(Permutation._trusted(schreier))
-
-    def order(self) -> int:
-        if self.point is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
+    def __init__(self, point: int, identity: tuple[int, ...]):
+        self.point = point
+        self.gens: list[tuple[int, ...]] = []
+        self.orbit = [point]
+        self.applied = [0]
+        self.trans = {point: identity}
+        self.inv = {point: identity}
 
 
 class StabilizerChain:
     """Base and strong generating set of a permutation group.
 
-    Deterministic (non-randomized) construction: base points are taken in
-    increasing order of first moved point, so two builds from the same
-    generator list give identical bases, orbits and transversals. The chain
-    is incremental: ``add_generator`` extends it by one generator, and a
-    chain built from a list equals one extended by its members in order.
+    Incremental Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    2003, section 4.2) over a flat list of levels. A non-member sifts to a
+    residue h that fixes the base points before some level m and drops out
+    there: it moves that level's base point out of the orbit, or m is one
+    past the last level. h is appended to every level from the one it
+    entered at down to m, and the levels are closed bottom-up. Orbits are
+    only extended, never rebuilt, and each (orbit point, generator) pair
+    gives one Schreier generator, sifted once from the level below.
+
+    Deterministic: a new base point is the first point moved by the residue
+    that needs it, so two builds from the same generator list give
+    identical bases, orbits and strong generators, and a chain built from
+    a list equals one extended by ``add_generator`` in the same order.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -340,35 +284,31 @@ class StabilizerChain:
                 raise ValidationError("degree required for an empty generator list")
             degree = generators[0].degree
         self.degree = degree
-        self._root = _Node(degree)
+        self._identity = tuple(range(degree))
+        self._levels: list[_Level] = []
         for g in generators:
             self.add_generator(g)
 
-    def _nodes(self) -> list[_Node]:
-        out = []
-        node = self._root
-        while node is not None and node.point is not None:
-            out.append(node)
-            node = node.stab
-        return out
-
     @property
     def base(self) -> list[int]:
-        return [node.point for node in self._nodes()]
+        return [level.point for level in self._levels]
 
     def strong_generators(self) -> list[Permutation]:
-        return self._root.generators()
+        """Each generator once, grouped by the level whose base point it
+        moves."""
+        return [Permutation._trusted(g) for level in self._levels
+                for g in level.gens if g[level.point] != level.point]
 
     def fundamental_orbits(self) -> list[list[int]]:
-        return [sorted(node.transversal) for node in self._nodes()]
+        return [sorted(level.orbit) for level in self._levels]
 
     def order(self) -> int:
-        return self._root.order()
+        return math.prod(len(level.orbit) for level in self._levels)
 
     def sift(self, p: Permutation) -> Permutation:
         if p.degree != self.degree:
             raise ValidationError("degree mismatch in membership test")
-        return self._root.sift(p)
+        return Permutation._trusted(self._sift(p.images, 0)[0])
 
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()
@@ -378,7 +318,65 @@ class StabilizerChain:
         already a member."""
         if p.degree != self.degree:
             raise ValidationError("generators of mixed degree")
-        return self._root.add_gen(p)
+        h, m = self._sift(p.images, 0)
+        if h == self._identity:
+            return False
+        first = 0
+        while True:
+            # h enters at level `first` and drops out at level m
+            if m == len(self._levels):
+                point = next(i for i, x in enumerate(h) if i != x)
+                self._levels.append(_Level(point, self._identity))
+            for level in self._levels[first:m + 1]:
+                level.gens.append(h)
+            # close the levels bottom-up from m; a residue of a Schreier
+            # generator of level i enters at level i + 1
+            i = m
+            while (found := self._next_residue(i)) is None:
+                i -= 1
+                if i < 0:
+                    return True
+            (h, m), first = found, i + 1
+
+    def _sift(self, images: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+        """Strip images through the levels from i on. Returns the residue
+        and the level it drops out at (len(levels) if it gets through)."""
+        levels = self._levels
+        while i < len(levels):
+            level = levels[i]
+            x = images[level.point]
+            if x != level.point:
+                inv = level.inv.get(x)
+                if inv is None:
+                    break
+                images = tuple(map(inv.__getitem__, images))
+            i += 1
+        return images, i
+
+    def _next_residue(self, i: int) -> Optional[tuple[tuple[int, ...], int]]:
+        """Apply level i's generators to its orbit points, pair by pair,
+        until a Schreier generator sifts to a non-identity residue; returns
+        it with its drop-out level, or None once the level is closed."""
+        level = self._levels[i]
+        gens, orbit, applied, trans, inv = (
+            level.gens, level.orbit, level.applied, level.trans, level.inv)
+        for j, x in enumerate(orbit):  # the orbit grows while it is scanned
+            while applied[j] < len(gens):
+                g = gens[applied[j]]
+                applied[j] += 1
+                tg = tuple(map(g.__getitem__, trans[x]))
+                y = g[x]
+                if y not in trans:
+                    trans[y] = tg
+                    inv[y] = _inverse(tg)
+                    orbit.append(y)
+                    applied.append(0)
+                    continue
+                # images of trans[x] * g * trans[y]^-1
+                h, m = self._sift(tuple(map(inv[y].__getitem__, tg)), i + 1)
+                if h != self._identity:
+                    return h, m
+        return None
 
 
 def build_stabilizer_chain(generators: Iterable[Permutation],

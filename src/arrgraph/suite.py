@@ -114,8 +114,8 @@ def _arrangement(n: int, k: int, r: int, config: Config) -> Graph:
 
 
 def _cayley(n: int, fixed: int, config: Config) -> Graph:
-    return _cached(("cay", n, fixed), config,
-                   lambda: build_cayley_graph(n, connection_set(n, "fixed", fixed), config))
+    return _cached(("cay", n, fixed), config, lambda: build_cayley_graph(
+        n, connection_set(n, "fixed", fixed, config), config))
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
     t0 = time.perf_counter()
     graph = _cayley(n, fixed, config)
     expected_candidate = 2 * math.factorial(n) ** 2
-    candidates = conjecture_candidate_group(n)
+    candidates = conjecture_candidate_group(n, config)
     preserve = all(is_automorphism(graph, g) for g in candidates)
     cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
     details = {

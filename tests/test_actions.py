@@ -11,6 +11,7 @@ from arrgraph.actions import (BlockSystem, block_violation, column_partition,
                               quotient_action, row_partition,
                               verify_block_system)
 from arrgraph.autsearch import automorphism_group
+from arrgraph.config import Config
 from arrgraph.errors import (ArrgraphError, FamilyError,
                              IntransitiveActionError, ValidationError)
 from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
@@ -269,3 +270,9 @@ def test_candidate_group_preserves_cay_s4_t():
 def test_candidate_group_needs_n_at_least_3():
     with pytest.raises(ValidationError):
         conjecture_candidate_group(2)
+
+
+def test_candidate_group_vertex_guard():
+    assert len(conjecture_candidate_group(5, Config(vertex_guard=120))) == 5
+    with pytest.raises(ValidationError, match="over the vertex guard"):
+        conjecture_candidate_group(5, Config(vertex_guard=119))

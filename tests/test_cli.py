@@ -1,5 +1,6 @@
 """The arrgraph command-line front end."""
 
+import itertools
 import json
 import os
 
@@ -204,6 +205,29 @@ def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
     code, _, err = run(capsys, "aut", str(path))
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "cayley", "--n", "11", "--set", "transpositions"),
+    ("conjecture", "--n", "11", "--k", "1"),
+], ids=["gen-cayley", "conjecture"])
+def test_symmetric_group_over_vertex_guard(argv, capsys, monkeypatch):
+    # 11! is over the guard: exit 2 before S_11 is enumerated
+    def enumerate_nothing(*args):
+        raise AssertionError("S_n enumerated before the vertex guard")
+    monkeypatch.setattr(itertools, "permutations", enumerate_nothing)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and "over the vertex guard" in err
+
+
+@pytest.mark.parametrize("command", ["aut", "mis"])
+def test_loaded_graph_over_vertex_guard(command, capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("# vertices 50001\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and "over the guard" in err
 
 
 def test_aut_stats(capsys, tmp_path):

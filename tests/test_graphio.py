@@ -3,6 +3,7 @@
 import pytest
 
 from arrgraph import graphio
+from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph, build_cayley_graph
 from arrgraph.perms import connection_set
@@ -26,6 +27,19 @@ def test_edgelist_isolated_vertices_survive():
 def test_edgelist_rejects_garbage():
     with pytest.raises(ValidationError):
         graphio.from_edgelist("0 1\nnot an edge\n")
+
+
+def test_vertex_guard_applies_to_loaded_graphs():
+    doc = ('{"format":"arrgraph-graphdoc","version":1,"metadata":{},'
+           '"vertex_count":50001,"labels":[],"edges":[]}')
+    for text in (doc, "# vertices 50001\n", "0 50000\n"):
+        with pytest.raises(ValidationError, match="over the guard"):
+            graphio.load(text)
+    g = build_arrangement_graph(4, 2, 2)  # 12 vertices
+    for text in (graphio.to_edgelist(g), graphio.to_graphdoc(g)):
+        assert graphio.load(text, Config(vertex_guard=12)).vertex_count == 12
+        with pytest.raises(ValidationError, match="over the guard"):
+            graphio.load(text, Config(vertex_guard=11))
 
 
 def test_graphdoc_round_trip_bit_exact():

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from arrgraph.errors import ValidationError
+from arrgraph.errors import BudgetError, ValidationError
+from arrgraph.config import Config
 from arrgraph.perms import (ConnectionSet, Permutation, build_stabilizer_chain,
-                            connection_set, cycle, transposition)
+                            check_symmetric_group_size, connection_set, cycle,
+                            transposition)
 from oracles import brute_force_closure
 
 SEED = 20240811
@@ -159,6 +161,17 @@ def test_connection_set_rejects_bad_parameters():
         connection_set(4, "involutions")
 
 
+def test_symmetric_group_vertex_guard():
+    small = Config(vertex_guard=120)
+    check_symmetric_group_size(5, small)
+    assert len(connection_set(5, "transpositions", None, small)) == 10
+    for n in (6, 10**9):  # n! is never formed past the guard
+        with pytest.raises(ValidationError, match="over the vertex guard"):
+            check_symmetric_group_size(n, small)
+    with pytest.raises(ValidationError, match="over the vertex guard"):
+        connection_set(6, "fixed", 1, small)
+
+
 def test_connection_set_invariants_enforced():
     with pytest.raises(ValidationError):
         ConnectionSet(3, "transpositions", None,
@@ -195,14 +208,20 @@ def test_chain_three_cycles_generate_a4():
 
 
 def test_chain_invariants():
-    chain = build_stabilizer_chain([transposition(5, 0, 1), cycle(5)])
-    orbits = chain.fundamental_orbits()
-    assert math.prod(len(o) for o in orbits) == chain.order() == 120
-    base = chain.base
-    for level, gens_node in enumerate(chain._nodes()):
-        for g in gens_node.generators():
-            for b in base[:level]:
-                assert g(b) == b
+    groups = [[transposition(5, 0, 1), cycle(5)]]
+    groups += [gens for _, gens in _random_groups(random.Random(SEED + 8), 10)]
+    for gens in groups:
+        chain = build_stabilizer_chain(gens)
+        orbits = chain.fundamental_orbits()
+        assert math.prod(len(o) for o in orbits) == chain.order()
+        base = chain.base
+        for i, level in enumerate(chain._levels):
+            orbit = set(level.orbit)
+            assert level.point == base[i] and sorted(orbit) == orbits[i]
+            for g in level.gens:
+                assert all(g[b] == b for b in base[:i])
+                assert {g[x] for x in orbit} == orbit
+    assert build_stabilizer_chain(groups[0]).order() == 120
 
 
 def test_chain_membership():
@@ -215,20 +234,42 @@ def test_chain_membership():
     assert not a4.contains(transposition(4, 0, 1))
 
 
-def test_chain_order_matches_brute_force_closure_random():
-    # 20 random generated groups of order <= 5000
-    rng = random.Random(SEED + 5)
-    checked = 0
-    while checked < 20:
-        d = rng.randint(2, 6)
-        gens = [random_perm(rng, d) for _ in range(rng.randint(1, 3))]
-        closure = brute_force_closure(gens, degree=d, limit=5000 + 1)
-        if len(closure) > 5000:
+def _random_groups(rng, count, max_degree=8, max_order=20_000):
+    """count (closure, generators) pairs of random groups of degree at most
+    max_degree and order at most max_order. Half the generating sets are
+    transpositions plus at most one permutation of small support, so long
+    bases and deep closures occur."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(3, max_degree)
+        if rng.random() < 0.5:
+            gens = [transposition(d, *rng.sample(range(d), 2))
+                    for _ in range(rng.randint(1, d))]
+            support = rng.sample(range(d), rng.randint(2, d))
+            images = list(range(d))
+            for a, b in zip(support, support[1:] + support[:1]):
+                images[a] = b
+            gens.append(Permutation(images))
+        else:
+            gens = [random_perm(rng, d) for _ in range(rng.randint(1, 3))]
+        try:
+            closure = brute_force_closure(gens, degree=d, limit=max_order)
+        except BudgetError:
             continue
+        out.append((closure, gens))
+    return out
+
+
+def test_chain_order_matches_brute_force_closure_random():
+    rng = random.Random(SEED + 5)
+    for closure, gens in _random_groups(rng, 60):
+        d = gens[0].degree
         chain = build_stabilizer_chain(gens, degree=d)
         assert chain.order() == len(closure)
-        assert all(chain.contains(p) for p in closure)
-        checked += 1
+        members = rng.sample(sorted(closure, key=lambda p: p.images),
+                             min(len(closure), 40))
+        for p in members + [random_perm(rng, d) for _ in range(40)]:
+            assert chain.contains(p) == (p in closure)
 
 
 def test_chain_deterministic():
