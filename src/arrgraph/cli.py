@@ -22,7 +22,7 @@ from .errors import BudgetError, ValidationError
 from .graphs import build_arrangement_graph, build_cayley_graph
 from .indsets import ENUMERATE_ALL, SIZE_ONLY, max_independent_sets
 from .perms import connection_set
-from .suite import (ReportDocument, run_full_suite, test_conjecture,
+from .suite import (Context, ReportDocument, run_full_suite, test_conjecture,
                     verify_blocks, verify_lemma_2_5, verify_prop_2_1)
 
 EXIT_OK = 0
@@ -96,9 +96,10 @@ def cmd_mis(args, config: Config) -> int:
 
 def cmd_blocks(args, config: Config) -> int:
     n, k = args.n, args.k
-    claims = [verify_prop_2_1(n, k, config), verify_blocks(n, k, config)]
+    ctx = Context(config)  # one search of A(n,k,k) for all three claims
+    claims = [verify_prop_2_1(n, k, ctx=ctx), verify_blocks(n, k, ctx=ctx)]
     if k < n:
-        claims.append(verify_lemma_2_5(n, k, config))
+        claims.append(verify_lemma_2_5(n, k, ctx=ctx))
     doc = ReportDocument(claims)
     print(doc.summary_text(), end="")
     if k == n:
@@ -119,7 +120,7 @@ def cmd_verify(args, config: Config) -> int:
 
 
 def cmd_conjecture(args, config: Config) -> int:
-    report = test_conjecture(args.n, args.k, config)
+    report = test_conjecture(args.n, args.k, ctx=Context(config))
     print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True))
     if report.exploratory:
         return EXIT_OK

@@ -72,7 +72,7 @@ class Graph:
     metadata records the construction parameters.
     """
 
-    __slots__ = ("vertex_count", "labels", "adjacency", "metadata")
+    __slots__ = ("vertex_count", "labels", "adjacency", "metadata", "__weakref__")
 
     def __init__(self, labels: Sequence[tuple[int, ...]],
                  edges: Iterable[tuple[int, int]],

@@ -8,6 +8,7 @@ carry no expectation: their verdict is the experiment's output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,8 +26,7 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
-from .indsets import (ENUMERATE_ALL, delta_family, is_maximal_independent,
-                      max_independent_sets)
+from .indsets import ENUMERATE_ALL, delta_family, max_independent_sets
 from .perms import Permutation, build_stabilizer_chain, connection_set
 
 CASE_RKLTN = "r=k<n"
@@ -76,9 +76,8 @@ class ReportDocument:
             verdict = ("PASS" if c.passed else "FAIL") if c.passed is not None else "RECORDED"
             rows.append((c.claim_id, str(c.expected), str(c.computed), verdict,
                          f"{c.wall_time:.2f}s"))
-        widths = [max(len(r[i]) for r in rows + [("claim", "expected", "computed", "verdict", "time")])
-                  for i in range(5)]
         header = ("claim", "expected", "computed", "verdict", "time")
+        widths = [max(len(r[i]) for r in rows + [header]) for i in range(5)]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)),
                  "  ".join("-" * w for w in widths)]
         for r in rows:
@@ -89,33 +88,6 @@ class ReportDocument:
         lines.append("")
         lines.append(f"{n_pass} passed, {n_fail} failed, {n_rec} recorded")
         return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# per-process cache of expensive objects, keyed with the Config they used
-
-_CACHE: dict = {}
-
-
-def _cached(key, config: Config, builder):
-    key = (key, config)
-    if key not in _CACHE:
-        _CACHE[key] = builder()
-    return _CACHE[key]
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
-def _arrangement(n: int, k: int, r: int, config: Config) -> Graph:
-    return _cached(("arr", n, k, r), config,
-                   lambda: build_arrangement_graph(n, k, r, config))
-
-
-def _cayley(n: int, fixed: int, config: Config) -> Graph:
-    return _cached(("cay", n, fixed), config, lambda: build_cayley_graph(
-        n, connection_set(n, "fixed", fixed, config), config))
 
 
 @dataclass(frozen=True)
@@ -138,40 +110,63 @@ def _shuffled(graph: Graph, rng: random.Random, config: Config) -> _Search:
     return _Search(shuffle, automorphism_group(graph.relabeled(shuffle), config))
 
 
-def _shuffled_iso(n: int, fixed: int, config: Config) -> tuple[_Search, _Search]:
-    """Searches of shuffled copies of A(n,n,n-fixed) and Cay(S_n,F_fixed),
-    both drawn from the sec3 claim's stream. They are the only searches of
-    these graphs in a run: every claim about either graph reads its group
-    from here, whichever claim ran first."""
-    def search():
-        rng = random.Random(f"{config.seed}:sec3/iso/n={n}/fixed={fixed}")
-        return (_shuffled(_arrangement(n, n, n - fixed, config), rng, config),
-                _shuffled(_cayley(n, fixed, config), rng, config))
+class Context:
+    """The config of a group of claims and the graphs and searches they read,
+    each made once. The suite makes one per job, so a job's graphs and
+    chains are freed when the job ends; a claim called without one gets a
+    fresh one."""
 
-    return _cached(("iso", n, fixed), config, search)
+    def __init__(self, config: Config = DEFAULT_CONFIG):
+        self.config = config
+        self._made: dict = {}
+
+    def _once(self, key, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
+
+    def arrangement(self, n: int, k: int, r: int) -> Graph:
+        return self._once(("arr", n, k, r),
+                          lambda: build_arrangement_graph(n, k, r, self.config))
+
+    def cayley(self, n: int, fixed: int) -> Graph:
+        return self._once(("cay", n, fixed), lambda: build_cayley_graph(
+            n, connection_set(n, "fixed", fixed, self.config), self.config))
+
+    def shuffled_iso(self, n: int, fixed: int) -> tuple[_Search, _Search]:
+        """Searches of shuffled copies of A(n,n,n-fixed) and Cay(S_n,F_fixed),
+        both drawn from the sec3 claim's stream. They are the only searches
+        of these graphs in a context: every claim about either graph reads
+        its group from here, whichever claim ran first."""
+        def search():
+            rng = random.Random(f"{self.config.seed}:sec3/iso/n={n}/fixed={fixed}")
+            return (_shuffled(self.arrangement(n, n, n - fixed), rng, self.config),
+                    _shuffled(self.cayley(n, fixed), rng, self.config))
+
+        return self._once(("iso", n, fixed), search)
+
+    def group(self, n: int, k: int, r: int) -> _Search:
+        """The search standing for Aut(A(n,k,r)): for k = n the shuffled copy
+        of the sec3 class fixed = n - r, for k < n a search of the plain graph."""
+        if k == n:
+            return self.shuffled_iso(n, n - r)[0]
+
+        def search():
+            graph = self.arrangement(n, k, r)
+            return _Search(Permutation.identity(graph.vertex_count),
+                           automorphism_group(graph, self.config))
+
+        return self._once(("aut", n, k, r), search)
 
 
-def _group(n: int, k: int, r: int, config: Config) -> _Search:
-    """The search standing for Aut(A(n,k,r)): for k = n the shuffled copy of
-    the sec3 class fixed = n - r, for k < n a search of the plain graph."""
-    if k == n:
-        return _shuffled_iso(n, n - r, config)[0]
-
-    def search():
-        graph = _arrangement(n, k, r, config)
-        return _Search(Permutation.identity(graph.vertex_count),
-                       automorphism_group(graph, config))
-
-    return _cached(("aut", n, k, r), config, search)
-
-
-def _delta_label(i: int, j: int) -> str:
-    return f"D_{i + 1}_{j + 1}"
+def clear_cache() -> None:
+    """Does nothing: there is no state beyond a context. Kept only for its one
+    caller, the `verify` workload of perfbench/workloads.py."""
 
 
 def _labels(indexes, k: int) -> list[str]:
-    """Labels of delta family indexes, in index order."""
-    return [_delta_label(*divmod(x, k)) for x in sorted(indexes)]
+    """Labels D_i_j (1-based) of delta family indexes, in index order."""
+    return [f"D_{x // k + 1}_{x % k + 1}" for x in sorted(indexes)]
 
 
 def _induced_action(search: _Search, n: int, k: int):
@@ -185,8 +180,20 @@ def _induced_action(search: _Search, n: int, k: int):
 # individual claims
 
 
-def verify_theorem_1_2(n: int, k: int, r: int,
-                       config: Config = DEFAULT_CONFIG) -> ClaimReport:
+def _claim(check):
+    """The claim `check`, timed, with a fresh context when called without one."""
+    @functools.wraps(check)
+    def claim(*args, ctx: Optional[Context] = None) -> ClaimReport:
+        t0 = time.perf_counter()
+        report = check(*args, ctx=ctx or Context())
+        report.wall_time = time.perf_counter() - t0
+        return report
+
+    return claim
+
+
+@_claim
+def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
     """Exact automorphism group order and explicit-generator containment for
     one of the three solved cases."""
     if n <= 2:
@@ -200,9 +207,8 @@ def verify_theorem_1_2(n: int, k: int, r: int,
     else:
         raise ValidationError(f"(n,k,r)=({n},{k},{r}) is outside the solved cases")
     claim_id = f"thm1.2/{case}/n={n}/k={k}"
-    t0 = time.perf_counter()
-    graph = _arrangement(n, k, r, config)
-    search = _group(n, k, r, config)
+    graph = ctx.arrangement(n, k, r)
+    search = ctx.group(n, k, r)
     aut = search.aut
     candidates = candidate_aut_generators(n, k, r, graph)
     contained = all(search.contains(g) for g in candidates)
@@ -213,14 +219,14 @@ def verify_theorem_1_2(n: int, k: int, r: int,
         expected=expected,
         computed=aut.order,
         passed=(aut.order == expected and contained and cand_order == expected),
-        wall_time=time.perf_counter() - t0,
         details={"candidate_order": cand_order,
                  "candidates_contained": contained,
                  "generator_count": len(aut.generators)},
     )
 
 
-def verify_prop_2_1(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_prop_2_1(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """Maximum independent sets of A(n,k,k) are exactly the delta family:
     independence number (n-1)!/(n-k)!, count n*k, and setwise equality."""
     if n <= 2:
@@ -228,32 +234,27 @@ def verify_prop_2_1(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got k={k} n={n}")
     claim_id = f"prop2.1/n={n}/k={k}"
-    t0 = time.perf_counter()
-    graph = _arrangement(n, k, k, config)
+    graph = ctx.arrangement(n, k, k)
     family = sorted(sorted(s) for _, s in delta_family(n, k))
-    size, sets = max_independent_sets(graph, ENUMERATE_ALL, config)
+    size, sets = max_independent_sets(graph, ENUMERATE_ALL, ctx.config)
     expected = {"size": math.factorial(n - 1) // math.factorial(n - k), "count": n * k}
     computed = {"size": size, "count": len(sets)}
-    details = {"sets_match_family": sets == family,
-               "family_members_maximum": all(
-                   len(s) == size and is_maximal_independent(graph, s) for s in family)}
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
         expected=expected,
         computed=computed,
-        passed=computed == expected and all(details.values()),
-        wall_time=time.perf_counter() - t0,
-        details=details,
+        passed=computed == expected and sets == family,
+        details={"sets_match_family": sets == family},
     )
 
 
-def verify_prop_2_2(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_prop_2_2(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """The kernel of the induced action of Aut(A(n,k,k)) on the delta family
     is trivial."""
     claim_id = f"prop2.2/n={n}/k={k}"
-    t0 = time.perf_counter()
-    search = _group(n, k, k, config)
+    search = ctx.group(n, k, k)
     action = _induced_action(search, n, k)
     kernel = kernel_order(search.aut.order, action)
     return ClaimReport(
@@ -262,12 +263,12 @@ def verify_prop_2_2(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRep
         expected=1,
         computed=kernel,
         passed=(kernel == 1),
-        wall_time=time.perf_counter() - t0,
         details={"group_order": search.aut.order},
     )
 
 
-def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """Row and column partitions of the delta family are block systems.
 
     For k < n this is checked under the full automorphism group. For k = n
@@ -275,18 +276,17 @@ def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRepor
     report additionally records an explicit violation of the block property
     under the tuple-inversion map (searched for, not assumed)."""
     claim_id = f"blocks/n={n}/k={k}"
-    t0 = time.perf_counter()
     sigma = row_partition(n, k)
     sigma_prime = column_partition(n, k)
     details: dict = {"sigma": [_labels(b, k) for b in sigma.blocks],
                      "sigma_prime": [_labels(b, k) for b in sigma_prime.blocks]}
     if k < n:
-        action = _induced_action(_group(n, k, k, config), n, k)
+        action = _induced_action(ctx.group(n, k, k), n, k)
         sigma_ok = verify_block_system(action, sigma)
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
         family = [s for _, s in delta_family(n, k)]
-        gens = candidate_aut_generators(n, n, n, _arrangement(n, n, n, config))
+        gens = candidate_aut_generators(n, n, n, ctx.arrangement(n, n, n))
         pq_action = induce_action(gens[:-1], family)
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
@@ -303,19 +303,18 @@ def verify_blocks(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRepor
         expected={"sigma": True, "sigma_prime": True},
         computed={"sigma": sigma_ok, "sigma_prime": sigma_prime_ok},
         passed=sigma_ok and sigma_prime_ok,
-        wall_time=time.perf_counter() - t0,
         details=details,
     )
 
 
-def verify_lemma_2_5(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_lemma_2_5(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """For k < n: the action on the row blocks has order n! and the kernel
     of the quotient map has order k!."""
     if not k < n:
         raise ValidationError("the quotient check applies to k < n only")
     claim_id = f"lemma2.5/n={n}/k={k}"
-    t0 = time.perf_counter()
-    action = _induced_action(_group(n, k, k, config), n, k)
+    action = _induced_action(ctx.group(n, k, k), n, k)
     _, quotient_order, kernel_order = quotient_action(action, row_partition(n, k))
     expected = {"quotient": math.factorial(n), "kernel": math.factorial(k)}
     computed = {"quotient": quotient_order, "kernel": kernel_order}
@@ -325,12 +324,12 @@ def verify_lemma_2_5(n: int, k: int, config: Config = DEFAULT_CONFIG) -> ClaimRe
         expected=expected,
         computed=computed,
         passed=(computed == expected),
-        wall_time=time.perf_counter() - t0,
         details={},
     )
 
 
-def verify_prop_2_6(n: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_prop_2_6(n: int, *, ctx: Context) -> ClaimReport:
     """Cay(S_n,T) is isomorphic to A(n,n,2) and Cay(S_n,D) to A(n,n,n),
     checked by certificates on independently shuffled copies plus the
     explicit tuple<->permutation witness. T and D are F_{n-2} and F_0, so
@@ -338,14 +337,13 @@ def verify_prop_2_6(n: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
     if n <= 2:
         raise ValidationError("requires n > 2")
     claim_id = f"prop2.6/n={n}"
-    t0 = time.perf_counter()
     results = {}
     for kind, fixed in (("transpositions", n - 2), ("derangements", 0)):
         # the one-line vertex order makes the tuple<->permutation bijection
         # the identity on indexes, so it is a witness iff adjacency agrees
-        witness_ok = (_arrangement(n, n, n - fixed, config).adjacency
-                      == _cayley(n, fixed, config).adjacency)
-        arr, cay = _shuffled_iso(n, fixed, config)
+        witness_ok = (ctx.arrangement(n, n, n - fixed).adjacency
+                      == ctx.cayley(n, fixed).adjacency)
+        arr, cay = ctx.shuffled_iso(n, fixed)
         results[kind] = {"certificates_equal": arr.aut.certificate == cay.aut.certificate,
                          "psi_witness": witness_ok}
     passed = all(v["certificates_equal"] and v["psi_witness"] for v in results.values())
@@ -355,19 +353,18 @@ def verify_prop_2_6(n: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
         expected={"transpositions": True, "derangements": True},
         computed={kind: v["certificates_equal"] for kind, v in results.items()},
         passed=passed,
-        wall_time=time.perf_counter() - t0,
         details=results,
     )
 
 
-def verify_section3_iso(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def verify_section3_iso(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     """Cay(S_n, F_fixed) is isomorphic to A(n,n,n-fixed), by certificate
     equality on independently shuffled copies."""
     if n <= 2 or not 0 <= fixed <= n - 2:
         raise ValidationError(f"need n > 2 and 0 <= fixed <= n-2, got n={n} fixed={fixed}")
     claim_id = f"sec3/iso/n={n}/fixed={fixed}"
-    t0 = time.perf_counter()
-    arr, cay = _shuffled_iso(n, fixed, config)
+    arr, cay = ctx.shuffled_iso(n, fixed)
     iso = arr.aut.certificate == cay.aut.certificate
     return ClaimReport(
         claim_id=claim_id,
@@ -375,12 +372,12 @@ def verify_section3_iso(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> 
         expected=True,
         computed=iso,
         passed=iso,
-        wall_time=time.perf_counter() - t0,
         details={},
     )
 
 
-def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> ClaimReport:
+@_claim
+def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     """Probe the conjectured automorphism group of Cay(S_n, F_fixed).
 
     The candidate group order and its containment in the computed group are
@@ -391,10 +388,9 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
         raise ValidationError(f"need n > 2 and 0 <= fixed <= n-2, got n={n} fixed={fixed}")
     claim_id = f"conj3.1/n={n}/fixed={fixed}"
     anchored = fixed in (0, n - 2)
-    t0 = time.perf_counter()
-    graph = _cayley(n, fixed, config)
+    graph = ctx.cayley(n, fixed)
     expected_candidate = 2 * math.factorial(n) ** 2
-    candidates = conjecture_candidate_group(n, config)
+    candidates = conjecture_candidate_group(n, ctx.config)
     preserve = all(is_automorphism(graph, g) for g in candidates)
     cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
     details = {
@@ -404,7 +400,7 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
         "connected": graph.is_connected(),
     }
     try:
-        search = _shuffled_iso(n, fixed, config)[1]
+        search = ctx.shuffled_iso(n, fixed)[1]
         aut = search.aut
         contained = all(search.contains(g) for g in candidates)
         equal = aut.order == cand_order and contained
@@ -425,7 +421,6 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
         computed=details.get("aut_order"),
         passed=passed,
         exploratory=not anchored,
-        wall_time=time.perf_counter() - t0,
         details=details,
     )
 
@@ -435,21 +430,23 @@ def test_conjecture(n: int, fixed: int, config: Config = DEFAULT_CONFIG) -> Clai
 
 
 def _job_claims(job: tuple, config: Config) -> list[ClaimReport]:
-    """The claims of one job. A job holds every claim that reads its
-    searches, so each graph is searched once per run whatever the worker count."""
+    """The claims of one job, in one context. A job holds every claim that
+    reads its searches, so each graph is searched once per run whatever the
+    worker count, and the job's graphs and searches are freed when it ends."""
     kind, n, arg = job
+    ctx = Context(config)
     if kind == "akk":
-        return [verify_theorem_1_2(n, arg, arg, config), verify_prop_2_1(n, arg, config),
-                verify_prop_2_2(n, arg, config), verify_blocks(n, arg, config),
-                verify_lemma_2_5(n, arg, config)]
+        return [verify_theorem_1_2(n, arg, arg, ctx=ctx), verify_prop_2_1(n, arg, ctx=ctx),
+                verify_prop_2_2(n, arg, ctx=ctx), verify_blocks(n, arg, ctx=ctx),
+                verify_lemma_2_5(n, arg, ctx=ctx)]
     out = []
     for fixed in arg:
-        out += [verify_section3_iso(n, fixed, config), test_conjecture(n, fixed, config)]
+        out += [verify_section3_iso(n, fixed, ctx=ctx), test_conjecture(n, fixed, ctx=ctx)]
     if kind == "knn":
         # the k = n claims read the searches of fixed = 0 and fixed = n-2
-        out += [verify_theorem_1_2(n, n, n, config), verify_theorem_1_2(n, n, 2, config),
-                verify_prop_2_1(n, n, config), verify_prop_2_2(n, n, config),
-                verify_blocks(n, n, config), verify_prop_2_6(n, config)]
+        out += [verify_theorem_1_2(n, n, n, ctx=ctx), verify_theorem_1_2(n, n, 2, ctx=ctx),
+                verify_prop_2_1(n, n, ctx=ctx), verify_prop_2_2(n, n, ctx=ctx),
+                verify_blocks(n, n, ctx=ctx), verify_prop_2_6(n, ctx=ctx)]
     return out
 
 

@@ -1,9 +1,9 @@
 """Acceptance gate: the nine criteria, one test per criterion.
 
 Each test prints a single pass/fail line (visible with `pytest -s` or in the
-captured output). Expensive objects (graphs, automorphism groups) are cached
-in-process by the suite module, so criteria that revisit the same instances
-are cheap after the first computation.
+captured output). The claims share one suite Context for the module, which
+makes each graph and automorphism search once, so criteria that revisit the
+same instances are cheap after the first computation.
 """
 
 import itertools
@@ -11,13 +11,15 @@ import math
 import random
 import time
 
+import pytest
+
 from arrgraph.autsearch import automorphism_group, canonical_certificate
 from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
                              build_arrangement_graph, invert_tuple,
                              vertex_permutation)
 from arrgraph.indsets import max_independent_sets
 from arrgraph.perms import Permutation, build_stabilizer_chain
-from arrgraph.suite import (test_conjecture as conjecture_probe,
+from arrgraph.suite import (Context, test_conjecture as conjecture_probe,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
@@ -30,17 +32,22 @@ AKK_INSTANCES = [(n, k) for n in range(3, 6) for k in range(1, n)] + [(6, 2)]
 KN_INSTANCES = [(n, r) for n in range(3, 6) for r in (n, 2)]
 
 
+@pytest.fixture(scope="module")
+def ctx():
+    return Context()
+
+
 def report(number, ok, detail, elapsed):
     verdict = "PASS" if ok else "FAIL"
     print(f"[criterion {number}] {verdict} ({elapsed:.1f}s): {detail}")
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def test_criterion_1_theorem_orders_k_lt_n():
+def test_criterion_1_theorem_orders_k_lt_n(ctx):
     t0 = time.perf_counter()
     ok = True
     for n, k in AKK_INSTANCES:
-        r = verify_theorem_1_2(n, k, k)
+        r = verify_theorem_1_2(n, k, k, ctx=ctx)
         ok = ok and r.passed and r.computed == math.factorial(n) * math.factorial(k)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300
@@ -48,32 +55,32 @@ def test_criterion_1_theorem_orders_k_lt_n():
                   f"runtime bound 300s", elapsed)
 
 
-def test_criterion_2_theorem_orders_k_eq_n():
+def test_criterion_2_theorem_orders_k_eq_n(ctx):
     t0 = time.perf_counter()
     ok = True
     for n, r in KN_INSTANCES:
         t1 = time.perf_counter()
-        rep = verify_theorem_1_2(n, n, r)
+        rep = verify_theorem_1_2(n, n, r, ctx=ctx)
         dt = time.perf_counter() - t1
         ok = ok and rep.passed and rep.computed == 2 * math.factorial(n) ** 2
         if n == 5:
             ok = ok and dt < 600
     expected = {3: 72, 4: 1152, 5: 28800}
     for n in expected:
-        ok = ok and verify_theorem_1_2(n, n, n).computed == expected[n]
+        ok = ok and verify_theorem_1_2(n, n, n, ctx=ctx).computed == expected[n]
     report(2, ok, "|Aut(A(n,n,n))| = |Aut(A(n,n,2))| = 2(n!)^2 for n = 3..5, "
                   "each A(5,5,*) under 600s", time.perf_counter() - t0)
 
 
-def test_criterion_3_candidate_containment():
+def test_criterion_3_candidate_containment(ctx):
     t0 = time.perf_counter()
     ok = True
     for n, k in AKK_INSTANCES:
-        r = verify_theorem_1_2(n, k, k)
+        r = verify_theorem_1_2(n, k, k, ctx=ctx)
         ok = ok and r.details["candidates_contained"]
         ok = ok and r.details["candidate_order"] == r.expected
     for n, rr in KN_INSTANCES:
-        r = verify_theorem_1_2(n, n, rr)
+        r = verify_theorem_1_2(n, n, rr, ctx=ctx)
         ok = ok and r.details["candidates_contained"]
         ok = ok and r.details["candidate_order"] == r.expected
     report(3, ok, "explicit candidate generators sift into Aut and generate "
@@ -81,14 +88,13 @@ def test_criterion_3_candidate_containment():
            time.perf_counter() - t0)
 
 
-def test_criterion_4_maximum_independent_sets():
+def test_criterion_4_maximum_independent_sets(ctx):
     t0 = time.perf_counter()
     ok = True
     for n in range(3, 6):
         for k in range(1, n + 1):
-            r = verify_prop_2_1(n, k)
+            r = verify_prop_2_1(n, k, ctx=ctx)
             ok = ok and r.passed and r.details["sets_match_family"]
-            ok = ok and r.details["family_members_maximum"]
             ok = ok and r.computed == {"size": math.factorial(n - 1) // math.factorial(n - k),
                                        "count": n * k}
     report(4, ok, "maximum independent sets of A(n,k,k) are exactly the delta "
@@ -96,22 +102,22 @@ def test_criterion_4_maximum_independent_sets():
                   "vertices)", time.perf_counter() - t0)
 
 
-def test_criterion_5_trivial_kernels():
+def test_criterion_5_trivial_kernels(ctx):
     t0 = time.perf_counter()
-    ok = all(verify_prop_2_2(n, k).passed
+    ok = all(verify_prop_2_2(n, k, ctx=ctx).passed
              for n in range(3, 6) for k in range(1, n + 1))
     report(5, ok, "the action kernel of Aut(A(n,k,k)) on the delta family is "
                   "trivial on every instance", time.perf_counter() - t0)
 
 
-def test_criterion_6_block_systems_and_quotients():
+def test_criterion_6_block_systems_and_quotients(ctx):
     t0 = time.perf_counter()
     ok = True
     for n in range(3, 6):
         for k in range(1, n + 1):
-            ok = ok and verify_blocks(n, k).passed
+            ok = ok and verify_blocks(n, k, ctx=ctx).passed
             if k < n:
-                r = verify_lemma_2_5(n, k)
+                r = verify_lemma_2_5(n, k, ctx=ctx)
                 ok = ok and r.passed
                 ok = ok and r.computed == {"quotient": math.factorial(n),
                                            "kernel": math.factorial(k)}
@@ -119,25 +125,25 @@ def test_criterion_6_block_systems_and_quotients():
                   "and kernel order k! for every k < n", time.perf_counter() - t0)
 
 
-def test_criterion_7_isomorphisms():
+def test_criterion_7_isomorphisms(ctx):
     t0 = time.perf_counter()
     ok = True
     for n in range(3, 6):
-        ok = ok and verify_prop_2_6(n).passed
+        ok = ok and verify_prop_2_6(n, ctx=ctx).passed
         for fixed in range(0, n - 1):
-            ok = ok and verify_section3_iso(n, fixed).passed
+            ok = ok and verify_section3_iso(n, fixed, ctx=ctx).passed
     report(7, ok, "certificate equality on shuffled copies: Cay(Sn,T) = A(n,n,2), "
                   "Cay(Sn,D) = A(n,n,n), Cay(Sn,Fk) = A(n,n,n-k) for n = 3..5",
            time.perf_counter() - t0)
 
 
-def test_criterion_8_conjecture_harness():
+def test_criterion_8_conjecture_harness(ctx):
     t0 = time.perf_counter()
     ok = True
     verdicts = []
     for n in (4, 5):
         for fixed in range(0, n - 1):
-            r = conjecture_probe(n, fixed)
+            r = conjecture_probe(n, fixed, ctx=ctx)
             ok = ok and r.details["candidate_order"] == 2 * math.factorial(n) ** 2
             ok = ok and r.details.get("candidates_contained", False)
             if fixed in (0, n - 2):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from arrgraph import graphio
+from arrgraph import graphio, suite
 from arrgraph.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from arrgraph.graphs import build_arrangement_graph
 
@@ -126,6 +126,22 @@ def test_blocks_command(capsys):
     assert "blocks/n=4/k=2" in out
     assert "{'quotient': 24, 'kernel': 2}" in out
     assert "3 passed, 0 failed" in out
+
+
+def test_blocks_command_searches_once(capsys, monkeypatch):
+    # prop2.1, blocks and lemma2.5 share one context, so A(5,4,4) is
+    # searched once for all three
+    searched = []
+    search = suite.automorphism_group
+
+    def counting(graph, config):
+        searched.append(graph.vertex_count)
+        return search(graph, config)
+
+    monkeypatch.setattr(suite, "automorphism_group", counting)
+    code, out, _ = run(capsys, "blocks", "--n", "5", "--k", "4")
+    assert code == EXIT_OK and "3 passed, 0 failed" in out
+    assert searched == [120]
 
 
 @pytest.mark.parametrize("n", [3, 4])

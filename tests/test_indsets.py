@@ -261,7 +261,7 @@ def test_deep_clique_needs_no_recursion():
 
 # -- the characterization, as the prop2.1 claim checks it ---------------------
 
-FAMILY_MATCHES = {"sets_match_family": True, "family_members_maximum": True}
+FAMILY_MATCHES = {"sets_match_family": True}
 
 
 def prop_2_1_fields(n, k):
@@ -300,8 +300,7 @@ def test_characterization_detects_a_wrong_family(monkeypatch):
                         lambda n, k: family[:-1] + [(family[-1][0], frozenset({0}))])
     expected = {"size": 3, "count": 8}
     assert prop_2_1_fields(4, 2) == (
-        False, expected, expected,
-        {"sets_match_family": False, "family_members_maximum": False})
+        False, expected, expected, {"sets_match_family": False})
 
 
 def test_aut_permutes_delta_family():

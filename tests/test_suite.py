@@ -1,16 +1,19 @@
 """The claim suite: individual claims and the full run."""
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 from arrgraph import suite
+from arrgraph.autsearch import AutResult
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import candidate_aut_generators, is_automorphism
+from arrgraph.graphs import Graph, candidate_aut_generators, is_automorphism
 from arrgraph.perms import transposition
-from arrgraph.suite import (ReportDocument, run_full_suite, suite_jobs,
+from arrgraph.suite import (Context, ReportDocument, run_full_suite, suite_jobs,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
@@ -89,24 +92,21 @@ def test_section3_iso_claim():
 
 def test_section3_iso_independent_of_prop_2_6():
     # prop2.6 reuses the shuffled searches of sec3 fixed = n-2 and fixed = 0,
-    # so sec3 sees the same copies whether or not prop2.6 ran first
-    def sec3_runs():
+    # so sec3 sees the same copies whether or not prop2.6 ran first in its
+    # context
+    def sec3_runs(ctx):
         out = []
         for fixed in range(3):
-            record = verify_section3_iso(4, fixed).to_json_obj()
+            record = verify_section3_iso(4, fixed, ctx=ctx).to_json_obj()
             record.pop("wall_time")
-            searches = suite._shuffled_iso(4, fixed, Config())
             out.append((record, [(search.shuffle, search.aut.generators)
-                                 for search in searches]))
+                                 for search in ctx.shuffled_iso(4, fixed)]))
         return out
 
-    suite.clear_cache()
-    alone = sec3_runs()
-    suite.clear_cache()
-    assert verify_prop_2_6(4).passed
-    after_prop_2_6 = sec3_runs()
-    suite.clear_cache()
-    assert alone == after_prop_2_6
+    alone = sec3_runs(Context())
+    ctx = Context()
+    assert verify_prop_2_6(4, ctx=ctx).passed
+    assert alone == sec3_runs(ctx)
 
 
 def test_conjecture_anchored_cases():
@@ -202,28 +202,50 @@ def test_suite_searches_each_graph_copy_once(monkeypatch):
         return search(graph, config)
 
     monkeypatch.setattr(suite, "automorphism_group", counting)
-    suite.clear_cache()
+    # a fresh context per job, as in every worker of a pool
     assert run_full_suite(4).all_expected_pass()
     # per n: one plain A(n,k,k) for each k < n, and the shuffled A(n,n,n-f)
     # and Cay(S_n,F_f) for each fixed-point class f
     assert len(searched) == 15
     assert len(set(searched)) == 15
 
-    # with every job in a fresh process (the worst case of a worker pool)
-    # the count is the same: a job holds every claim reading its searches
+    # one context shared by every job searches no graph fewer times: a job
+    # holds every claim reading its searches, so no two jobs share one
     searched.clear()
-    for job in suite_jobs(4):
-        suite.clear_cache()
-        suite._job_claims(job, Config())
+    shared = Context()
+    monkeypatch.setattr(suite, "Context", lambda config: shared)
+    assert run_full_suite(4).all_expected_pass()
     assert len(searched) == 15
-    suite.clear_cache()
+
+
+def test_suite_keeps_nothing_after_a_run(monkeypatch):
+    # every graph and search the suite makes is freed once its job ends
+    made = []  # weak references to each Graph and AutResult
+
+    def tracked(make):
+        def wrapper(*args):
+            result = make(*args)
+            made.extend(weakref.ref(x) for x in (*args, result)
+                        if isinstance(x, (Graph, AutResult)))
+            return result
+        return wrapper
+
+    for name in ("automorphism_group", "build_arrangement_graph", "build_cayley_graph"):
+        monkeypatch.setattr(suite, name, tracked(getattr(suite, name)))
+    doc = run_full_suite(4)
+    gc.collect()
+    assert doc.all_expected_pass()
+    # the 15 searches, the graphs they searched, and the plain graphs built
+    assert len(made) > 30
+    assert [ref for ref in made if ref() is not None] == []
 
 
 def test_shuffled_search_answers_for_the_plain_graph():
     # a plain-labelled automorphism is tested in the shuffled copy's chain
     # after conjugation by the shuffle
-    plain = suite._arrangement(4, 4, 4, Config())
-    search = suite._group(4, 4, 4, Config())
+    ctx = Context()
+    plain = ctx.arrangement(4, 4, 4)
+    search = ctx.group(4, 4, 4)
     assert not search.shuffle.is_identity()
     assert search.aut.order == 1152
     for g in candidate_aut_generators(4, 4, 4, plain):
@@ -233,15 +255,16 @@ def test_shuffled_search_answers_for_the_plain_graph():
 
 
 def test_cache_keys_include_config():
-    suite.clear_cache()
-    assert verify_theorem_1_2(4, 4, 4).passed
+    # a context searches each graph once under its own config; contexts with
+    # different budgets or seeds never share a search
+    ctx = Context()
+    assert verify_theorem_1_2(4, 4, 4, ctx=ctx).passed
+    assert ctx.group(4, 4, 4) is ctx.shuffled_iso(4, 0)[0]
     with pytest.raises(BudgetError):
-        verify_theorem_1_2(4, 4, 4, Config(node_budget=3))
-    one = suite._shuffled_iso(4, 1, Config(seed=1))
-    two = suite._shuffled_iso(4, 1, Config(seed=2))
-    assert one is not two
+        verify_theorem_1_2(4, 4, 4, ctx=Context(Config(node_budget=3)))
+    one = Context(Config(seed=1)).shuffled_iso(4, 1)
+    two = Context(Config(seed=2)).shuffled_iso(4, 1)
     assert one[0].shuffle != two[0].shuffle
-    suite.clear_cache()
 
 
 @pytest.mark.parametrize("cpus,expected", [(64, [3]), (2, [2]), (1, []), (None, [])])
