@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .errors import (ArrgraphError, FamilyError, IntransitiveActionError,
                      ValidationError)
-from .perms import (Permutation, build_stabilizer_chain, check_symmetric_group_size,
+from .perms import (Permutation, build_stabilizer_chain, check_tuple_count,
                     symmetric_group_generators)
 
 
@@ -211,7 +211,7 @@ def conjecture_candidate_group(n: int, config: Config = DEFAULT_CONFIG) -> list[
     assumed. S_n must pass the vertex guard."""
     if n < 3:
         raise ValidationError(f"candidate group needs n >= 3, got {n}")
-    check_symmetric_group_size(n, config)
+    check_tuple_count(n, n, config)
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
     perms = [Permutation(lab) for lab in labels]

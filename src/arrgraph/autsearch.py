@@ -32,10 +32,11 @@ first-path child to is either pruned by a found one or searched until a
 leaf matches the first leaf, which finds one; this is why the found
 automorphisms generate the whole group.
 
-Every automorphism found is sifted through a stabilizer chain the search
-extends as it goes. Orbit pruning uses all of them, but only the chain
-non-members are checked with ``is_automorphism`` and kept as generators: a
-member is a product of automorphisms already checked.
+Each automorphism found is checked once with ``is_automorphism`` and
+appended to the list that orbit pruning reads. The search keeps no chain:
+the stabilizer chain is built once, after the search, from that list in the
+order found, and the automorphisms it accepts as non-members are the
+generators.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ def _in_explored_orbit(v: int, explored: list[int],
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Counters of one IR search: tree nodes and leaves visited, distinct
-    non-identity automorphisms found, and those kept as generators."""
+    """Counters of one IR search: tree nodes and leaves visited,
+    automorphisms found (each checked once), and those the chain kept as
+    generators."""
 
     nodes: int
     leaves: int
@@ -187,8 +189,8 @@ class AutResult:
 
     generators are the automorphisms the search found that were not yet
     members of the group generated by those before them, in the order
-    found; chain is the stabilizer chain the search built from them;
-    stats counts the search's work."""
+    found; chain is the stabilizer chain built once from the found
+    automorphisms in that order; stats counts the search's work."""
 
     generators: list[Permutation]
     chain: StabilizerChain
@@ -211,13 +213,9 @@ class _IRSearch:
         self.config = config
         self.nodes = 0
         self.leaves = 0
-        # images of every distinct non-identity automorphism found, for
-        # orbit pruning
+        # images of every automorphism found, each checked, in the order
+        # found: orbit pruning reads them, and result() builds the chain
         self.automorphisms: list[tuple[int, ...]] = []
-        self.seen: set[tuple[int, ...]] = set()
-        # the verified chain non-members among them, which generate chain
-        self.gens: list[Permutation] = []
-        self.chain = StabilizerChain([], degree=self.n)
         self.first: Optional[tuple[bytes, list[int]]] = None
         # the vertices individualized on the way to the first leaf
         self.first_prefix: list[int] = []
@@ -234,15 +232,21 @@ class _IRSearch:
         pos = [0] * self.n
         for i, v in enumerate(lab):
             pos[v] = i
+        chain = StabilizerChain([], degree=self.n)
+        generators = []
+        for images in self.automorphisms:
+            g = Permutation._trusted(images)
+            if chain.add_generator(g):
+                generators.append(g)
         return AutResult(
-            generators=self.gens,
-            chain=self.chain,
-            order=self.chain.order(),
+            generators=generators,
+            chain=chain,
+            order=chain.order(),
             certificate=zlib.compress(cert_bits, 6),
             canonical_labeling=Permutation._trusted(tuple(pos)),
             stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
                               found=len(self.automorphisms),
-                              kept=len(self.gens)),
+                              kept=len(generators)),
         )
 
     # -- search tree
@@ -324,18 +328,10 @@ class _IRSearch:
         imgs = [0] * self.n
         for a, b in zip(lab1, lab2):
             imgs[a] = b
-        g = Permutation._trusted(tuple(imgs))
-        if g.images in self.seen or g.is_identity():
-            return
-        self.seen.add(g.images)
-        self.automorphisms.append(g.images)
-        # a member is a product of verified automorphisms, hence one itself
-        if self.chain.contains(g):
-            return
-        if not is_automorphism(self.graph, g):
+        images = tuple(imgs)
+        if not is_automorphism(self.graph, Permutation._trusted(images)):
             raise AssertionError("IR search produced a non-automorphism")
-        self.chain.add_generator(g)
-        self.gens.append(g)
+        self.automorphisms.append(images)
 
 
 def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResult:
@@ -343,7 +339,12 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
     if graph.vertex_count < 1:
         raise ValidationError("automorphism search needs at least one vertex")
     search = _IRSearch(graph, config)
-    search.run()
+    try:
+        search.run()
+    except RecursionError:
+        # the search recurses once per level of the tree
+        raise BudgetError(
+            "IR search deeper than the interpreter's recursion limit") from None
     return search.result()
 
 
@@ -363,11 +364,8 @@ def are_isomorphic(g1: Graph, g2: Graph,
     if r1.certificate != r2.certificate:
         return False, None
     witness = r1.canonical_labeling.compose(r2.canonical_labeling.inverse())
-    # the edge counts are equal, so a witness that maps every edge of g1 to
-    # an edge of g2 is a bijection between the edge sets
-    for u, v in g1.edges():
-        if not g2.has_edge(witness(u), witness(v)):
-            raise AssertionError("isomorphism witness failed an edge check")
+    if g1.relabeled(witness).adjacency != g2.adjacency:
+        raise AssertionError("isomorphism witness failed the adjacency check")
     return True, witness
 
 

@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing, unreadable or unwritable file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -92,7 +92,9 @@ def to_graphdoc(graph: Graph) -> str:
 def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers malformed JSON and integers too long to convert;
+        # RecursionError, arrays or objects nested too deep to decode
         raise ValidationError(f"not a graph document: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _GRAPHDOC_MAGIC:
         raise ValidationError("not a graph document (missing format marker)")
@@ -147,4 +149,8 @@ def load(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
 
 def load_file(path: str, config: Config = DEFAULT_CONFIG) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return load(fh.read(), config)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path} is not UTF-8 text: {e}")
+    return load(text, config)

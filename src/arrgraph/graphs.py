@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .perms import (ConnectionSet, Permutation, check_symmetric_group_size, cycle,
-                    transposition)
+from .perms import ConnectionSet, Permutation, check_tuple_count, cycle, transposition
 
 
 def validate_tuple(t: Sequence[int], n: int, k: int) -> tuple[int, ...]:
@@ -137,18 +136,22 @@ class Graph:
         return not degs or min(degs) == max(degs)
 
     def relabeled(self, perm: Permutation) -> "Graph":
-        """The graph with vertex v moved to index perm(v) (labels follow)."""
+        """The graph with vertex v moved to index perm(v) (labels follow).
+        The package's one row-image loop: adjacency under a vertex map is
+        checked by comparing the relabeled adjacency."""
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
         images = perm.images
         labels = [None] * self.vertex_count
         adjacency = [0] * self.vertex_count
-        for u, label in enumerate(self.labels):
-            row = 0
-            for v in self.neighbors(u):
-                row |= 1 << images[v]
-            labels[images[u]] = label
-            adjacency[images[u]] = row
+        for u, row in enumerate(self.adjacency):
+            image_row = 0
+            while row:
+                low = row & -row
+                image_row |= 1 << images[low.bit_length() - 1]
+                row ^= low
+            labels[images[u]] = self.labels[u]
+            adjacency[images[u]] = image_row
         return Graph._from_adjacency(labels, adjacency, self.metadata)
 
     def is_connected(self) -> bool:
@@ -180,10 +183,8 @@ def build_arrangement_graph(n: int, k: int, r: int,
     count k - r. No edge list is formed."""
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
+    check_tuple_count(n, k, config)
     nv = tuple_count(n, k)
-    if nv > config.vertex_guard:
-        raise ValidationError(
-            f"A({n},{k},{r}) has {nv} vertices, over the guard {config.vertex_guard}")
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
     full = (1 << nv) - 1
     at = []
@@ -226,7 +227,7 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
     form), with an edge from g to s*g for every s in S."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
-    check_symmetric_group_size(n, config)
+    check_tuple_count(n, n, config)
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
     elements = [s.images for s in cset.elements]
@@ -279,18 +280,7 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
     """True iff f preserves adjacency and non-adjacency."""
     if f.degree != graph.vertex_count:
         raise ValidationError("vertex permutation of wrong degree")
-    adj = graph.adjacency
-    images = f.images
-    for v in range(graph.vertex_count):
-        image_row = 0
-        row = adj[v]
-        while row:
-            low = row & -row
-            image_row |= 1 << images[low.bit_length() - 1]
-            row ^= low
-        if image_row != adj[images[v]]:
-            return False
-    return True
+    return graph.relabeled(f).adjacency == graph.adjacency
 
 
 def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permutation]:

@@ -197,15 +197,19 @@ class ConnectionSet:
         return self.kind
 
 
-def check_symmetric_group_size(n: int, config: Config = DEFAULT_CONFIG) -> None:
-    """ValidationError if S_n has more elements than the vertex guard; n!
-    is not formed past the guard, so a huge n fails at once."""
+def check_tuple_count(n: int, k: int, config: Config = DEFAULT_CONFIG) -> None:
+    """ValidationError if there are more k-tuples of distinct values in
+    0..n-1 than the vertex guard; k = n counts the elements of S_n. The
+    product n(n-1)...(n-k+1) is not formed past the guard, so huge n and k
+    fail at once."""
     size = 1
-    for i in range(2, n + 1):
+    for i in range(n - k + 1, n + 1):
         size *= i
         if size > config.vertex_guard:
+            what = (f"S_{n}" if k == n
+                    else f"the set of {k}-tuples of distinct values in 0..{n - 1}")
             raise ValidationError(
-                f"S_{n} has more than {config.vertex_guard} elements, over the vertex guard")
+                f"{what} has more than {config.vertex_guard} elements, over the vertex guard")
 
 
 def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
@@ -228,7 +232,7 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
         want = fixed_points
     else:
         raise ValidationError(f"unknown connection set kind {kind!r}")
-    check_symmetric_group_size(n, config)
+    check_tuple_count(n, n, config)
     elems = frozenset(
         Permutation(imgs)
         for imgs in itertools.permutations(range(n))

@@ -23,7 +23,7 @@ from .actions import (block_violation, column_partition, conjecture_candidate_gr
                       verify_block_system)
 from .autsearch import AutResult, automorphism_group
 from .config import Config, DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
 from .indsets import ENUMERATE_ALL, delta_family, max_independent_sets
@@ -399,26 +399,22 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
         "candidate_preserves_graph": preserve,
         "connected": graph.is_connected(),
     }
-    try:
-        search = ctx.shuffled_iso(n, fixed)[1]
-        aut = search.aut
-        contained = all(search.contains(g) for g in candidates)
-        equal = aut.order == cand_order and contained
-        details.update({"aut_order": aut.order, "candidates_contained": contained,
-                        "conjecture_holds": equal})
-        passed: Optional[bool]
-        if anchored:
-            passed = (equal and preserve and cand_order == expected_candidate)
-        else:
-            passed = None
-    except BudgetError as e:
-        details.update({"inconclusive": str(e)})
-        passed = False if anchored else None
+    search = ctx.shuffled_iso(n, fixed)[1]
+    aut = search.aut
+    contained = all(search.contains(g) for g in candidates)
+    equal = aut.order == cand_order and contained
+    details.update({"aut_order": aut.order, "candidates_contained": contained,
+                    "conjecture_holds": equal})
+    passed: Optional[bool]
+    if anchored:
+        passed = (equal and preserve and cand_order == expected_candidate)
+    else:
+        passed = None
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "fixed": fixed},
         expected=(expected_candidate if anchored else None),
-        computed=details.get("aut_order"),
+        computed=aut.order,
         passed=passed,
         exploratory=not anchored,
         details=details,

@@ -45,11 +45,13 @@ def brute_force_automorphism_count(graph: Graph, limit: int = 8) -> int:
     bijection. Only for graphs with at most `limit` vertices."""
     if graph.vertex_count > limit:
         raise ValidationError(f"brute force limited to {limit} vertices")
-    count = 0
-    for images in itertools.permutations(range(graph.vertex_count)):
-        if is_automorphism(graph, Permutation(images)):
-            count += 1
-    return count
+    edges = list(graph.edges())
+    edge_set = {frozenset(e) for e in edges}
+    # a bijection that maps every edge to an edge maps the edge set onto
+    # itself, so it also maps non-edges to non-edges
+    return sum(1 for images in itertools.permutations(range(graph.vertex_count))
+               if all(frozenset((images[u], images[v])) in edge_set
+                      for u, v in edges))
 
 
 def independence_number_oracle(graph: Graph) -> int:
@@ -78,7 +80,16 @@ class OrbitPruningSearch(_IRSearch):
     """The IR search without the return to the first-path ancestor: after
     every leaf the search goes on with its remaining siblings, and only
     orbit pruning skips children. Its orders, certificates and canonical
-    labelings are the reference for the search's."""
+    labelings are the reference for the search's.
+
+    Without the return it finds many repeats and chain members. A repeat
+    is skipped, and only the generators, the non-members the chain of
+    `result()` keeps, are checked with `is_automorphism`: a member is a
+    product of them."""
+
+    def __init__(self, graph, config):
+        super().__init__(graph, config)
+        self.seen = set()
 
     def _node(self, cells, prefix):
         self.nodes += 1
@@ -122,6 +133,21 @@ class OrbitPruningSearch(_IRSearch):
             self.best = (cert, lab)
         elif cert == self.best[0] and self.best is not self.first:
             self._record_automorphism(self.best[1], lab)
+
+    def _record_automorphism(self, lab1, lab2):
+        imgs = [0] * self.n
+        for a, b in zip(lab1, lab2):
+            imgs[a] = b
+        images = tuple(imgs)
+        if images not in self.seen:
+            self.seen.add(images)
+            self.automorphisms.append(images)
+
+    def result(self):
+        result = super().result()
+        if not all(is_automorphism(self.graph, g) for g in result.generators):
+            raise AssertionError("IR search produced a non-automorphism")
+        return result
 
 
 def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:

@@ -1,8 +1,11 @@
 """The arrgraph command-line front end."""
 
+import collections
 import itertools
 import json
 import os
+import random
+import re
 
 import pytest
 
@@ -88,6 +91,18 @@ def test_aut_missing_file(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_aut_unreadable_input_exit_code(kind, capsys, tmp_path):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe0 1\n")
+    code, _, err = run(capsys, "aut", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", [["aut"], ["mis", "--all"]], ids=["aut", "mis-all"])
 def test_aut_budget_exit_code(command, capsys, tmp_path, monkeypatch):
     path = tmp_path / "a422.json"
@@ -96,6 +111,23 @@ def test_aut_budget_exit_code(command, capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *command, str(path))
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+@pytest.mark.parametrize("fixed", ["0", "1"], ids=["anchored", "exploratory"])
+def test_conjecture_budget_exit_code(fixed, capsys, monkeypatch):
+    monkeypatch.setenv("ARRGRAPH_NODE_BUDGET", "3")
+    code, out, err = run(capsys, "conjecture", "--n", "4", "--k", fixed)
+    assert code == EXIT_BUDGET
+    assert out == "" and "budget" in err
+
+
+def test_aut_deeper_than_recursion_limit(capsys, tmp_path):
+    # 1100 isolated vertices: the search tree is 1099 levels deep
+    path = tmp_path / "isolated.txt"
+    path.write_text("# vertices 1100\n")
+    code, _, err = run(capsys, "aut", str(path))
+    assert code == EXIT_BUDGET
+    assert "recursion limit" in err
 
 
 def test_mis_command(capsys, tmp_path):
@@ -214,7 +246,10 @@ def _doc_with_three_entry_edge():
     _doc_without_labels(),
     _doc_with_three_entry_edge(),
     "# vertices x\n0 1\n",
-], ids=["graphdoc-no-labels", "edge-three-entries", "edgelist-vertices-x"])
+    '{"a": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    '{"vertex_count": 1' + "0" * 5000 + "}",
+], ids=["graphdoc-no-labels", "edge-three-entries", "edgelist-vertices-x",
+        "graphdoc-nested-deep", "graphdoc-long-integer"])
 def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -226,11 +261,14 @@ def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("gen", "cayley", "--n", "11", "--set", "transpositions"),
     ("conjecture", "--n", "11", "--k", "1"),
-], ids=["gen-cayley", "conjecture"])
+    ("gen", "arrangement", "--n", "2000", "--k", "2000", "--r", "1"),
+    ("blocks", "--n", "2000", "--k", "1999"),
+], ids=["gen-cayley", "conjecture", "gen-arrangement", "blocks"])
 def test_symmetric_group_over_vertex_guard(argv, capsys, monkeypatch):
-    # 11! is over the guard: exit 2 before S_11 is enumerated
+    # 11! and 2000!/(2000-k)! are over the guard: exit 2 before a vertex
+    # label is enumerated
     def enumerate_nothing(*args):
-        raise AssertionError("S_n enumerated before the vertex guard")
+        raise AssertionError("vertex labels enumerated before the vertex guard")
     monkeypatch.setattr(itertools, "permutations", enumerate_nothing)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_VALIDATION
@@ -254,3 +292,38 @@ def test_aut_stats(capsys, tmp_path):
     assert out.splitlines()[2:] == ["nodes 21", "leaves 6",
                                     "automorphisms found 5",
                                     "generators kept 5"]
+
+
+def test_loader_fuzz_exit_codes(capsys, tmp_path, monkeypatch):
+    # tokens inserted, deleted or replaced in valid documents: every mutant
+    # loads (exit 0) or is rejected (exit 2), never a traceback; the small
+    # guard keeps mutants whose vertex counts grew by digit joins fast
+    monkeypatch.setenv("ARRGRAPH_VERTEX_GUARD", "24")
+    rng = random.Random(20240811)
+    junk = ["", " ", "\n", "-1", "0", "7", "99", "1.5", "x", "#", "vertices",
+            "null", "true", '"', "[", "]", "{", "}", ",", ":"]
+    docs = []
+    for n, k, r in [(3, 2, 1), (4, 2, 2), (3, 3, 2)]:
+        g = build_arrangement_graph(n, k, r)
+        for text in (graphio.to_graphdoc(g), graphio.to_edgelist(g)):
+            docs.append(re.findall(r'"[^"]*"|-?\d+|\s+|.', text))
+    path = tmp_path / "mutant.txt"
+    codes = collections.Counter()
+    for _ in range(300):
+        tokens = list(rng.choice(docs))
+        pool = tokens + junk
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(tokens))
+            op = rng.randrange(3)
+            if op == 0:
+                tokens.insert(j, rng.choice(pool))
+            elif op == 1:
+                del tokens[j]
+            else:
+                tokens[j] = rng.choice(pool)
+        path.write_text("".join(tokens))
+        for command in ("aut", "mis"):
+            codes[main([command, str(path)])] += 1
+    capsys.readouterr()
+    assert set(codes) <= {EXIT_OK, EXIT_VALIDATION}, codes
+    assert codes[EXIT_OK] and codes[EXIT_VALIDATION]

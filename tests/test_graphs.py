@@ -111,10 +111,17 @@ def test_arrangement_rejects_bad_parameters():
             build_arrangement_graph(n, k, r)
 
 
-def test_vertex_guard():
+def test_vertex_guard(monkeypatch):
     small = Config(vertex_guard=100)
     with pytest.raises(ValidationError):
         build_arrangement_graph(5, 5, 2, small)
+    # n!/(n-k)! is never formed past the guard, so huge n and k fail at once
+    def factorial_unused(m):
+        raise AssertionError("vertex count formed before the vertex guard")
+    monkeypatch.setattr(math, "factorial", factorial_unused)
+    for n, k in [(10**6, 10**6), (10**6, 1), (2000, 1999)]:
+        with pytest.raises(ValidationError, match="more than 50000"):
+            build_arrangement_graph(n, k, 1)
 
 
 def test_cayley_s3_transpositions():

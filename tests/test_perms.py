@@ -9,7 +9,7 @@ import pytest
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.config import Config
 from arrgraph.perms import (ConnectionSet, Permutation, build_stabilizer_chain,
-                            check_symmetric_group_size, connection_set, cycle,
+                            check_tuple_count, connection_set, cycle,
                             transposition)
 from oracles import brute_force_closure
 
@@ -163,11 +163,11 @@ def test_connection_set_rejects_bad_parameters():
 
 def test_symmetric_group_vertex_guard():
     small = Config(vertex_guard=120)
-    check_symmetric_group_size(5, small)
+    check_tuple_count(5, 5, small)
     assert len(connection_set(5, "transpositions", None, small)) == 10
     for n in (6, 10**9):  # n! is never formed past the guard
         with pytest.raises(ValidationError, match="over the vertex guard"):
-            check_symmetric_group_size(n, small)
+            check_tuple_count(n, n, small)
     with pytest.raises(ValidationError, match="over the vertex guard"):
         connection_set(6, "fixed", 1, small)
 
