@@ -2,18 +2,14 @@
 full automorphism groups, maximum independent sets, block systems, and a
 desk-scale verification suite for the structural claims relating them."""
 
-from .actions import (ActionOnSets, BlockSystem, block_violation,
-                      conjecture_candidate_group, induce_action, kernel_order,
-                      minimal_block_system, quotient_action, verify_block_system)
+from .actions import (ActionOnSets, BlockSystem, block_violation, induce_action,
+                      kernel_order, quotient_action, verify_block_system)
 from .autsearch import (AutResult, are_isomorphic, automorphism_group,
-                        canonical_certificate, common_neighborhood,
                         equitable_refinement)
 from .config import Config
-from .errors import (ArrgraphError, BudgetError, FamilyError,
-                     IntransitiveActionError, ValidationError)
+from .errors import ArrgraphError, BudgetError, FamilyError, ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
-                     candidate_aut_generators, differing_coordinates,
-                     is_automorphism, rank_tuple, unrank_tuple)
+                     candidate_aut_generators, is_automorphism)
 from .indsets import delta_family, delta_set, max_independent_sets
 from .perms import (ConnectionSet, Permutation, StabilizerChain,
                     build_stabilizer_chain, connection_set)

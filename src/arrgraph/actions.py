@@ -1,5 +1,4 @@
-"""Induced actions on set families, block systems, quotients, and the
-candidate group of the fixed-point-count Cayley graphs.
+"""Induced actions on set families, block systems, and quotients.
 
 The family order is always (i, j)-lexicographic over the delta sets, so
 block systems diff cleanly across runs.
@@ -7,15 +6,11 @@ block systems diff cleanly across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .config import Config, DEFAULT_CONFIG
-from .errors import (ArrgraphError, FamilyError, IntransitiveActionError,
-                     ValidationError)
-from .perms import (Permutation, build_stabilizer_chain, check_tuple_count,
-                    symmetric_group_generators)
+from .errors import ArrgraphError, FamilyError, ValidationError
+from .perms import Permutation, build_stabilizer_chain
 
 
 @dataclass(frozen=True)
@@ -26,21 +21,6 @@ class ActionOnSets:
 
     family: tuple[frozenset[int], ...]
     movers: tuple[Permutation, ...]
-
-    def is_transitive(self) -> bool:
-        m = len(self.family)
-        if m == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for mover in self.movers:
-                y = mover(x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen) == m
 
 
 @dataclass(frozen=True)
@@ -123,46 +103,6 @@ def verify_block_system(action: ActionOnSets, candidate: BlockSystem) -> bool:
     return block_violation(action, candidate) is None
 
 
-def minimal_block_system(action: ActionOnSets,
-                         seed: tuple[int, int]) -> BlockSystem:
-    """Finest block system in which the two seed indexes share a block
-    (union-find closure of the seed pair under all movers). Requires a
-    transitive action."""
-    if not action.is_transitive():
-        raise IntransitiveActionError("block systems require a transitive action")
-    m = len(action.family)
-    a, b = seed
-    if not (0 <= a < m and 0 <= b < m) or a == b:
-        raise ValidationError(f"bad seed pair {seed}")
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    queue = [(a, b)]
-    union(a, b)
-    while queue:
-        x, y = queue.pop()
-        for mover in action.movers:
-            ix, iy = mover(x), mover(y)
-            if union(ix, iy):
-                queue.append((ix, iy))
-    groups: dict[int, list[int]] = {}
-    for x in range(m):
-        groups.setdefault(find(x), []).append(x)
-    return BlockSystem.from_blocks(groups.values())
-
-
 def quotient_action(action: ActionOnSets, blocks: BlockSystem
                     ) -> tuple[ActionOnSets, int, int]:
     """Action induced on the blocks of a verified block system.
@@ -196,32 +136,3 @@ def column_partition(n: int, k: int) -> BlockSystem:
     """Blocks group delta sets with the same pinned position j."""
     return BlockSystem.from_blocks(
         [list(range(j, n * k, k)) for j in range(k)])
-
-
-# --------------------------------------------------------------------------
-# Candidate automorphism group of Cay(S_n, F_k)
-
-
-def conjecture_candidate_group(n: int, config: Config = DEFAULT_CONFIG) -> list[Permutation]:
-    """Generators, on Cayley-graph vertex indexes, of the group built from
-    right multiplications, conjugations, and inversion.
-
-    Vertex indexes follow the one-line lexicographic order used by
-    build_cayley_graph; the generated order is computed downstream, never
-    assumed. S_n must pass the vertex guard."""
-    if n < 3:
-        raise ValidationError(f"candidate group needs n >= 3, got {n}")
-    check_tuple_count(n, n, config)
-    labels = list(itertools.permutations(range(n)))
-    index = {lab: i for i, lab in enumerate(labels)}
-    perms = [Permutation(lab) for lab in labels]
-    out = []
-    for g in symmetric_group_generators(n):
-        ginv = g.inverse()
-        # right regular representation: x -> x * g
-        out.append(Permutation(index[x.compose(g).images] for x in perms))
-        # inner automorphism: x -> g^-1 * x * g
-        out.append(Permutation(index[ginv.compose(x).compose(g).images] for x in perms))
-    # inversion: x -> x^-1
-    out.append(Permutation(index[x.inverse().images] for x in perms))
-    return out

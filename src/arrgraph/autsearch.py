@@ -53,10 +53,6 @@ from .perms import Permutation, StabilizerChain
 OrderedPartition = list[list[int]]
 
 
-def unit_partition(graph: Graph) -> OrderedPartition:
-    return [list(range(graph.vertex_count))]
-
-
 def _validate_partition(graph: Graph, cells: Sequence[Sequence[int]]) -> None:
     flat = [v for c in cells for v in c]
     if sorted(flat) != list(range(graph.vertex_count)):
@@ -348,10 +344,6 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
     return search.result()
 
 
-def canonical_certificate(graph: Graph, config: Config = DEFAULT_CONFIG) -> bytes:
-    return automorphism_group(graph, config).certificate
-
-
 def are_isomorphic(g1: Graph, g2: Graph,
                    config: Config = DEFAULT_CONFIG
                    ) -> tuple[bool, Optional[Permutation]]:
@@ -368,19 +360,3 @@ def are_isomorphic(g1: Graph, g2: Graph,
         raise AssertionError("isomorphism witness failed the adjacency check")
     return True, witness
 
-
-def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
-    """Intersection of the open neighborhoods; the whole vertex set for an
-    empty input."""
-    vertices = list(vertices)
-    if any(not 0 <= v < graph.vertex_count for v in vertices):
-        raise ValidationError("vertex index out of range")
-    acc = (1 << graph.vertex_count) - 1
-    for v in vertices:
-        acc &= graph.adjacency[v]
-    out = set()
-    while acc:
-        low = acc & -acc
-        out.add(low.bit_length() - 1)
-        acc ^= low
-    return out

@@ -18,10 +18,6 @@ class BudgetError(ArrgraphError, RuntimeError):
     wrong answer."""
 
 
-class IntransitiveActionError(ArrgraphError, ValueError):
-    """Block-system machinery was asked about an intransitive action."""
-
-
 class FamilyError(ArrgraphError, ValueError):
     """A group element maps a set family member outside the family,
     i.e. the family is not invariant under the given group."""

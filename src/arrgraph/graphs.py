@@ -11,57 +11,12 @@ shuffled copies to stay honest).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .perms import ConnectionSet, Permutation, check_tuple_count, cycle, transposition
-
-
-def validate_tuple(t: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    t = tuple(t)
-    if len(t) != k:
-        raise ValidationError(f"expected a {k}-tuple, got {t}")
-    if len(set(t)) != k or not all(0 <= x < n for x in t):
-        raise ValidationError(f"{t} is not a tuple of distinct values in 0..{n - 1}")
-    return t
-
-
-def tuple_count(n: int, k: int) -> int:
-    return math.factorial(n) // math.factorial(n - k)
-
-
-def rank_tuple(t: Sequence[int], n: int, k: int) -> int:
-    """Lexicographic rank of a k-tuple of distinct values among all of them."""
-    t = validate_tuple(t, n, k)
-    rank = 0
-    used: list[int] = []
-    for pos, x in enumerate(t):
-        smaller = x - sum(1 for u in used if u < x)
-        rank += smaller * (tuple_count(n - pos - 1, k - pos - 1))
-        used.append(x)
-    return rank
-
-
-def unrank_tuple(idx: int, n: int, k: int) -> tuple[int, ...]:
-    """Inverse of rank_tuple."""
-    total = tuple_count(n, k)
-    if not 0 <= idx < total:
-        raise ValidationError(f"tuple rank {idx} out of range 0..{total - 1}")
-    avail = list(range(n))
-    out = []
-    for pos in range(k):
-        block = tuple_count(n - pos - 1, k - pos - 1)
-        q, idx = divmod(idx, block)
-        out.append(avail.pop(q))
-    return tuple(out)
-
-
-def differing_coordinates(s: Sequence[int], t: Sequence[int]) -> int:
-    if len(s) != len(t):
-        raise ValidationError("tuples of different length")
-    return sum(1 for a, b in zip(s, t) if a != b)
+from .perms import (ConnectionSet, Permutation, check_tuple_count,
+                    symmetric_group_generators)
 
 
 class Graph:
@@ -109,9 +64,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1)
-
     def neighbors(self, v: int) -> Iterator[int]:
         row = self.adjacency[v]
         while row:
@@ -127,13 +79,6 @@ class Graph:
             for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
-
-    def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.vertex_count)]
-
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return not degs or min(degs) == max(degs)
 
     def relabeled(self, perm: Permutation) -> "Graph":
         """The graph with vertex v moved to index perm(v) (labels follow).
@@ -184,8 +129,8 @@ def build_arrangement_graph(n: int, k: int, r: int,
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
     check_tuple_count(n, k, config)
-    nv = tuple_count(n, k)
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
+    nv = len(labels)
     full = (1 << nv) - 1
     at = []
     for j in range(k):
@@ -285,20 +230,18 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
 
 def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permutation]:
     """Vertex permutations of graph = A(n,k,r) generating the expected
-    automorphism group: value relabelings for a generating pair of S_n,
-    position relabelings for a generating pair of S_k, plus tuple inversion
-    when k = n.
+    automorphism group: value relabelings for the generators of S_n,
+    position relabelings for those of S_k, plus tuple inversion when k = n.
+    Any graph with the labels of A(n,k,r) will do; Cay(S_n, F_{n-r}) has
+    those of A(n,n,r), and there the value relabelings are the right
+    multiplications and the position relabelings the left ones.
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
-    def pair(m: int) -> list[Permutation]:
-        # the literal pair {(1 2), (1 2 ... m)}; empty for m = 1
-        return [] if m < 2 else [transposition(m, 0, 1), cycle(m)]
-
     out = []
-    for g in pair(n):
+    for g in symmetric_group_generators(n):
         out.append(vertex_permutation(graph, lambda t: apply_value_permutation(g, t)))
-    for h in pair(k):
+    for h in symmetric_group_generators(k):
         out.append(vertex_permutation(graph, lambda t: apply_position_permutation(h, t)))
     if k == n:
         out.append(vertex_permutation(graph, invert_tuple))

@@ -52,13 +52,6 @@ def _complement(graph: Graph) -> list[int]:
     return [(full & ~graph.adjacency[v]) & ~(1 << v) for v in range(nv)]
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
                  node_budget: int) -> list[list[int]]:
     """Maximum cliques of the graph with bitmask adjacency adj, by branch and
@@ -131,23 +124,24 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
             candidates = None
 
 
-def is_independent(graph: Graph, vertices) -> bool:
+def _mask(vertices) -> int:
     m = 0
     for v in vertices:
         m |= 1 << v
-    return all(graph.adjacency[v] & m == 0 for v in _bits(m))
+    return m
+
+
+def is_independent(graph: Graph, vertices) -> bool:
+    """No two of the vertices are adjacent."""
+    m = _mask(vertices)
+    return not any(row & m for v, row in enumerate(graph.adjacency) if m >> v & 1)
 
 
 def is_maximal_independent(graph: Graph, vertices) -> bool:
-    if not is_independent(graph, vertices):
-        return False
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    for w in range(graph.vertex_count):
-        if not m >> w & 1 and graph.adjacency[w] & m == 0:
-            return False
-    return True
+    """Independent, and every other vertex has a neighbour among them: a
+    vertex's row misses the set exactly when the vertex is in it."""
+    m = _mask(vertices)
+    return all((row & m == 0) == bool(m >> v & 1) for v, row in enumerate(graph.adjacency))
 
 
 def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,

@@ -56,10 +56,6 @@ class Permutation:
             raise ValidationError("permutation degree must be >= 1")
         return cls._trusted(tuple(range(degree)))
 
-    @classmethod
-    def from_one_based(cls, images: Iterable[int]) -> "Permutation":
-        return cls(x - 1 for x in images)
-
     def to_one_based(self) -> list[int]:
         return [x + 1 for x in self.images]
 
@@ -85,27 +81,8 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._trusted(_inverse(self.images))
 
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, x in enumerate(self.images) if i == x)
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        seen = [False] * self.degree
-        par = 0
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            par ^= (length - 1) & 1
-        return par
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -1,16 +1,19 @@
 """Independent oracles the tests check the engines against: closure of a
 generating set, automorphism count by trying every bijection, independence
-number by scanning every vertex subset, and the IR search with orbit
-pruning only."""
+number by scanning every vertex subset, the IR search with orbit pruning
+only, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
+itself, minimal block systems, and common neighbourhoods."""
 
 import itertools
-from typing import Iterable, Optional
+import math
+from typing import Iterable, Optional, Sequence
 
+from arrgraph.actions import ActionOnSets, BlockSystem
 from arrgraph.autsearch import AutResult, _in_explored_orbit, _IRSearch, _refine
-from arrgraph.config import Config
+from arrgraph.config import DEFAULT_CONFIG, Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, is_automorphism
-from arrgraph.perms import Permutation
+from arrgraph.perms import Permutation, check_tuple_count, symmetric_group_generators
 
 
 def brute_force_closure(generators: Iterable[Permutation],
@@ -155,3 +158,162 @@ def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:
     search = OrbitPruningSearch(graph, Config())
     search.run()
     return search.result()
+
+
+# --------------------------------------------------------------------------
+# k-tuples of distinct values, by rank
+
+
+def validate_tuple(t: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+    t = tuple(t)
+    if len(t) != k:
+        raise ValidationError(f"expected a {k}-tuple, got {t}")
+    if len(set(t)) != k or not all(0 <= x < n for x in t):
+        raise ValidationError(f"{t} is not a tuple of distinct values in 0..{n - 1}")
+    return t
+
+
+def tuple_count(n: int, k: int) -> int:
+    return math.factorial(n) // math.factorial(n - k)
+
+
+def rank_tuple(t: Sequence[int], n: int, k: int) -> int:
+    """Lexicographic rank of a k-tuple of distinct values among all of them."""
+    t = validate_tuple(t, n, k)
+    rank = 0
+    used: list[int] = []
+    for pos, x in enumerate(t):
+        smaller = x - sum(1 for u in used if u < x)
+        rank += smaller * (tuple_count(n - pos - 1, k - pos - 1))
+        used.append(x)
+    return rank
+
+
+def unrank_tuple(idx: int, n: int, k: int) -> tuple[int, ...]:
+    """Inverse of rank_tuple."""
+    total = tuple_count(n, k)
+    if not 0 <= idx < total:
+        raise ValidationError(f"tuple rank {idx} out of range 0..{total - 1}")
+    avail = list(range(n))
+    out = []
+    for pos in range(k):
+        block = tuple_count(n - pos - 1, k - pos - 1)
+        q, idx = divmod(idx, block)
+        out.append(avail.pop(q))
+    return tuple(out)
+
+
+def differing_coordinates(s: Sequence[int], t: Sequence[int]) -> int:
+    if len(s) != len(t):
+        raise ValidationError("tuples of different length")
+    return sum(1 for a, b in zip(s, t) if a != b)
+
+
+def fixed_point_count(p: Permutation) -> int:
+    return sum(1 for i, x in enumerate(p.images) if i == x)
+
+
+def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
+    """Intersection of the open neighborhoods; the whole vertex set for an
+    empty input."""
+    vertices = list(vertices)
+    if any(not 0 <= v < graph.vertex_count for v in vertices):
+        raise ValidationError("vertex index out of range")
+    acc = (1 << graph.vertex_count) - 1
+    for v in vertices:
+        acc &= graph.adjacency[v]
+    out = set()
+    while acc:
+        low = acc & -acc
+        out.add(low.bit_length() - 1)
+        acc ^= low
+    return out
+
+
+# --------------------------------------------------------------------------
+# Candidate automorphism group of Cay(S_n, F_k), built from S_n itself
+
+
+def conjecture_candidate_group(n: int, config: Config = DEFAULT_CONFIG) -> list[Permutation]:
+    """Generators, on Cayley-graph vertex indexes, of the group built from
+    right multiplications, conjugations, and inversion.
+
+    Vertex indexes follow the one-line lexicographic order used by
+    build_cayley_graph; the generated order is computed downstream, never
+    assumed. S_n must pass the vertex guard."""
+    if n < 3:
+        raise ValidationError(f"candidate group needs n >= 3, got {n}")
+    check_tuple_count(n, n, config)
+    labels = list(itertools.permutations(range(n)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    perms = [Permutation(lab) for lab in labels]
+    out = []
+    for g in symmetric_group_generators(n):
+        ginv = g.inverse()
+        # right regular representation: x -> x * g
+        out.append(Permutation(index[x.compose(g).images] for x in perms))
+        # inner automorphism: x -> g^-1 * x * g
+        out.append(Permutation(index[ginv.compose(x).compose(g).images] for x in perms))
+    # inversion: x -> x^-1
+    out.append(Permutation(index[x.inverse().images] for x in perms))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Minimal block systems, by union-find closure of a seed pair
+
+
+def is_transitive(action: ActionOnSets) -> bool:
+    m = len(action.family)
+    if m == 0:
+        return False
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for mover in action.movers:
+            y = mover(x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == m
+
+
+def minimal_block_system(action: ActionOnSets,
+                         seed: tuple[int, int]) -> BlockSystem:
+    """Finest block system in which the two seed indexes share a block
+    (union-find closure of the seed pair under all movers). Requires a
+    transitive action."""
+    if not is_transitive(action):
+        raise ValidationError("block systems require a transitive action")
+    m = len(action.family)
+    a, b = seed
+    if not (0 <= a < m and 0 <= b < m) or a == b:
+        raise ValidationError(f"bad seed pair {seed}")
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    queue = [(a, b)]
+    union(a, b)
+    while queue:
+        x, y = queue.pop()
+        for mover in action.movers:
+            ix, iy = mover(x), mover(y)
+            if union(ix, iy):
+                queue.append((ix, iy))
+    groups: dict[int, list[int]] = {}
+    for x in range(m):
+        groups.setdefault(find(x), []).append(x)
+    return BlockSystem.from_blocks(groups.values())

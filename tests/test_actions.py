@@ -6,21 +6,21 @@ import math
 import pytest
 
 from arrgraph.actions import (BlockSystem, block_violation, column_partition,
-                              conjecture_candidate_group, induce_action,
-                              kernel_order, minimal_block_system,
-                              quotient_action, row_partition,
-                              verify_block_system)
+                              induce_action, kernel_order, quotient_action,
+                              row_partition, verify_block_system)
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
-from arrgraph.errors import (ArrgraphError, FamilyError,
-                             IntransitiveActionError, ValidationError)
+from arrgraph.errors import ArrgraphError, FamilyError, ValidationError
 from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
                              build_arrangement_graph, build_cayley_graph,
-                             is_automorphism, vertex_permutation)
+                             candidate_aut_generators, is_automorphism,
+                             vertex_permutation)
 from arrgraph.indsets import delta_family
 from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
                             symmetric_group_generators, transposition)
-from oracles import brute_force_closure
+from arrgraph.suite import Context, test_conjecture as conjecture_probe
+from oracles import (brute_force_closure, conjecture_candidate_group,
+                     minimal_block_system)
 
 
 def omega(n, k):
@@ -166,7 +166,7 @@ def test_minimal_block_system_primitive_action():
 def test_minimal_block_system_requires_transitive():
     fam = [frozenset([i]) for i in range(4)]
     action = induce_action([transposition(4, 0, 1)], fam)
-    with pytest.raises(IntransitiveActionError):
+    with pytest.raises(ValidationError, match="transitive"):
         minimal_block_system(action, (0, 1))
 
 
@@ -256,23 +256,43 @@ def test_k_equals_n_inversion_violates_blocks():
 
 def test_candidate_group_orders():
     for n, expected in [(3, 72), (4, 1152)]:
-        gens = conjecture_candidate_group(n)
-        order = build_stabilizer_chain(gens, degree=math.factorial(n)).order()
-        assert order == expected == 2 * math.factorial(n) ** 2
+        for fixed in range(n - 1):
+            order = conjecture_probe(n, fixed).details["candidate_order"]
+            assert order == expected == 2 * math.factorial(n) ** 2
 
 
 def test_candidate_group_preserves_cay_s4_t():
+    report = conjecture_probe(4, 2)
+    assert report.passed and report.details["candidate_preserves_graph"]
     g = build_cayley_graph(4, connection_set(4, "transpositions"))
-    for gen in conjecture_candidate_group(4):
+    for gen in candidate_aut_generators(4, 4, 2, g):
         assert is_automorphism(g, gen)
 
 
 def test_candidate_group_needs_n_at_least_3():
     with pytest.raises(ValidationError):
-        conjecture_candidate_group(2)
+        conjecture_probe(2, 0)
 
 
 def test_candidate_group_vertex_guard():
-    assert len(conjecture_candidate_group(5, Config(vertex_guard=120))) == 5
+    report = conjecture_probe(5, 0, ctx=Context(Config(vertex_guard=120)))
+    assert report.details["candidate_order"] == 28800
     with pytest.raises(ValidationError, match="over the vertex guard"):
-        conjecture_candidate_group(5, Config(vertex_guard=119))
+        conjecture_probe(5, 0, ctx=Context(Config(vertex_guard=119)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_candidate_group_is_theorem_families_on_cayley_labels(n):
+    # R(S_n), Inn(S_n) and inversion, built from S_n itself, generate the
+    # group of the thm1.2 families read on the indexes of Cay(S_n, F_f)
+    degree = math.factorial(n)
+    oracle = conjecture_candidate_group(n)
+    oracle_chain = build_stabilizer_chain(oracle, degree=degree)
+    assert oracle_chain.order() == 2 * degree ** 2
+    for fixed in range(n - 1):
+        g = build_cayley_graph(n, connection_set(n, "fixed", fixed))
+        families = candidate_aut_generators(n, n, n - fixed, g)
+        chain = build_stabilizer_chain(families, degree=degree)
+        assert all(chain.contains(p) for p in oracle)
+        assert all(oracle_chain.contains(p) for p in families)
+        assert all(is_automorphism(g, p) for p in families + oracle)

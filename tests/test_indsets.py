@@ -10,12 +10,12 @@ from arrgraph import indsets, suite
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
-from arrgraph.graphs import Graph, build_arrangement_graph, differing_coordinates
+from arrgraph.graphs import Graph, build_arrangement_graph
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
                               is_independent, is_maximal_independent,
                               max_independent_sets)
 from arrgraph.suite import verify_prop_2_1
-from oracles import independence_number_oracle
+from oracles import differing_coordinates, independence_number_oracle
 
 SEED = 20240811
 
