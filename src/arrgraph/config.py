@@ -17,7 +17,8 @@ ENV_PREFIX = "ARRGRAPH_"
 @dataclass(frozen=True)
 class Config:
     # Max nodes of each search tree: the individualization-refinement
-    # search and the maximum-independent-set search.
+    # search and the maximum-independent-set search. Also the max number of
+    # compositions |S|*n! that building Cay(S_n, S) may make.
     node_budget: int = 10**7
     # Max vertex count for graph construction.
     vertex_guard: int = 50_000

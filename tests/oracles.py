@@ -2,7 +2,8 @@
 generating set, automorphism count by trying every bijection, independence
 number by scanning every vertex subset, the IR search with orbit pruning
 only, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
-itself, minimal block systems, and common neighbourhoods."""
+itself, minimal block systems, common neighbourhoods, and the automorphism
+check by relabeling."""
 
 import itertools
 import math
@@ -228,6 +229,16 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
         out.add(low.bit_length() - 1)
         acc ^= low
     return out
+
+
+# --------------------------------------------------------------------------
+# Adjacency under a vertex map, bit by bit
+
+
+def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
+    """f preserves adjacency: the graph relabeled by f, one bit of each row
+    at a time, has the graph's own adjacency."""
+    return graph.relabeled(f).adjacency == graph.adjacency
 
 
 # --------------------------------------------------------------------------

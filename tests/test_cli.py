@@ -121,6 +121,16 @@ def test_conjecture_budget_exit_code(fixed, capsys, monkeypatch):
     assert out == "" and "budget" in err
 
 
+def test_gen_cayley_over_composition_budget(capsys, tmp_path):
+    # Cay(S_8, D) passes the vertex guard, but its build would compose each
+    # of 40320 vertices with 14833 derangements; it exits 3 before that
+    path = tmp_path / "c8d.json"
+    code, _, err = run(capsys, "gen", "cayley", "--n", "8", "--set", "derangements",
+                       "-o", str(path))
+    assert code == EXIT_BUDGET
+    assert "598066560 compositions" in err and not path.exists()
+
+
 def test_aut_deeper_than_recursion_limit(capsys, tmp_path):
     # 1100 isolated vertices: the search tree is 1099 levels deep
     path = tmp_path / "isolated.txt"

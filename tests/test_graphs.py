@@ -7,14 +7,15 @@ import random
 import pytest
 
 from arrgraph.config import Config
-from arrgraph.errors import ValidationError
+from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (Graph, apply_position_permutation,
                              apply_value_permutation, build_arrangement_graph,
                              build_cayley_graph, candidate_aut_generators,
                              invert_tuple, is_automorphism, vertex_permutation)
 from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import differing_coordinates, rank_tuple, tuple_count, unrank_tuple
+from oracles import (differing_coordinates, is_automorphism_by_relabeling, rank_tuple,
+                     tuple_count, unrank_tuple)
 
 SEED = 20240811
 
@@ -141,6 +142,13 @@ def test_vertex_guard(monkeypatch):
             build_arrangement_graph(n, k, 1)
 
 
+def test_candidate_generators_need_labels_closed_under_s_n():
+    # half the labels of A(4,2,2): some value relabeling maps a label outside
+    g = build_arrangement_graph(4, 2, 2)
+    with pytest.raises(ValidationError, match="not closed under S_4"):
+        candidate_aut_generators(4, 2, 2, Graph(g.labels[:6], []))
+
+
 def test_cayley_s3_transpositions():
     g = build_cayley_graph(3, connection_set(3, "transpositions"))
     assert g.vertex_count == 6
@@ -205,6 +213,20 @@ def composed_cayley(n, cset):
     return Graph(labels, edges, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
+def mapped_tuple_cayley_rows(n, cset):
+    """Oracle: the rows of Cay(S_n, S), each neighbour s*g formed as the
+    tuple i -> g(s(i)) by mapping g's entries over s."""
+    labels = list(itertools.permutations(range(n)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = []
+    for lab in labels:
+        row = 0
+        for s in cset.elements:
+            row |= 1 << index[tuple(map(lab.__getitem__, s.images))]
+        rows.append(row)
+    return rows
+
+
 def assert_same_graph(built, oracle):
     assert built.vertex_count == oracle.vertex_count
     assert built.labels == oracle.labels
@@ -243,7 +265,17 @@ def test_cayley_matches_composition(n, kind, fixed):
     cset = connection_set(n, kind, fixed)
     g = build_cayley_graph(n, cset)
     assert_same_graph(g, composed_cayley(n, cset))
+    assert g.adjacency == mapped_tuple_cayley_rows(n, cset)
     assert_symmetric_loop_free(g)
+
+
+def test_cayley_composition_guard():
+    # the |S| * n! compositions of the build are bounded by the node budget
+    # before any is made: D(4) = 9 derangements times 24 vertices is 216
+    cset = connection_set(4, "derangements")
+    assert build_cayley_graph(4, cset, Config(node_budget=216)).vertex_count == 24
+    with pytest.raises(BudgetError, match="216 compositions"):
+        build_cayley_graph(4, cset, Config(node_budget=215))
 
 
 def test_arrangement_7_7_7_is_derangement_regular():
@@ -433,6 +465,55 @@ def test_is_automorphism_degree_mismatch():
     g = build_arrangement_graph(4, 2, 2)
     with pytest.raises(ValidationError):
         is_automorphism(g, Permutation.identity(11))
+    for nv in (0, 1):  # also where there are no rows to compare
+        with pytest.raises(ValidationError):
+            is_automorphism(Graph([(v,) for v in range(nv)], []), Permutation.identity(2))
+
+
+def test_is_automorphism_tiny_graphs():
+    # a byte read by itemgetter breaks here: with one index it returns a
+    # scalar, and bytes(0) is b"", so the identity would fail on V = 1
+    assert is_automorphism(Graph([], []), Permutation._trusted(()))
+    assert is_automorphism(Graph([(0,)], []), Permutation.identity(1))
+    for edges in ([], [(0, 1)]):
+        g = Graph([(0,), (1,)], edges)
+        for images in ((0, 1), (1, 0)):
+            assert is_automorphism(g, Permutation(images))
+    path = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    assert is_automorphism(path, Permutation((2, 1, 0)))
+    assert not is_automorphism(path, Permutation((1, 0, 2)))
+
+
+def test_is_automorphism_matches_relabeling_oracle():
+    # each graph is a union of orbits of vertex pairs under a random sigma,
+    # so the powers of sigma are automorphisms; sigma after a transposition
+    # and random permutations mostly are not. Sparse and dense graphs both
+    # occur, so both ways of mapping a row are checked.
+    rng = random.Random(SEED + 5)
+    verdicts = []
+    densities = set()
+    for trial in range(60):
+        nv = rng.randint(2, 40)
+        p = rng.choice([0.02, 0.1, 0.4])
+        sigma = rng.sample(range(nv), nv)
+        edges = set()
+        for u, v in itertools.combinations(range(nv), 2):
+            if rng.random() < p:
+                while (min(u, v), max(u, v)) not in edges:
+                    edges.add((min(u, v), max(u, v)))
+                    u, v = sigma[u], sigma[v]
+        g = Graph([(v,) for v in range(nv)], sorted(edges))
+        # is_automorphism walks the bits up to this many edge ends
+        densities.add(2 * len(edges) > nv * (6 + nv // 7))
+        f = Permutation(sigma)
+        maps = [f, f.compose(f), f.compose(transposition(nv, 0, nv - 1)),
+                Permutation(rng.sample(range(nv), nv))]
+        for p in maps:
+            got = is_automorphism(g, p)
+            assert got == is_automorphism_by_relabeling(g, p), (trial, p)
+            verdicts.append(got)
+    assert verdicts[0::4] == [True] * 60 and verdicts.count(False) > 30
+    assert densities == {False, True}
 
 
 def test_candidate_generators_orders():

@@ -6,14 +6,15 @@ import random
 
 import pytest
 
-from arrgraph import indsets, suite
+from arrgraph import graphio, indsets, suite
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
-from arrgraph.graphs import Graph, build_arrangement_graph
+from arrgraph.graphs import Graph, build_arrangement_graph, build_cayley_graph
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
                               is_independent, is_maximal_independent,
                               max_independent_sets)
+from arrgraph.perms import connection_set, symmetric_group_generators
 from arrgraph.suite import verify_prop_2_1
 from oracles import differing_coordinates, independence_number_oracle
 
@@ -223,25 +224,148 @@ def test_clique_search_matches_tuple_coloring():
             assert cliques_within_exact_budget(adj, nv, enumerate_all, nodes) == expected, trial
 
 
-# (n, k, r): search nodes and the one maximum independent set that size_only
-# returns, recorded from the search with (vertex, color) tuples
+# (n, k, r): search nodes without symmetries, then with the root rule that
+# max_independent_sets applies, and the one maximum independent set that
+# size_only returns either way; the first count and the set were recorded
+# from the search with (vertex, color) tuples
 PINNED_SIZE_ONLY = {
-    (5, 5, 3): (22623, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92, 93,
-                        112, 113, 118, 119]),
-    (6, 3, 2): (27805, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
-    (5, 4, 3): (6332, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
-    (5, 5, 4): (1569, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
+    (5, 5, 3): (22623, 2210, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92, 93,
+                              112, 113, 118, 119]),
+    (6, 3, 2): (27805, 1787, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
+    (5, 4, 3): (6332, 378, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
+    (5, 5, 4): (1569, 121, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
 }
+
+
+def value_symmetries(g):
+    return lambda: indsets._value_symmetries(g)
 
 
 @pytest.mark.parametrize("nkr", list(PINNED_SIZE_ONLY), ids=lambda nkr: "A(%d,%d,%d)" % nkr)
 def test_size_only_search_pinned(nkr):
-    nodes, clique = PINNED_SIZE_ONLY[nkr]
+    nodes, pruned, clique = PINNED_SIZE_ONLY[nkr]
     g = build_arrangement_graph(*nkr)
     adj = indsets._complement(g)
-    assert indsets._max_cliques(adj, g.vertex_count, False, nodes) == [clique]
+    assert cliques_within_exact_budget(adj, g.vertex_count, False, nodes) == [clique]
+    assert indsets._max_cliques(adj, g.vertex_count, False, pruned,
+                                value_symmetries(g)) == [clique]
+    assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=pruned)) == (len(clique), None)
     with pytest.raises(BudgetError):
-        max_independent_sets(g, SIZE_ONLY, Config(node_budget=nodes - 1))
+        max_independent_sets(g, SIZE_ONLY, Config(node_budget=pruned - 1))
+
+
+# -- the root rule of size_only -------------------------------------------------
+
+
+def assert_root_rule_keeps_answer(g, unpruned=None):
+    """size_only with the root rule returns the clique of the unpruned
+    search (or the one it was recorded to return), and its size."""
+    adj = indsets._complement(g)
+    if unpruned is None:
+        unpruned = indsets._max_cliques(adj, g.vertex_count, False, 10**7)
+    assert indsets._max_cliques(adj, g.vertex_count, False, 10**7,
+                                value_symmetries(g)) == unpruned
+    assert max_independent_sets(g, SIZE_ONLY) == (len(unpruned[0]), None)
+
+
+# recorded from the unpruned search, which takes about 12 s (2-core Xeon)
+A542_UNPRUNED = [[9, 17, 21, 33, 41, 45, 53, 59, 61, 63, 70, 71, 75, 81, 88, 89, 91, 93,
+                  101, 107, 109, 111, 118, 119]]
+
+
+def test_root_rule_every_arrangement_graph_up_to_n5():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                assert_root_rule_keeps_answer(build_arrangement_graph(n, k, r),
+                                              A542_UNPRUNED if (n, k, r) == (5, 4, 2) else None)
+
+
+@pytest.mark.parametrize("kind,fixed", [("transpositions", None), ("derangements", None)]
+                         + [("fixed", f) for f in range(4)],
+                         ids=["T", "D", "F0", "F1", "F2", "F3"])
+def test_root_rule_cayley_s5(kind, fixed):
+    g = build_cayley_graph(5, connection_set(5, kind, fixed))
+    # right multiplications act transitively on S_5
+    assert set(indsets._orbits(indsets._value_symmetries(g), g.vertex_count)) == {0}
+    assert_root_rule_keeps_answer(g)
+
+
+def orbital_graph(n, k, rng, density):
+    """A random graph on the k-tuples of distinct values in 0..n-1 that S_n
+    maps onto itself: whether t and u are adjacent depends only on where
+    each entry of u sits in t. Vertices are shuffled, labels following."""
+    labels = list(itertools.permutations(range(n), k))
+    rng.shuffle(labels)
+    kept = {}
+    edges = []
+    for a, b in itertools.combinations(range(len(labels)), 2):
+        t, u = labels[a], labels[b]
+        pattern = min(tuple(t.index(x) if x in t else -1 for x in u),
+                      tuple(u.index(x) if x in u else -1 for x in t))
+        if kept.setdefault(pattern, rng.random() < density):
+            edges.append((a, b))
+    return Graph(labels, edges)
+
+
+def test_root_rule_random_labelled_graphs():
+    rng = random.Random(SEED + 7)
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, min(n, 3))
+        g = orbital_graph(n, k, rng, rng.choice([0.2, 0.5, 0.8]))
+        if trial % 3 == 0:
+            # a random graph on the same labels: the relabelings are dropped
+            # unless they happen to preserve it
+            g = Graph(g.labels, [(u, v) for u, v in itertools.combinations(
+                range(g.vertex_count), 2) if rng.random() < 0.4])
+        else:
+            assert len(indsets._value_symmetries(g)) == len(symmetric_group_generators(n))
+        assert_root_rule_keeps_answer(g)
+
+
+@pytest.mark.parametrize("nkr", [(5, 5, 3), (6, 3, 2)], ids=["A(5,5,3)", "A(6,3,2)"])
+def test_root_rule_drops_relabelings_that_are_not_automorphisms(nkr):
+    # the tuple labels are closed under S_n, but with one edge removed no
+    # value relabeling is an automorphism, so none may prune
+    full = build_arrangement_graph(*nkr)
+    g = Graph(full.labels, list(full.edges())[1:])  # without the edge at vertex 0
+    assert g.edge_count() == full.edge_count() - 1
+    assert indsets._value_symmetries(g) == []
+    assert_root_rule_keeps_answer(g)
+
+
+def test_root_rule_needs_labels_over_0_to_n_minus_1():
+    g = build_arrangement_graph(4, 2, 2)
+    shifted = Graph([tuple(x - 1 for x in t) for t in g.labels], g.edges())
+    huge = Graph([tuple(x + 10**12 for x in t) for t in g.labels], g.edges())
+    assert indsets._value_symmetries(shifted) == indsets._value_symmetries(huge) == []
+    assert max_independent_sets(shifted)[0] == max_independent_sets(huge)[0] == 3
+
+
+def test_root_rule_leaves_edge_lists_unpruned():
+    # an edge list labels vertex i as (i,); on A(5,5,5) the lifted maps are
+    # the index maps (0 1) and (0 1 ... 119), neither an automorphism
+    g = graphio.load(graphio.to_edgelist(build_arrangement_graph(5, 5, 5)))
+    assert g.labels[7] == (7,)
+    assert indsets._value_symmetries(g) == []
+    assert_root_rule_keeps_answer(g)
+
+
+def test_root_rule_computes_orbits_only_for_a_second_root_branch():
+    def refuse():
+        raise AssertionError("symmetries asked for")
+
+    # A(6,6,2): the root's first branch reaches alpha = 360, and the
+    # coloring bound then closes the root
+    g = build_arrangement_graph(6, 6, 2)
+    [clique] = indsets._max_cliques(indsets._complement(g), g.vertex_count, False, 10**6,
+                                    refuse)
+    assert len(clique) == 360
+    # enumerate_all never skips, so it never asks
+    g = build_arrangement_graph(4, 4, 4)
+    cliques = indsets._max_cliques(indsets._complement(g), g.vertex_count, True, 10**6, refuse)
+    assert len(cliques) == 16
 
 
 @pytest.mark.parametrize("n,k,nodes", [(4, 4, 69), (5, 3, 169)])
