@@ -17,10 +17,10 @@ ENV_PREFIX = "ARRGRAPH_"
 @dataclass(frozen=True)
 class Config:
     # Max nodes of each search tree: the individualization-refinement
-    # search and the maximum-independent-set search. Also the max number of
-    # compositions |S|*n! that building Cay(S_n, S) may make.
+    # search and the maximum-independent-set search.
     node_budget: int = 10**7
-    # Max vertex count for graph construction.
+    # Max vertex count for graph construction. A Cayley graph build may also
+    # make at most 200 compositions |S|*n! per vertex of this guard.
     vertex_guard: int = 50_000
     # Worker pool size for the verification suite.
     workers: int = 1

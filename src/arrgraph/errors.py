@@ -14,9 +14,9 @@ class ValidationError(ArrgraphError, ValueError):
 
 class BudgetError(ArrgraphError, RuntimeError):
     """A configured resource guard (the node budget of the automorphism or
-    independent-set search or of a Cayley graph build, the vertex-count
-    guard) was exceeded. Never a
-    wrong answer."""
+    independent-set search, the vertex-count guard, or the compositions of
+    a Cayley graph build that it allows) was exceeded. Never a wrong
+    answer."""
 
 
 class FamilyError(ArrgraphError, ValueError):

@@ -166,21 +166,27 @@ def build_arrangement_graph(n: int, k: int, r: int,
         labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
+# A Cayley graph build may make this many compositions for each vertex the
+# vertex guard admits: 10 M under the default guard.
+CAYLEY_COMPOSITIONS_PER_VERTEX = 200
+
+
 def build_cayley_graph(n: int, cset: ConnectionSet,
                        config: Config = DEFAULT_CONFIG) -> Graph:
     """Cay(S_n, S): vertices are the n! permutations (ordered by one-line
     form), with an edge from g to s*g for every s in S.
 
     The build composes every vertex with every element of S, so |S|*n!
-    compositions over config.node_budget raise BudgetError before any is
-    made (Cay(S_8, D) would need 598 M)."""
+    compositions over CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard
+    raise BudgetError before any is made (Cay(S_8, D) would need 598 M)."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
     check_tuple_count(n, n, config)
     work = len(cset) * math.factorial(n)
-    if work > config.node_budget:
+    limit = CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard
+    if work > limit:
         raise BudgetError(f"Cay(S_{n}, {cset.label()}) needs {work} compositions, "
-                          f"over the node budget {config.node_budget}")
+                          f"over the {limit} the vertex guard allows")
     labels = list(itertools.permutations(range(n)))
     index = {lab: i for i, lab in enumerate(labels)}
     # s*g in one-line form is i -> g(s(i)), the entries of g at s(0..n-1);
@@ -250,33 +256,18 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
     a time, the first that differs ends the check, and no more than O(V)
     memory is held beyond the graph.
 
-    A row is mapped in one of two ways, chosen by the graph's density. A
-    sparse graph walks the set bits of each row, which costs per edge. A
-    dense one reads the row of f(u) as its binary digits, one byte per
-    vertex, at f(0), ..., f(V-1) with one itemgetter and compares the result
-    with the row of u, which costs per vertex pair but runs in C. Measured
-    on a 2-core Xeon (Python 3.11), the walk costs about 0.25 us per set bit
-    and the read about 1.5 us + 0.035 us per vertex for each row, so the
-    walk is taken while rows average at most 6 + V/7 set bits."""
+    The row of f(u) is read as its binary digits, one byte per vertex, at
+    f(0), ..., f(V-1) with one itemgetter, and the result is compared with
+    the row of u: a per-vertex-pair cost, but paid in C."""
     nv = graph.vertex_count
     if f.degree != nv:
         raise ValidationError("vertex permutation of wrong degree")
+    if nv <= 1:
+        # the one permutation is the identity; and with one index,
+        # itemgetter returns a scalar, not a tuple
+        return True
     images = f.images
     adj = graph.adjacency
-    # every graph of at most 8 vertices takes the bit walk, so the byte
-    # read always has at least two indexes (with one, itemgetter returns a
-    # scalar, not a tuple)
-    if sum(map(int.bit_count, adj)) <= nv * (6 + nv // 7):
-        bit = [1 << x for x in images]
-        for u, row in enumerate(adj):
-            image = 0
-            while row:
-                low = row & -row
-                image |= bit[low.bit_length() - 1]
-                row ^= low
-            if image != adj[images[u]]:
-                return False
-        return True
     top = nv - 1
     # byte p of a row's digits is the bit of vertex top - p, so the read
     # puts the byte of vertex f(top - p) at p

@@ -118,7 +118,7 @@ def test_conjecture_budget_exit_code(fixed, capsys, monkeypatch):
     monkeypatch.setenv("ARRGRAPH_NODE_BUDGET", "3")
     code, out, err = run(capsys, "conjecture", "--n", "4", "--k", fixed)
     assert code == EXIT_BUDGET
-    assert out == "" and "budget" in err
+    assert out == "" and "search exceeded node budget 3" in err
 
 
 def test_gen_cayley_over_composition_budget(capsys, tmp_path):
