@@ -26,17 +26,26 @@ earlier in that order:
   at once. γ also joins the orbit pruning there.
 
 The first leaf of the smallest certificate therefore is never skipped, so
-the canonical form and labeling are those of the unpruned tree. At each
-first-path node, a child that some automorphism fixing the prefix maps the
-first-path child to is either pruned by a found one or searched until a
-leaf matches the first leaf, which finds one; this is why the found
-automorphisms generate the whole group.
+the canonical form and labeling are those of the unpruned tree.
+
+The found automorphisms are a strong generating set for the base made of
+the vertices individualized on the first path (McKay & Piperno, *Practical
+graph isomorphism II*, 2014). At each first-path node, the next first-path
+vertex is the first child searched; a later child in its orbit under the
+automorphisms that fix the prefix is either pruned, because the found ones
+that fix the prefix already map an explored sibling in that orbit to it,
+or searched until a leaf matches the first leaf, which finds one that maps
+the first-path vertex to it. So the found automorphisms that fix the prefix
+reach the whole orbit of the next first-path vertex, which is what a strong
+generating set needs at that level. After the whole first path the
+partition is discrete, so only the identity fixes every base point, and
+the group's order is the product of the orbit lengths.
 
 Each automorphism found is checked once with ``is_automorphism`` and
 appended to the list that orbit pruning reads. The search keeps no chain:
-the stabilizer chain is built once, after the search, from that list in the
-order found, and the automorphisms it accepts as non-members are the
-generators.
+after the search, the stabilizer chain is built once from that list and the
+first path's base with ``StabilizerChain.from_strong_generators``, from
+orbits and transversals only, and every automorphism found is a generator.
 """
 
 from __future__ import annotations
@@ -168,14 +177,12 @@ def _in_explored_orbit(v: int, explored: list[int],
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Counters of one IR search: tree nodes and leaves visited,
-    automorphisms found (each checked once), and those the chain kept as
-    generators."""
+    """Counters of one IR search: tree nodes and leaves visited, and
+    automorphisms found (each checked once)."""
 
     nodes: int
     leaves: int
     found: int
-    kept: int
 
 
 @dataclass
@@ -183,10 +190,9 @@ class AutResult:
     """Automorphism generators, exact group order, and a canonical
     certificate (equal certificates iff isomorphic graphs).
 
-    generators are the automorphisms the search found that were not yet
-    members of the group generated by those before them, in the order
-    found; chain is the stabilizer chain built once from the found
-    automorphisms in that order; stats counts the search's work."""
+    generators are the automorphisms the search found, in the order found;
+    chain is the stabilizer chain built once from them, with its base taken
+    from the search's first path; stats counts the search's work."""
 
     generators: list[Permutation]
     chain: StabilizerChain
@@ -211,6 +217,7 @@ class _IRSearch:
         self.leaves = 0
         # images of every automorphism found, each checked, in the order
         # found: orbit pruning reads them, and result() builds the chain
+        # from them; they are a strong generating set for first_prefix
         self.automorphisms: list[tuple[int, ...]] = []
         self.first: Optional[tuple[bytes, list[int]]] = None
         # the vertices individualized on the way to the first leaf
@@ -228,12 +235,9 @@ class _IRSearch:
         pos = [0] * self.n
         for i, v in enumerate(lab):
             pos[v] = i
-        chain = StabilizerChain([], degree=self.n)
-        generators = []
-        for images in self.automorphisms:
-            g = Permutation._trusted(images)
-            if chain.add_generator(g):
-                generators.append(g)
+        generators = [Permutation._trusted(g) for g in self.automorphisms]
+        chain = StabilizerChain.from_strong_generators(
+            self.first_prefix, generators, self.n)
         return AutResult(
             generators=generators,
             chain=chain,
@@ -241,8 +245,7 @@ class _IRSearch:
             certificate=zlib.compress(cert_bits, 6),
             canonical_labeling=Permutation._trusted(tuple(pos)),
             stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
-                              found=len(self.automorphisms),
-                              kept=len(generators)),
+                              found=len(generators)),
         )
 
     # -- search tree

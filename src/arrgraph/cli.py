@@ -78,7 +78,6 @@ def cmd_aut(args, config: Config) -> int:
         print(f"nodes {stats.nodes}")
         print(f"leaves {stats.leaves}")
         print(f"automorphisms found {stats.found}")
-        print(f"generators kept {stats.kept}")
     return EXIT_OK
 
 

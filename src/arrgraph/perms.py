@@ -1,7 +1,9 @@
 """Exact permutation arithmetic, connection sets, and stabilizer chains.
 
 Stabilizer chains are built by incremental Schreier-Sims that closes each
-(orbit point, generator) pair of a level once (see ``StabilizerChain``).
+(orbit point, generator) pair of a level once (see ``StabilizerChain``), or,
+when a base and a strong generating set for it are known, from orbits and
+transversals alone (``StabilizerChain.from_strong_generators``).
 Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
@@ -269,6 +271,53 @@ class StabilizerChain:
         self._levels: list[_Level] = []
         for g in generators:
             self.add_generator(g)
+
+    @classmethod
+    def from_strong_generators(cls, base: Iterable[int],
+                               generators: Iterable[Permutation],
+                               degree: int) -> "StabilizerChain":
+        """The chain of the group generated by a strong generating set for
+        a known base (Seress 2003, ch. 4): level i is generated by the
+        generators that fix base[:i] pointwise, and its orbit and
+        transversals come from one breadth-first pass over them. No
+        Schreier generator is sifted; every (orbit point, generator) pair
+        counts as closed, which holds because the set is strong, so
+        ``add_generator`` extends the chain as usual. Base points whose
+        orbit is trivial get no level.
+
+        Raises AssertionError if a generator does not sift to the
+        identity, which a set that is not strong for the base can cause.
+        """
+        strong = [g.images for g in generators]
+        if any(len(g) != degree for g in strong):
+            raise ValidationError("generators of mixed degree")
+        chain = cls([], degree)
+        gens = strong
+        for point in base:
+            if not gens:
+                break
+            level = _Level(point, chain._identity)
+            level.gens = gens
+            orbit, trans, inv = level.orbit, level.trans, level.inv
+            for x in orbit:  # the orbit grows while it is scanned
+                tx = trans[x]
+                for g in gens:
+                    y = g[x]
+                    if y not in trans:
+                        t = tuple(map(g.__getitem__, tx))
+                        trans[y] = t
+                        inv[y] = _inverse(t)
+                        orbit.append(y)
+            if len(orbit) > 1:
+                level.applied = [len(gens)] * len(orbit)
+                chain._levels.append(level)
+            # the generators of the next level also fix this base point
+            gens = [g for g in gens if g[point] == point]
+        for g in strong:
+            if chain._sift(g, 0)[0] != chain._identity:
+                raise AssertionError(
+                    "generators are not a strong generating set for the base")
+        return chain
 
     @property
     def base(self) -> list[int]:

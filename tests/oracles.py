@@ -7,14 +7,17 @@ check by relabeling."""
 
 import itertools
 import math
+import zlib
 from typing import Iterable, Optional, Sequence
 
 from arrgraph.actions import ActionOnSets, BlockSystem
-from arrgraph.autsearch import AutResult, _in_explored_orbit, _IRSearch, _refine
+from arrgraph.autsearch import (AutResult, SearchStats, _in_explored_orbit, _IRSearch,
+                                _refine)
 from arrgraph.config import DEFAULT_CONFIG, Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, is_automorphism
-from arrgraph.perms import Permutation, check_tuple_count, symmetric_group_generators
+from arrgraph.perms import (Permutation, StabilizerChain, check_tuple_count,
+                            symmetric_group_generators)
 
 
 def brute_force_closure(generators: Iterable[Permutation],
@@ -89,7 +92,8 @@ class OrbitPruningSearch(_IRSearch):
     Without the return it finds many repeats and chain members. A repeat
     is skipped, and only the generators, the non-members the chain of
     `result()` keeps, are checked with `is_automorphism`: a member is a
-    product of them."""
+    product of them. `result()` builds its chain by full Schreier-Sims,
+    so its group does not rest on the search's first path."""
 
     def __init__(self, graph, config):
         super().__init__(graph, config)
@@ -148,10 +152,21 @@ class OrbitPruningSearch(_IRSearch):
             self.automorphisms.append(images)
 
     def result(self):
-        result = super().result()
-        if not all(is_automorphism(self.graph, g) for g in result.generators):
+        """The chain by incremental Schreier-Sims over the found
+        automorphisms in the order found, the non-members kept as the
+        generators; independent of the search's base and of its claim that
+        the found automorphisms are a strong generating set."""
+        chain = StabilizerChain([], degree=self.n)
+        generators = [g for g in map(Permutation._trusted, self.automorphisms)
+                      if chain.add_generator(g)]
+        if not all(is_automorphism(self.graph, g) for g in generators):
             raise AssertionError("IR search produced a non-automorphism")
-        return result
+        cert_bits, lab = self.best
+        return AutResult(generators=generators, chain=chain, order=chain.order(),
+                         certificate=zlib.compress(cert_bits, 6),
+                         canonical_labeling=Permutation(lab).inverse(),
+                         stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
+                                           found=len(self.automorphisms)))
 
 
 def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:

@@ -1,6 +1,7 @@
 """Equitable refinement, the IR search, certificates, and isomorphism."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -9,11 +10,11 @@ from arrgraph.autsearch import (SearchStats, automorphism_group, are_isomorphic,
                                 equitable_refinement)
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
+from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
 from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
-from oracles import (brute_force_automorphism_count, common_neighborhood,
-                     orbit_pruning_automorphism_group, rank_tuple)
+from oracles import (brute_force_automorphism_count, brute_force_closure,
+                     common_neighborhood, orbit_pruning_automorphism_group, rank_tuple)
 
 SEED = 20240811
 
@@ -26,10 +27,14 @@ def canonical_certificate(graph):
     return automorphism_group(graph).certificate
 
 
+def shuffled_permutation(degree, rng):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
 def shuffled(graph, rng):
-    imgs = list(range(graph.vertex_count))
-    rng.shuffle(imgs)
-    return graph.relabeled(Permutation(imgs))
+    return graph.relabeled(shuffled_permutation(graph.vertex_count, rng))
 
 
 # -- refinement ---------------------------------------------------------------
@@ -41,7 +46,6 @@ def test_refinement_regular_graph_unchanged():
 
 
 def test_refinement_path_of_three():
-    from arrgraph.graphs import Graph
     p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     cells = equitable_refinement(p3, unit_partition(p3))
     assert sorted(map(sorted, cells)) == [[0, 2], [1]]
@@ -221,10 +225,11 @@ def test_candidate_generators_sift_into_aut(n, k, r):
 
 # -- pinned search behaviour --------------------------------------------------
 #
-# Certificates and stabilizer chains as the search produced them before
-# refinement, orbit bookkeeping and permutation arithmetic were optimised;
-# node counts as of the return to the first-path ancestor. A change to the
-# search shows here as a diff in review.
+# Certificates as the search produced them before refinement, orbit
+# bookkeeping and permutation arithmetic were optimised; node counts as of
+# the return to the first-path ancestor; bases and fundamental orbits as of
+# the chain built on the first path's base. A change to the search shows
+# here as a diff in review.
 
 _ALL = "all"  # a fundamental orbit that is the whole vertex set
 
@@ -234,19 +239,18 @@ PINNED_SEARCHES = {
     ((5, 4, 3), "plain"): (21, "a702d45f1f2e08ba", None, None),
     ((4, 4, 3), "shuffled"): (
         223, "e3bcc3e00bf5aaf0",
-        [17, 13, 9, 12, 7, 5, 8, 4, 2, 18, 11, 6, 16, 14, 1, 10, 3, 0],
-        [_ALL, [9, 13, 23], [9, 23], [2, 4, 5, 7, 8, 12, 15, 20], [5, 7, 20],
-         [5, 20], [2, 4, 8, 15], [2, 4, 15], [2, 15],
-         [0, 1, 3, 6, 10, 11, 14, 16, 18, 19, 21, 22], [6, 11, 21], [6, 21],
-         [0, 1, 3, 10, 14, 16, 19, 22], [1, 14, 22], [1, 22], [0, 3, 10, 19],
-         [0, 3, 19], [0, 19]]),
+        [0, 3, 10, 1, 14, 16, 6, 11, 18, 2, 4, 8, 5, 7, 12, 9, 13, 17],
+        [_ALL, [3, 10, 19], [10, 19], [1, 6, 11, 14, 16, 18, 21, 22],
+         [14, 16, 22], [16, 22], [6, 11, 18, 21], [11, 18, 21], [18, 21],
+         [2, 4, 5, 7, 8, 9, 12, 13, 15, 17, 20, 23], [4, 8, 15], [8, 15],
+         [5, 7, 9, 12, 13, 17, 20, 23], [7, 12, 20], [12, 20], [9, 13, 17, 23],
+         [13, 17, 23], [17, 23]]),
     ((4, 4, 4), "shuffled"): (
-        34, "8dddcfe6c632ea11", [1, 5, 2, 0],
-        [_ALL, [2, 4, 5, 7, 9, 13], [2, 4, 9, 13], [0, 11]]),
+        34, "8dddcfe6c632ea11", [0, 3, 2, 10, 13, 14],
+        [_ALL, [3, 10, 19], [2, 8], [10, 19], [13, 17], [14, 18]]),
     ((5, 4, 3), "shuffled"): (
-        21, "a702d45f1f2e08ba", [1, 3],
-        [_ALL, [3, 11, 16, 23, 36, 42, 46, 47, 48, 49, 53, 56, 63, 69, 78, 79,
-                83, 85, 87, 99, 100, 109, 110, 114]]),
+        21, "a702d45f1f2e08ba", [0, 60, 70, 48, 1],
+        [_ALL, [60, 70, 111], [70, 111], [48, 83], [1, 2]]),
 }
 
 
@@ -269,7 +273,7 @@ def test_search_pinned(nkr, labelling):
 
 def test_search_stats_pinned():
     stats = automorphism_group(build_arrangement_graph(5, 4, 3)).stats
-    assert stats == SearchStats(nodes=21, leaves=6, found=5, kept=5)
+    assert stats == SearchStats(nodes=21, leaves=6, found=5)
 
 
 @pytest.mark.parametrize("nkr", [(4, 4, 4), (5, 5, 5), (5, 5, 3), (5, 5, 2)],
@@ -287,7 +291,11 @@ def test_shuffled_nodes_within_twice_plain(nkr):
 def _assert_matches_orbit_pruning(g, name):
     result = automorphism_group(g)
     reference = orbit_pruning_automorphism_group(g)
+    # the same group: equal orders, and each chain holds the other's
+    # strong generators
     assert result.order == reference.order, name
+    assert all(map(result.chain.contains, reference.chain.strong_generators())), name
+    assert all(map(reference.chain.contains, result.chain.strong_generators())), name
     assert result.certificate == reference.certificate, name
     assert result.canonical_labeling == reference.canonical_labeling, name
     if g.vertex_count <= 8:
@@ -359,7 +367,6 @@ def reference_refine(adj, cells):
 
 
 def _random_graph(rng, max_vertices=40):
-    from arrgraph.graphs import Graph
     shape = rng.choice(["dense", "sparse", "edgeless", "disconnected", "regular"])
     nv = rng.randint(1, max_vertices)
     if shape == "edgeless":
@@ -411,7 +418,7 @@ def test_refinement_matches_reference_random_graphs(corpus):
     assert {(True, False), (False, False), (False, True)} <= shapes
 
 
-# -- generators kept by the search --------------------------------------------
+# -- generators found by the search -------------------------------------------
 
 
 def _searched_graphs(corpus):
@@ -434,10 +441,37 @@ def test_generators_are_chain_non_members(corpus):
 
 
 def test_generators_rebuild_the_chain(corpus):
+    # full Schreier-Sims over the generators gives the same group as the
+    # chain built on the search's first path
+    rng = random.Random(SEED + 6)
     for name, g in _searched_graphs(corpus).items():
         result = automorphism_group(g)
         rebuilt = build_stabilizer_chain(result.generators, degree=g.vertex_count)
-        assert rebuilt.base == result.chain.base, name
-        assert rebuilt.fundamental_orbits() == result.chain.fundamental_orbits(), name
-        assert rebuilt.strong_generators() == result.chain.strong_generators(), name
-        assert rebuilt.order() == result.order, name
+        assert rebuilt.order() == result.order == result.chain.order(), name
+        assert all(map(rebuilt.contains, result.chain.strong_generators())), name
+        assert all(map(result.chain.contains, rebuilt.strong_generators())), name
+        if result.order > 20000:
+            continue
+        closure = brute_force_closure(result.generators, degree=g.vertex_count)
+        assert len(closure) == result.order, name
+        assert all(map(result.chain.contains, closure)), name
+        for _ in range(20):
+            p = shuffled_permutation(g.vertex_count, rng)
+            assert result.chain.contains(p) == (p in closure), name
+
+
+# -- edgeless graphs: the chain of the whole symmetric group ------------------
+
+
+def test_aut_isolated_vertices():
+    g = Graph([(i,) for i in range(60)], [])
+    result = automorphism_group(g)
+    assert result.order == math.factorial(60)
+    assert len(result.chain.base) == 59
+    assert result.chain.contains(shuffled_permutation(60, random.Random(SEED + 7)))
+
+
+def test_aut_edgeless_a441():
+    g = build_arrangement_graph(4, 4, 1)
+    assert g.edge_count() == 0
+    assert automorphism_group(g).order == math.factorial(24)

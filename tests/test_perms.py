@@ -8,9 +8,9 @@ import pytest
 
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.config import Config
-from arrgraph.perms import (ConnectionSet, Permutation, build_stabilizer_chain,
-                            check_tuple_count, connection_set, cycle,
-                            transposition)
+from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
+                            build_stabilizer_chain, check_tuple_count,
+                            connection_set, cycle, transposition)
 from oracles import brute_force_closure, fixed_point_count
 
 SEED = 20240811
@@ -284,6 +284,48 @@ def test_chain_add_generator_is_incremental():
         assert chain.strong_generators() == batch.strong_generators()
     with pytest.raises(ValidationError):
         build_stabilizer_chain([], degree=3).add_generator(cycle(4))
+
+
+# -- chains from a known base and strong generating set ----------------------
+
+
+def test_chain_from_strong_generators_random():
+    # a Schreier-Sims chain's base and strong generators give the same
+    # chain from orbits alone, and it still extends by add_generator
+    rng = random.Random(SEED + 8)
+    for closure, gens in _random_groups(rng, 40):
+        d = gens[0].degree
+        full = build_stabilizer_chain(gens, degree=d)
+        chain = StabilizerChain.from_strong_generators(
+            full.base, full.strong_generators(), d)
+        assert chain.base == full.base
+        assert chain.fundamental_orbits() == full.fundamental_orbits()
+        assert chain.order() == len(closure)
+        members = rng.sample(sorted(closure, key=lambda p: p.images),
+                             min(len(closure), 40))
+        for p in members + [random_perm(rng, d) for _ in range(20)]:
+            assert chain.contains(p) == (p in closure)
+        extra = random_perm(rng, d)
+        assert chain.add_generator(extra) is (extra not in closure)
+        assert chain.order() == build_stabilizer_chain(gens + [extra], degree=d).order()
+
+
+def test_chain_from_strong_generators_drops_trivial_orbits():
+    chain = StabilizerChain.from_strong_generators([2, 0, 1], [transposition(3, 0, 1)], 3)
+    assert chain.base == [0]
+    assert chain.fundamental_orbits() == [[0, 1]]
+    assert chain.strong_generators() == [transposition(3, 0, 1)]
+    assert StabilizerChain.from_strong_generators([0, 1, 2], [], 3).order() == 1
+    with pytest.raises(ValidationError):
+        StabilizerChain.from_strong_generators([0], [cycle(4)], 3)
+
+
+def test_chain_from_strong_generators_rejects_a_weak_set():
+    # (0 1) and (0 1 2) generate S3, but neither fixes 0, so base point 1
+    # gets no level and the 3-cycle sifts to (1 2), not to the identity
+    with pytest.raises(AssertionError):
+        StabilizerChain.from_strong_generators(
+            [0, 1], [transposition(3, 0, 1), cycle(3)], 3)
 
 
 # -- validation at the API boundary -------------------------------------------
