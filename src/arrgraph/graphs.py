@@ -87,16 +87,13 @@ class Graph:
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
         images = perm.images
+        # pulling a row back through perm^-1 moves each of its vertices v to perm(v)
+        move = _row_pullback(perm.inverse().images)
         labels = [None] * self.vertex_count
         adjacency = [0] * self.vertex_count
         for u, row in enumerate(self.adjacency):
-            image_row = 0
-            while row:
-                low = row & -row
-                image_row |= 1 << images[low.bit_length() - 1]
-                row ^= low
             labels[images[u]] = self.labels[u]
-            adjacency[images[u]] = image_row
+            adjacency[images[u]] = move(row)
         return Graph._from_adjacency(labels, adjacency, self.metadata)
 
     def is_connected(self) -> bool:
@@ -250,40 +247,43 @@ def value_relabelings(graph: Graph, n: int) -> list[Permutation]:
     return out
 
 
-def is_automorphism(graph: Graph, f: Permutation) -> bool:
-    """True iff f preserves adjacency and non-adjacency: for every u, the
-    row of u mapped through f is the row of f(u). Rows are compared one at
-    a time, the first that differs ends the check, and no more than O(V)
-    memory is held beyond the graph.
-
-    The row of f(u) is read as its binary digits, one byte per vertex, at
-    f(0), ..., f(V-1) with one itemgetter, and the result is compared with
-    the row of u: a per-vertex-pair cost, but paid in C."""
-    nv = graph.vertex_count
-    if f.degree != nv:
-        raise ValidationError("vertex permutation of wrong degree")
+def _row_pullback(images: Sequence[int]):
+    """The map from a row (a vertex bitmask) R to {v : f(v) in R}, for the
+    vertex map f with the given images. R is read as its binary digits, one
+    byte per vertex, at f(0), ..., f(V-1) with one itemgetter: a per-vertex
+    cost, but paid in C."""
+    nv = len(images)
     if nv <= 1:
         # the one permutation is the identity; and with one index,
         # itemgetter returns a scalar, not a tuple
-        return True
-    images = f.images
-    adj = graph.adjacency
+        return lambda row: row
     top = nv - 1
     # byte p of a row's digits is the bit of vertex top - p, so the read
     # puts the byte of vertex f(top - p) at p
     read = itemgetter(*[top - x for x in reversed(images)])
     digits = f"0{nv}b"
-    return all(int(bytes(read(format(adj[x], digits).encode())), 2) == adj[u]
-               for u, x in enumerate(images))
+    return lambda row: int(bytes(read(format(row, digits).encode())), 2)
 
 
-def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permutation]:
-    """Vertex permutations of graph = A(n,k,r) generating the expected
-    automorphism group: value relabelings for the generators of S_n,
-    position relabelings for those of S_k, plus tuple inversion when k = n.
-    Any graph with the labels of A(n,k,r) will do; Cay(S_n, F_{n-r}) has
-    those of A(n,n,r), and there the value relabelings are the right
-    multiplications and the position relabelings the left ones.
+def is_automorphism(graph: Graph, f: Permutation) -> bool:
+    """True iff f preserves adjacency and non-adjacency: for every u, the
+    row of f(u) pulled back through f is the row of u. Rows are compared
+    one at a time, the first that differs ends the check, and no more than
+    O(V) memory is held beyond the graph."""
+    if f.degree != graph.vertex_count:
+        raise ValidationError("vertex permutation of wrong degree")
+    pull = _row_pullback(f.images)
+    adj = graph.adjacency
+    return all(pull(adj[x]) == adj[u] for u, x in enumerate(f.images))
+
+
+def candidate_aut_generators(n: int, k: int, graph: Graph) -> list[Permutation]:
+    """Vertex permutations of a graph with the labels of A(n,k,r), for any r,
+    generating the expected automorphism group: value relabelings for the
+    generators of S_n, position relabelings for those of S_k, plus tuple
+    inversion when k = n. Cay(S_n, F_{n-r}) has the labels of A(n,n,r),
+    and there the value relabelings are the right multiplications and the
+    position relabelings the left ones.
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
@@ -297,6 +297,6 @@ def candidate_aut_generators(n: int, k: int, r: int, graph: Graph) -> list[Permu
     for f in out:
         if not is_automorphism(graph, f):
             raise AssertionError(
-                f"candidate generator is not an automorphism of A({n},{k},{r}); "
-                "this indicates an implementation bug")
+                f"candidate generator for n={n}, k={k} is not an automorphism of "
+                "the graph; this indicates an implementation bug")
     return out

@@ -14,17 +14,16 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .actions import (block_violation, column_partition, induce_action, kernel_order,
-                      quotient_action, row_partition, verify_block_system)
+from .actions import (ActionOnSets, block_violation, column_partition, induce_action,
+                      kernel_order, quotient_action, row_partition, verify_block_system)
 from .autsearch import AutResult, automorphism_group
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
-                     candidate_aut_generators)
+                     candidate_aut_generators, is_automorphism)
 from .indsets import ENUMERATE_ALL, delta_family, max_independent_sets
 from .perms import Permutation, build_stabilizer_chain, connection_set
 
@@ -110,10 +109,10 @@ def _shuffled(graph: Graph, rng: random.Random, config: Config) -> _Search:
 
 
 class Context:
-    """The config of a group of claims and the graphs and searches they read,
-    each made once. The suite makes one per job, so a job's graphs and
-    chains are freed when the job ends; a claim called without one gets a
-    fresh one."""
+    """The config of a group of claims and the graphs, searches and groups
+    they read, each made once. The suite makes one per job, so a job's
+    graphs and chains are freed when the job ends; a claim called without
+    one gets a fresh one."""
 
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
@@ -157,6 +156,29 @@ class Context:
 
         return self._once(("aut", n, k, r), search)
 
+    def candidates(self, n: int, k: int) -> tuple[list[Permutation], int]:
+        """The generators of the candidate group of Aut(A(n,k,r)), lifted
+        and verified on A(n,k,k), and the group's order. They are the same
+        vertex permutations for every r, and for k = n on Cay(S_n, F_f) too,
+        whose labels are those of A(n,n,n-f)."""
+        def lift():
+            graph = self.arrangement(n, k, k)
+            generators = candidate_aut_generators(n, k, graph)
+            return generators, build_stabilizer_chain(
+                generators, degree=graph.vertex_count).order()
+
+        return self._once(("cand", n, k), lift)
+
+    def action(self, n: int, k: int) -> ActionOnSets:
+        """The action of Aut(A(n,k,k)) on the delta family as the searched
+        copy labels it, in family order."""
+        def induce():
+            search = self.group(n, k, k)
+            family = [frozenset(map(search.shuffle, s)) for _, s in delta_family(n, k)]
+            return induce_action(search.aut.generators, family)
+
+        return self._once(("action", n, k), induce)
+
 
 def clear_cache() -> None:
     """Does nothing: there is no state beyond a context. Kept only for its one
@@ -166,13 +188,6 @@ def clear_cache() -> None:
 def _labels(indexes, k: int) -> list[str]:
     """Labels D_i_j (1-based) of delta family indexes, in index order."""
     return [f"D_{x // k + 1}_{x % k + 1}" for x in sorted(indexes)]
-
-
-def _induced_action(search: _Search, n: int, k: int):
-    """The action of Aut(A(n,k,k)) on the delta family as the searched copy
-    labels it, in family order."""
-    return induce_action(search.aut.generators, [frozenset(map(search.shuffle, s))
-                                                 for _, s in delta_family(n, k)])
 
 
 # --------------------------------------------------------------------------
@@ -206,12 +221,12 @@ def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
     else:
         raise ValidationError(f"(n,k,r)=({n},{k},{r}) is outside the solved cases")
     claim_id = f"thm1.2/{case}/n={n}/k={k}"
-    graph = ctx.arrangement(n, k, r)
     search = ctx.group(n, k, r)
     aut = search.aut
-    candidates = candidate_aut_generators(n, k, r, graph)
+    # the chain is generated by verified automorphisms, so a candidate
+    # that is none of A(n,k,r)'s is not contained and the claim fails
+    candidates, cand_order = ctx.candidates(n, k)
     contained = all(search.contains(g) for g in candidates)
-    cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k, "r": r},
@@ -254,8 +269,7 @@ def verify_prop_2_2(n: int, k: int, *, ctx: Context) -> ClaimReport:
     is trivial."""
     claim_id = f"prop2.2/n={n}/k={k}"
     search = ctx.group(n, k, k)
-    action = _induced_action(search, n, k)
-    kernel = kernel_order(search.aut.order, action)
+    kernel = kernel_order(search.aut.order, ctx.action(n, k))
     return ClaimReport(
         claim_id=claim_id,
         params={"n": n, "k": k},
@@ -280,16 +294,16 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
     details: dict = {"sigma": [_labels(b, k) for b in sigma.blocks],
                      "sigma_prime": [_labels(b, k) for b in sigma_prime.blocks]}
     if k < n:
-        action = _induced_action(ctx.group(n, k, k), n, k)
+        action = ctx.action(n, k)
         sigma_ok = verify_block_system(action, sigma)
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
-        family = [s for _, s in delta_family(n, k)]
-        gens = candidate_aut_generators(n, n, n, ctx.arrangement(n, n, n))
-        pq_action = induce_action(gens[:-1], family)
+        # the candidates end with the inversion, after the relabelings
+        action = induce_action(ctx.candidates(n, n)[0], [s for _, s in delta_family(n, k)])
+        pq_action = ActionOnSets(action.family, action.movers[:-1])
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
-        witness = block_violation(induce_action([gens[-1]], family), sigma)
+        witness = block_violation(ActionOnSets(action.family, action.movers[-1:]), sigma)
         details["inversion_violation"] = None
         if witness is not None:
             mover, block, image, overlaps = witness
@@ -313,8 +327,7 @@ def verify_lemma_2_5(n: int, k: int, *, ctx: Context) -> ClaimReport:
     if not k < n:
         raise ValidationError("the quotient check applies to k < n only")
     claim_id = f"lemma2.5/n={n}/k={k}"
-    action = _induced_action(ctx.group(n, k, k), n, k)
-    _, quotient_order, kernel_order = quotient_action(action, row_partition(n, k))
+    _, quotient_order, kernel_order = quotient_action(ctx.action(n, k), row_partition(n, k))
     expected = {"quotient": math.factorial(n), "kernel": math.factorial(k)}
     computed = {"quotient": quotient_order, "kernel": kernel_order}
     return ClaimReport(
@@ -382,23 +395,23 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     The candidate group [R(S_n) x Inn(S_n)] x Z_2 is generated by the thm1.2
     families of A(n,n,n-fixed) read on the Cayley labels: value relabelings
     are right multiplications, position relabelings left ones, and with
-    both they give the conjugations. The candidate group order and its
-    containment in the computed group are always checked; equality is
-    asserted only for the two anchored cases fixed = 0 and fixed = n-2
-    (transpositions and derangements). For intermediate values the verdict
-    is recorded, not enforced."""
+    both they give the conjugations. That its generators preserve the
+    Cayley graph, its order and its containment in the computed group are
+    always checked; equality is asserted only for the two anchored cases
+    fixed = 0 and fixed = n-2 (transpositions and derangements). For
+    intermediate values the verdict is recorded, not enforced."""
     if n <= 2 or not 0 <= fixed <= n - 2:
         raise ValidationError(f"need n > 2 and 0 <= fixed <= n-2, got n={n} fixed={fixed}")
     claim_id = f"conj3.1/n={n}/fixed={fixed}"
     anchored = fixed in (0, n - 2)
     graph = ctx.cayley(n, fixed)
     expected_candidate = 2 * math.factorial(n) ** 2
-    candidates = candidate_aut_generators(n, n, n - fixed, graph)
-    cand_order = build_stabilizer_chain(candidates, degree=graph.vertex_count).order()
+    candidates, cand_order = ctx.candidates(n, n)
+    preserves = all(is_automorphism(graph, g) for g in candidates)
     details = {
         "candidate_order": cand_order,
         "candidate_order_expected": expected_candidate,
-        "candidate_preserves_graph": True,  # checked by candidate_aut_generators
+        "candidate_preserves_graph": preserves,
         "connected": graph.is_connected(),
     }
     search = ctx.shuffled_iso(n, fixed)[1]
@@ -409,7 +422,7 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
                     "conjecture_holds": equal})
     passed: Optional[bool]
     if anchored:
-        passed = (equal and cand_order == expected_candidate)
+        passed = (preserves and equal and cand_order == expected_candidate)
     else:
         passed = None
     return ClaimReport(
@@ -468,6 +481,8 @@ def run_full_suite(n_max: int = 5, config: Config = DEFAULT_CONFIG) -> ReportDoc
     # a fork pool starts all its workers at once, so never more than can run
     workers = min(config.workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # imported here, as most of the package's import time goes to it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_job_claims, jobs, [config] * len(jobs)))
     else:

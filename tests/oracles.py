@@ -247,13 +247,16 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# Adjacency under a vertex map, bit by bit
+# Adjacency under a vertex map, edge by edge
 
 
 def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
-    """f preserves adjacency: the graph relabeled by f, one bit of each row
-    at a time, has the graph's own adjacency."""
-    return graph.relabeled(f).adjacency == graph.adjacency
+    """f preserves adjacency: the graph built by the validating constructor
+    from the images of the edges under f, one edge at a time, has the
+    graph's own adjacency."""
+    images = f.images
+    image = Graph(graph.labels, ((images[u], images[v]) for u, v in graph.edges()))
+    return image.adjacency == graph.adjacency
 
 
 # --------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_k_equals_n_inversion_violates_blocks():
     # the block property
     from arrgraph.graphs import candidate_aut_generators
     g = build_arrangement_graph(4, 4, 4)
-    gens = candidate_aut_generators(4, 4, 4, g)
+    gens = candidate_aut_generators(4, 4, g)
     fam = omega(4, 4)
     pq = induce_action(gens[:-1], fam)
     assert verify_block_system(pq, row_partition(4, 4))
@@ -265,7 +265,7 @@ def test_candidate_group_preserves_cay_s4_t():
     report = conjecture_probe(4, 2)
     assert report.passed and report.details["candidate_preserves_graph"]
     g = build_cayley_graph(4, connection_set(4, "transpositions"))
-    for gen in candidate_aut_generators(4, 4, 2, g):
+    for gen in candidate_aut_generators(4, 4, g):
         assert is_automorphism(g, gen)
 
 
@@ -291,7 +291,7 @@ def test_candidate_group_is_theorem_families_on_cayley_labels(n):
     assert oracle_chain.order() == 2 * degree ** 2
     for fixed in range(n - 1):
         g = build_cayley_graph(n, connection_set(n, "fixed", fixed))
-        families = candidate_aut_generators(n, n, n - fixed, g)
+        families = candidate_aut_generators(n, n, g)
         chain = build_stabilizer_chain(families, degree=degree)
         assert all(chain.contains(p) for p in oracle)
         assert all(oracle_chain.contains(p) for p in families)

@@ -147,7 +147,7 @@ def test_candidate_generators_need_labels_closed_under_s_n():
     # half the labels of A(4,2,2): some value relabeling maps a label outside
     g = build_arrangement_graph(4, 2, 2)
     with pytest.raises(ValidationError, match="not closed under S_4"):
-        candidate_aut_generators(4, 2, 2, Graph(g.labels[:6], []))
+        candidate_aut_generators(4, 2, Graph(g.labels[:6], []))
 
 
 def test_cayley_s3_transpositions():
@@ -333,7 +333,8 @@ def test_relabeled_preserves_structure():
 def test_relabeled_matches_validated_construction():
     rng = random.Random(SEED + 3)
     for g in [build_arrangement_graph(4, 3, 2), build_arrangement_graph(3, 3, 1),
-              build_cayley_graph(4, connection_set(4, "fixed", 1))]:
+              build_cayley_graph(4, connection_set(4, "fixed", 1)),
+              Graph([(0,)], []), Graph([(0,), (1,)], [(0, 1)])]:
         imgs = list(range(g.vertex_count))
         rng.shuffle(imgs)
         p = Permutation(imgs)
@@ -523,7 +524,7 @@ def test_candidate_generators_orders():
     cases = [((4, 2, 2), 3, 48), ((4, 4, 2), 5, 1152), ((4, 4, 4), 5, 1152)]
     for (n, k, r), count, order in cases:
         g = build_arrangement_graph(n, k, r)
-        gens = candidate_aut_generators(n, k, r, g)
+        gens = candidate_aut_generators(n, k, g)
         assert len(gens) == count
         assert all(is_automorphism(g, f) for f in gens)
         assert build_stabilizer_chain(gens, degree=g.vertex_count).order() == order

@@ -1,8 +1,11 @@
 """The claim suite: individual claims and the full run."""
 
+import concurrent.futures
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -119,6 +122,20 @@ def test_conjecture_anchored_cases():
         assert r.details["conjecture_holds"]
 
 
+def test_conjecture_checks_candidates_on_the_cayley_graph(monkeypatch):
+    # candidates that do not preserve Cay(S_4, D) are reported as such, and
+    # the anchored claim fails; so does thm1.2, which reads the same ones
+    ctx = Context()
+    generators, order = ctx.candidates(4, 4)
+    swap = transposition(ctx.cayley(4, 0).vertex_count, 0, 1)
+    monkeypatch.setattr(ctx, "candidates", lambda n, k: (generators + [swap], order))
+    r = conjecture_probe(4, 0, ctx=ctx)
+    assert r.details["candidate_preserves_graph"] is False
+    assert r.details["candidates_contained"] is False
+    assert r.passed is False and not r.exploratory
+    assert verify_theorem_1_2(4, 4, 4, ctx=ctx).passed is False
+
+
 def test_conjecture_intermediate_case_is_exploratory():
     r = conjecture_probe(4, 1)
     assert r.exploratory and r.passed is None
@@ -229,6 +246,40 @@ def test_suite_searches_each_graph_copy_once(monkeypatch):
     assert len(searched) == 15
 
 
+@pytest.mark.parametrize("job,induced", [(("akk", 4, 3), 1), (("knn", 4, (0, 2)), 2)])
+def test_job_makes_each_group_once(job, induced, monkeypatch):
+    # thm1.2, conj3.1 and blocks read one candidate lift and one candidate
+    # chain; prop2.2, blocks and lemma2.5 one induced action. A knn job also
+    # induces the candidate group's action, for blocks at k = n
+    calls = {"candidate_aut_generators": [], "build_stabilizer_chain": [],
+             "induce_action": []}
+
+    def counting(name, make):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return make(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(suite, name, counting(name, getattr(suite, name)))
+    claims = suite._job_claims(job, Config())
+    assert all(c.passed is not False for c in claims)
+    assert len(calls["candidate_aut_generators"]) == 1
+    assert len(calls["build_stabilizer_chain"]) == 1
+    induced_by = [tuple(generators) for generators, _ in calls["induce_action"]]
+    assert len(induced_by) == len(set(induced_by)) == induced
+
+
+def test_package_import_leaves_out_the_process_pool():
+    # the pool is imported only when a run uses more than one worker
+    code = ("import sys, arrgraph, arrgraph.graphio; "
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_suite_keeps_nothing_after_a_run(monkeypatch):
     # every graph and search the suite makes is freed once its job ends
     made = []  # weak references to each Graph and AutResult
@@ -259,7 +310,7 @@ def test_shuffled_search_answers_for_the_plain_graph():
     search = ctx.group(4, 4, 4)
     assert not search.shuffle.is_identity()
     assert search.aut.order == 1152
-    for g in candidate_aut_generators(4, 4, 4, plain):
+    for g in candidate_aut_generators(4, 4, plain):
         assert search.contains(g)
     swap = transposition(plain.vertex_count, 0, 1)
     assert not is_automorphism(plain, swap) and not search.contains(swap)
@@ -297,7 +348,7 @@ def test_worker_pool_is_capped(cpus, expected, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # n_max = 3 is three jobs; a requested size of 100000 must never reach
     # the pool, and a cap of 1 runs serially without one
