@@ -8,6 +8,14 @@ two leaves with the same relabeled adjacency matrix differ by an
 automorphism, and the lexicographically smallest relabeled matrix over all
 leaves is the canonical form.
 
+A leaf's certificate is that matrix, row by row, each row in ceil(V/8)
+little-endian bytes (McKay & Piperno, 2014). It is made from the adjacency
+rows alone, with no neighbour lists: the rows of the leaf's vertices, in
+labelling order, are transposed by ``graphs._transpose``, and the rows of
+the transpose, again in labelling order, are the relabeled matrix's rows,
+as the adjacency is symmetric. A leaf holds one transposed copy of V²/8
+bytes while its certificate is made.
+
 The search is fully deterministic: target cell = first non-singleton cell
 of smallest size, branching in ascending vertex index.
 
@@ -56,7 +64,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, is_automorphism
+from .graphs import Graph, _transpose, is_automorphism
 from .perms import Permutation, StabilizerChain
 
 OrderedPartition = list[list[int]]
@@ -211,7 +219,6 @@ class _IRSearch:
         self.graph = graph
         self.adj = graph.adjacency
         self.n = graph.vertex_count
-        self.neighbours = [list(graph.neighbors(v)) for v in range(self.n)]
         self.config = config
         self.nodes = 0
         self.leaves = 0
@@ -294,13 +301,12 @@ class _IRSearch:
     # -- leaves
 
     def _leaf_cert(self, lab: list[int]) -> bytes:
-        # adjacency matrix of the relabeled graph, row-major bits
-        bit = [0] * self.n
-        for i, v in enumerate(lab):
-            bit[v] = 1 << i
+        # adjacency matrix of the relabeled graph, row-major bits: row i
+        # has bit j set iff lab[i] and lab[j] are adjacent
+        adj = self.adj
+        cols = _transpose([adj[v] for v in lab])
         nbytes = (self.n + 7) // 8
-        rows = (sum(map(bit.__getitem__, self.neighbours[v])) for v in lab)
-        return b"".join(r.to_bytes(nbytes, "little") for r in rows)
+        return b"".join(cols[v].to_bytes(nbytes, "little") for v in lab)
 
     def _leaf(self, lab: list[int], prefix: list[int]) -> int:
         self.leaves += 1

@@ -83,18 +83,19 @@ class Graph:
                     yield (u, v)
 
     def relabeled(self, perm: Permutation) -> "Graph":
-        """The graph with vertex v moved to index perm(v) (labels follow)."""
+        """The graph with vertex v moved to index perm(v) (labels follow).
+
+        Row x of the result is row perm^-1(x) of self with its vertices
+        moved by perm: the rows are reordered by perm^-1, the matrix is
+        transposed, and the rows of the transpose are reordered by perm^-1
+        again, which reorders the columns because the adjacency is
+        symmetric."""
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
-        images = perm.images
-        # pulling a row back through perm^-1 moves each of its vertices v to perm(v)
-        move = _row_pullback(perm.inverse().images)
-        labels = [None] * self.vertex_count
-        adjacency = [0] * self.vertex_count
-        for u, row in enumerate(self.adjacency):
-            labels[images[u]] = self.labels[u]
-            adjacency[images[u]] = move(row)
-        return Graph._from_adjacency(labels, adjacency, self.metadata)
+        pre = perm.inverse().images
+        cols = _transpose([self.adjacency[x] for x in pre])
+        return Graph._from_adjacency([self.labels[x] for x in pre],
+                                     [cols[x] for x in pre], self.metadata)
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
@@ -237,44 +238,72 @@ def value_relabelings(graph: Graph, n: int) -> list[Permutation]:
     lifted to vertex permutations of a graph whose label entries lie in
     0..n-1. A g that maps some label to a tuple that is no label is left
     out. The maps are not checked against the edges."""
+    generators = symmetric_group_generators(n)
+    if generators and max(itertools.chain.from_iterable(graph.labels), default=-1) >= n:
+        raise ValidationError("tuple entries exceed permutation degree")
     index = {lab: i for i, lab in enumerate(graph.labels)}
     out = []
-    for g in symmetric_group_generators(n):
-        images = [index.get(apply_value_permutation(g, lab)) for lab in graph.labels]
+    for g in generators:
+        image = g.images.__getitem__
+        images = [index.get(tuple(map(image, lab))) for lab in graph.labels]
         if None not in images:
             # g is a bijection of the values, so distinct labels have distinct images
             out.append(Permutation._trusted(tuple(images)))
     return out
 
 
-def _row_pullback(images: Sequence[int]):
-    """The map from a row (a vertex bitmask) R to {v : f(v) in R}, for the
-    vertex map f with the given images. R is read as its binary digits, one
-    byte per vertex, at f(0), ..., f(V-1) with one itemgetter: a per-vertex
-    cost, but paid in C."""
-    nv = len(images)
-    if nv <= 1:
-        # the one permutation is the identity; and with one index,
-        # itemgetter returns a scalar, not a tuple
-        return lambda row: row
-    top = nv - 1
-    # byte p of a row's digits is the bit of vertex top - p, so the read
-    # puts the byte of vertex f(top - p) at p
-    read = itemgetter(*[top - x for x in reversed(images)])
-    digits = f"0{nv}b"
-    return lambda row: int(bytes(read(format(row, digits).encode())), 2)
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square bit matrix given as V rows of V bits: bit
+    r of row c of the result is bit c of row r. The package's one row map.
+
+    The matrix is padded with zero rows to a power of two 2^s and
+    transposed in s stages of masked block swaps (Warren, *Hacker's
+    Delight*, 2nd ed., 7-3), for j = 1, 2, 4, ..., 2^(s-1). The stage of
+    width j swaps, in every pair of rows k and k + j with bit j of k clear,
+    the bits of row k at the columns with bit j set with the bits of row
+    k + j at the columns j lower; after the last stage every bit (r, c) has
+    moved to (c, r). Before the stage of width j, row k holds bits of the
+    rows r with r // j = k // j only, so a block of 2j rows that starts at
+    row V or later holds zeros and is skipped: each stage makes about V/2
+    swaps of a few big-int operations."""
+    nv = len(rows)
+    size = 1 << (nv - 1).bit_length() if nv > 1 else nv
+    a = list(rows)
+    a.extend([0] * (size - nv))
+    full = (1 << size) - 1
+    j = 1
+    while j < size:
+        # the columns with bit j clear: j ones, then j zeros, repeated
+        mask = full // ((1 << 2 * j) - 1) * ((1 << j) - 1)
+        for base in range(0, nv, 2 * j):
+            for k in range(base, base + j):
+                x = a[k]
+                y = a[k + j]
+                t = ((x >> j) ^ y) & mask
+                a[k] = x ^ (t << j)
+                a[k + j] = y ^ t
+        j <<= 1
+    del a[nv:]
+    return a
 
 
 def is_automorphism(graph: Graph, f: Permutation) -> bool:
-    """True iff f preserves adjacency and non-adjacency: for every u, the
-    row of f(u) pulled back through f is the row of u. Rows are compared
-    one at a time, the first that differs ends the check, and no more than
-    O(V) memory is held beyond the graph."""
+    """True iff f preserves adjacency and non-adjacency: for all u and v,
+    f(u) and f(v) are adjacent exactly when u and v are.
+
+    The rows are reordered to adj[f(0)], ..., adj[f(V-1)] and transposed;
+    as the adjacency is symmetric, row v of the transpose is then the row
+    of f(v) pulled back through f, and reordering the transpose by f once
+    more gives the matrix to compare with the graph's. The whole map is
+    made before the comparison, so there is no early exit for a
+    non-automorphism, and one transposed copy of V^2/8 bytes is held
+    beyond the graph."""
     if f.degree != graph.vertex_count:
         raise ValidationError("vertex permutation of wrong degree")
-    pull = _row_pullback(f.images)
     adj = graph.adjacency
-    return all(pull(adj[x]) == adj[u] for u, x in enumerate(f.images))
+    images = f.images
+    cols = _transpose([adj[x] for x in images])
+    return [cols[x] for x in images] == adj
 
 
 def candidate_aut_generators(n: int, k: int, graph: Graph) -> list[Permutation]:

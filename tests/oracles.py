@@ -1,9 +1,10 @@
 """Independent oracles the tests check the engines against: closure of a
 generating set, automorphism count by trying every bijection, independence
 number by scanning every vertex subset, the IR search with orbit pruning
-only, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
-itself, minimal block systems, common neighbourhoods, and the automorphism
-check by relabeling."""
+only with its leaf certificates from neighbour lists, tuple ranks, the
+candidate group of Cay(S_n, F_f) built from S_n itself, minimal block
+systems, common neighbourhoods, the bit matrix transpose bit by bit, and
+the automorphism check by relabeling."""
 
 import itertools
 import math
@@ -87,7 +88,9 @@ class OrbitPruningSearch(_IRSearch):
     """The IR search without the return to the first-path ancestor: after
     every leaf the search goes on with its remaining siblings, and only
     orbit pruning skips children. Its orders, certificates and canonical
-    labelings are the reference for the search's.
+    labelings are the reference for the search's. Its leaf certificates
+    come from `leaf_certificate_by_neighbours`, not from the search's
+    transpose.
 
     Without the return it finds many repeats and chain members. A repeat
     is skipped, and only the generators, the non-members the chain of
@@ -98,6 +101,10 @@ class OrbitPruningSearch(_IRSearch):
     def __init__(self, graph, config):
         super().__init__(graph, config)
         self.seen = set()
+        self.neighbours = [list(graph.neighbors(v)) for v in range(self.n)]
+
+    def _leaf_cert(self, lab):
+        return leaf_certificate_by_neighbours(self.neighbours, lab)
 
     def _node(self, cells, prefix):
         self.nodes += 1
@@ -167,6 +174,20 @@ class OrbitPruningSearch(_IRSearch):
                          canonical_labeling=Permutation(lab).inverse(),
                          stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
                                            found=len(self.automorphisms)))
+
+
+def leaf_certificate_by_neighbours(neighbours: Sequence[Sequence[int]],
+                                   lab: Sequence[int]) -> bytes:
+    """The leaf certificate of a labelling, built from neighbour lists: the
+    adjacency matrix with vertex lab[i] at position i, row by row, each row
+    the sum of the position bits of its vertex's neighbours, in
+    ceil(V/8) little-endian bytes."""
+    bit = [0] * len(lab)
+    for i, v in enumerate(lab):
+        bit[v] = 1 << i
+    nbytes = (len(lab) + 7) // 8
+    rows = (sum(map(bit.__getitem__, neighbours[v])) for v in lab)
+    return b"".join(r.to_bytes(nbytes, "little") for r in rows)
 
 
 def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:
@@ -247,7 +268,14 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# Adjacency under a vertex map, edge by edge
+# Adjacency under a vertex map, edge by edge, and the transpose bit by bit
+
+
+def transpose_bit_by_bit(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square bit matrix held as V rows of V bits: bit r
+    of row c of the result is bit c of row r, read and set one at a time."""
+    nv = len(rows)
+    return [sum((rows[r] >> c & 1) << r for r in range(nv)) for c in range(nv)]
 
 
 def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:

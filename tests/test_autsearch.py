@@ -6,15 +6,16 @@ import random
 
 import pytest
 
-from arrgraph.autsearch import (SearchStats, automorphism_group, are_isomorphic,
-                                equitable_refinement)
+from arrgraph.autsearch import (SearchStats, _IRSearch, automorphism_group,
+                                are_isomorphic, equitable_refinement)
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
 from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
-                     common_neighborhood, orbit_pruning_automorphism_group, rank_tuple)
+                     common_neighborhood, leaf_certificate_by_neighbours,
+                     orbit_pruning_automorphism_group, rank_tuple)
 
 SEED = 20240811
 
@@ -283,6 +284,24 @@ def test_shuffled_nodes_within_twice_plain(nkr):
     plain = automorphism_group(g).stats.nodes
     mixed = automorphism_group(shuffled(g, random.Random(SEED))).stats.nodes
     assert mixed <= 2 * plain
+
+
+# -- leaf certificates ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("nkr", [(5, 4, 1), (6, 6, 2), (5, 5, 5), (6, 6, 6)],
+                         ids=lambda nkr: "A%d%d%d" % nkr)
+def test_leaf_certificate_matches_neighbour_lists(nkr):
+    # sparse (A(5,4,1), A(6,6,2)) and dense (A(5,5,5), A(6,6,6)) graphs,
+    # in the plain labelling and in seeded ones
+    g = build_arrangement_graph(*nkr)
+    search = _IRSearch(g, Config())
+    neighbours = [list(g.neighbors(v)) for v in range(g.vertex_count)]
+    rng = random.Random(SEED)
+    labellings = [list(range(g.vertex_count))]
+    labellings += [rng.sample(range(g.vertex_count), g.vertex_count) for _ in range(3)]
+    for lab in labellings:
+        assert search._leaf_cert(lab) == leaf_certificate_by_neighbours(neighbours, lab)
 
 
 # -- the search against the one with orbit pruning only ----------------------

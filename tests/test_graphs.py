@@ -8,15 +8,15 @@ import pytest
 
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph,
+from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
                              apply_position_permutation, apply_value_permutation,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple, is_automorphism,
-                             vertex_permutation)
+                             value_relabelings, vertex_permutation)
 from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
                             cycle, symmetric_group_generators, transposition)
 from oracles import (differing_coordinates, is_automorphism_by_relabeling, rank_tuple,
-                     tuple_count, unrank_tuple)
+                     transpose_bit_by_bit, tuple_count, unrank_tuple)
 
 SEED = 20240811
 
@@ -442,6 +442,52 @@ def test_psi_is_isomorphism_witness(n):
                 assert has_edge(g, u, v) == (pu.compose(pv.inverse()) in elems)
 
 
+# -- the transpose -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nv", list(range(10)) + [31, 32, 33, 100])
+def test_transpose_matches_bit_by_bit(nv):
+    # sparse, half-full and dense rows, and V around and between powers of two
+    rng = random.Random(SEED + nv)
+    for density in (0.05, 0.5, 0.95):
+        rows = [sum(1 << c for c in range(nv) if rng.random() < density)
+                for _ in range(nv)]
+        cols = _transpose(rows)
+        assert cols == transpose_bit_by_bit(rows)
+        assert _transpose(cols) == rows
+
+
+def test_transpose_leaves_its_input():
+    rows = [0b011, 0b100, 0b110]
+    assert _transpose(rows) == [0b001, 0b101, 0b110]
+    assert rows == [0b011, 0b100, 0b110]
+
+
+# -- value relabelings ----------------------------------------------------------
+
+
+def test_value_relabelings_match_vertex_permutation():
+    for n, k, r in [(4, 2, 2), (4, 3, 2), (5, 5, 3)]:
+        g = build_arrangement_graph(n, k, r)
+        expected = [vertex_permutation(g, lambda t, p=p: apply_value_permutation(p, t))
+                    for p in symmetric_group_generators(n)]
+        assert value_relabelings(g, n) == expected
+
+
+def test_value_relabelings_leave_out_maps_off_the_labels():
+    # the transposition (0 1) maps (1, 2) to (0, 2), which is no label
+    g = Graph([(0, 1), (1, 2), (2, 0)], [])
+    got = value_relabelings(g, 3)
+    assert got == [Permutation((1, 2, 0))]  # the 3-cycle, rotating the labels
+    assert value_relabelings(g, 1) == []  # S_1 has no generators
+
+
+def test_value_relabelings_reject_entries_beyond_n():
+    g = build_arrangement_graph(4, 2, 2)
+    with pytest.raises(ValidationError, match="exceed permutation degree"):
+        value_relabelings(g, 3)
+
+
 # -- automorphism checks ------------------------------------------------------
 
 
@@ -477,8 +523,7 @@ def test_is_automorphism_degree_mismatch():
 
 
 def test_is_automorphism_tiny_graphs():
-    # a byte read by itemgetter breaks here: with one index it returns a
-    # scalar, and bytes(0) is b"", so the identity would fail on V = 1
+    # the transpose pads nothing at V <= 1, and only V = 3 pads here
     assert is_automorphism(Graph([], []), Permutation._trusted(()))
     assert is_automorphism(Graph([(0,)], []), Permutation.identity(1))
     for edges in ([], [(0, 1)]):
