@@ -233,12 +233,16 @@ def vertex_permutation(graph: Graph, tuple_map) -> Permutation:
     return Permutation(index[tuple(tuple_map(lab))] for lab in graph.labels)
 
 
-def value_relabelings(graph: Graph, n: int) -> list[Permutation]:
-    """The value relabelings t -> g(t), for g in symmetric_group_generators(n),
+def value_relabelings(graph: Graph, n: int,
+                      generators: Optional[Sequence[Permutation]] = None
+                      ) -> list[Permutation]:
+    """The value relabelings t -> g(t), for g in generators (by default
+    symmetric_group_generators(n), whose last map is the n-cycle for n >= 2),
     lifted to vertex permutations of a graph whose label entries lie in
     0..n-1. A g that maps some label to a tuple that is no label is left
     out. The maps are not checked against the edges."""
-    generators = symmetric_group_generators(n)
+    if generators is None:
+        generators = symmetric_group_generators(n)
     if generators and max(itertools.chain.from_iterable(graph.labels), default=-1) >= n:
         raise ValidationError("tuple entries exceed permutation degree")
     index = {lab: i for i, lab in enumerate(graph.labels)}

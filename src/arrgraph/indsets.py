@@ -29,13 +29,36 @@ as it was: skipping the branch changes neither the size nor the clique
 returned. enumerate_all keeps ties, which such a branch can hold, so it
 never skips.
 
+Both modes search the vertices in the order of the orbits of the lifted
+n-cycle c, the value relabeling t -> c(t), when every orbit is a clique of
+the graph, and in index order otherwise. A clique of the graph is an
+independent set of the complement, so a cover of the V vertices by m
+cliques bounds alpha by m: an independent set meets each clique at most
+once (the clique-coclique bound, alpha * omega <= V on vertex-transitive
+graphs; Godsil & Meagher, Erdos-Ko-Rado Theorems: Algebraic Approaches,
+2016, ch. 2). On A(n,k,k) two tuples of one orbit differ in every
+position, so the V/n orbits are n-cliques, and V/n = (n-1)!/(n-k)! is alpha
+itself. With each orbit contiguous, the greedy coloring takes the orbits as
+its classes, so the root's bound is alpha and the first root branch that
+reaches alpha closes the search (size_only). The gate checks the cliques,
+not the graph's name: it accepts A(n,k,k) and Cay(S_n, D), where
+g^-1 c^j g is a derangement, and declines A(n,k,r) with r < k, Cay(S_n,
+F_f) with f > 0 and edge lists, whose orbits are not cliques; reordering
+those would gain no bound and can slow the search: A(6,5,1) size_only
+passed 2 M nodes in 104 s in orbit order, against 0.05 s in index order.
+Any order is exact, and the sets found are mapped back to the graph's
+indexes.
+
 The automorphisms are the value relabelings of the tuple labels by the
-generators of S_n (graphs.value_relabelings), each kept only if
-is_automorphism passes. They act transitively on A(n,k,r) and on
-Cay(S_n, S), so there the root keeps a single branch. Plain graphs, labelled
-(i,), get maps that are almost never automorphisms, and nothing is skipped.
-The orbits are computed when the root is about to open its second branch,
-so a search that ends after one root branch pays nothing for them.
+generators of S_n, (0 1) and c (graphs.value_relabelings), each kept only
+if is_automorphism passes; a map f that does not carry row 0 onto row
+f(0) is rejected before that. The lift of c is the one the order used;
+(0 1) is lifted only when the root prunes, and the maps are moved to the
+searched order. They act transitively on A(n,k,r) and on Cay(S_n, S), so
+there the root keeps a single branch. Plain graphs, labelled (i,), get
+maps that are almost never automorphisms, and nothing is skipped. The
+orbits are computed when the root is about to open its second branch, so
+a search that ends after one root branch pays nothing for them.
 """
 
 from __future__ import annotations
@@ -45,7 +68,8 @@ from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, is_automorphism, value_relabelings
+from .graphs import Graph, _transpose, is_automorphism, value_relabelings
+from .perms import Permutation, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
@@ -65,27 +89,73 @@ def delta_set(n: int, k: int, i: int, j: int) -> frozenset[int]:
 
 
 def delta_family(n: int, k: int) -> list[tuple[tuple[int, int], frozenset[int]]]:
-    """All delta sets in (i, j)-lexicographic order."""
-    return [((i, j), delta_set(n, k, i, j)) for i in range(n) for j in range(k)]
+    """All delta sets in (i, j)-lexicographic order, from one pass over the
+    tuples: vertex v joins the set (i, j) for each entry i at position j of
+    its tuple."""
+    if not 0 <= k <= n:
+        raise ValidationError(f"delta family parameters out of range: n={n} k={k}")
+    members: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
+    for v, t in enumerate(itertools.permutations(range(n), k)):
+        for j, i in enumerate(t):
+            members[i][j].append(v)
+    return [((i, j), frozenset(members[i][j])) for i in range(n) for j in range(k)]
 
 
-def _complement(graph: Graph) -> list[int]:
-    nv = graph.vertex_count
-    full = (1 << nv) - 1
-    return [(full & ~graph.adjacency[v]) & ~(1 << v) for v in range(nv)]
+def _complement(adj: Sequence[int]) -> list[int]:
+    """The rows of the complement of the graph with bitmask rows adj."""
+    full = (1 << len(adj)) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(adj)]
 
 
-def _value_symmetries(graph: Graph) -> list[tuple[int, ...]]:
-    """Images of the value relabelings of graph's labels that are
-    automorphisms of graph, and so of its complement. The values must be
-    0..n-1 for some n <= V: labels that use n values and that S_n maps onto
-    themselves number at least n, so with more values than vertices (or a
-    negative one) nothing is lifted."""
-    values = {x for lab in graph.labels for x in lab}
+def _value_degree(graph: Graph) -> int:
+    """n when the values of graph's labels are 0..n-1 for some n <= V, so
+    that S_n acts on them; else 0. Labels that use n values and that S_n
+    maps onto themselves number at least n, so with more values than
+    vertices (or a negative one) nothing is lifted."""
+    values = set(itertools.chain.from_iterable(graph.labels))
     if not values or min(values) < 0 or max(values) >= graph.vertex_count:
-        return []
-    return [p.images for p in value_relabelings(graph, max(values) + 1)
-            if is_automorphism(graph, p)]
+        return 0
+    return max(values) + 1
+
+
+def _value_symmetries(graph: Graph, lift: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """Images of the maps of lift that are automorphisms of graph, and so of
+    its complement. A map f that does not carry row 0 onto row f(0) is
+    rejected at once; each other map is checked whole by is_automorphism."""
+    row0 = list(graph.neighbors(0))
+    return [f.images for f in lift
+            if _mask(f.images[u] for u in row0) == graph.adjacency[f.images[0]]
+            and is_automorphism(graph, f)]
+
+
+def _clique_cover_order(graph: Graph, lift: Sequence[Permutation]) -> Optional[list[int]]:
+    """The vertices orbit by orbit under the last vertex permutation of
+    lift, the lifted n-cycle; None if lift is empty or some orbit is not a
+    clique of graph. The orbits are taken from the one of the last vertex
+    down, each from its largest vertex on: of the orders tried, this one
+    made the cheapest descents on A(8,4,4), 17 ms against 24 ms from vertex
+    0 up, at the same 210 nodes."""
+    if not lift:
+        return None
+    adj = graph.adjacency
+    images = lift[-1].images
+    order: list[int] = []
+    placed = bytearray(graph.vertex_count)
+    for v in range(graph.vertex_count - 1, -1, -1):
+        if placed[v]:
+            continue
+        orbit = [v]
+        x = images[v]
+        while x != v:
+            orbit.append(x)
+            x = images[x]
+        members = _mask(orbit)
+        for x in orbit:
+            if (adj[x] | 1 << x) & members != members:
+                return None
+            placed[x] = 1
+        order.extend(orbit)
+    return order
 
 
 def _orbits(generators: Sequence[Sequence[int]], nv: int) -> list[int]:
@@ -211,10 +281,17 @@ def is_independent(graph: Graph, vertices) -> bool:
 
 
 def is_maximal_independent(graph: Graph, vertices) -> bool:
-    """Independent, and every other vertex has a neighbour among them: a
-    vertex's row misses the set exactly when the vertex is in it."""
+    """Independent, and every other vertex has a neighbour among them: no
+    member's row meets the set, and the members' rows, which by symmetry
+    hold every vertex with a neighbour in the set, cover the rest."""
     m = _mask(vertices)
-    return all((row & m == 0) == bool(m >> v & 1) for v, row in enumerate(graph.adjacency))
+    reached = m
+    for v in vertices:
+        row = graph.adjacency[v]
+        if row & m:
+            return False
+        reached |= row
+    return reached == (1 << graph.vertex_count) - 1
 
 
 def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
@@ -222,15 +299,40 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
                          ) -> tuple[int, Optional[list[list[int]]]]:
     """Exact independence number; in enumerate_all mode also the complete,
     deterministically sorted list of maximum independent sets. Both modes
-    run the same search, bounded by config.node_budget; size_only also skips
-    the root branches that the graph's value relabelings make redundant."""
+    run the same search, bounded by config.node_budget, in the order of the
+    lifted n-cycle's orbits when each is a clique (the module docstring has
+    the bound); size_only also skips the root branches that the graph's
+    value relabelings make redundant."""
     if graph.vertex_count < 1:
         raise ValidationError("need at least one vertex")
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValidationError(f"unknown mode {mode!r}")
-    sets = _max_cliques(_complement(graph), graph.vertex_count,
-                        mode == ENUMERATE_ALL, config.node_budget,
-                        lambda: _value_symmetries(graph))
+    n = _value_degree(graph)
+    generators = symmetric_group_generators(n)
+    # the lifted n-cycle orders the search; the root lifts the other
+    # generator only if it prunes
+    lift = value_relabelings(graph, n, generators[-1:])
+    order = _clique_cover_order(graph, lift)
+    adj = graph.adjacency
+    if order is not None:
+        # row i of the searched graph is the row of order[i], its vertices
+        # moved to their places in order
+        cols = _transpose([adj[v] for v in order])
+        adj = [cols[v] for v in order]
+
+    def symmetries() -> list[tuple[int, ...]]:
+        found = _value_symmetries(graph, value_relabelings(graph, n, generators[:-1]) + lift)
+        if order is None:
+            return found
+        place = [0] * len(order)
+        for i, v in enumerate(order):
+            place[v] = i
+        return [tuple(place[images[v]] for v in order) for images in found]
+
+    sets = _max_cliques(_complement(adj), graph.vertex_count,
+                        mode == ENUMERATE_ALL, config.node_budget, symmetries)
+    if order is not None:
+        sets = [sorted(map(order.__getitem__, s)) for s in sets]
     for s in sets:
         if not is_maximal_independent(graph, s):
             raise ArrgraphError(f"clique search returned {s}, not a maximal independent set")

@@ -137,12 +137,30 @@ KIND_DERANGEMENTS = "derangements"
 KIND_FIXED = "fixed"
 
 
+def _kind_fixed_points(n: int, kind: str, fixed_points: Optional[int]) -> int:
+    """The fixed-point count of every element of a connection set of the
+    kind on n points; ValidationError for an unknown kind, or for "fixed"
+    without a count in 0..n-2."""
+    if kind == KIND_TRANSPOSITIONS:
+        return n - 2
+    if kind == KIND_DERANGEMENTS:
+        return 0
+    if kind != KIND_FIXED:
+        raise ValidationError(f"unknown connection set kind {kind!r}")
+    if fixed_points is None:
+        raise ValidationError("kind 'fixed' requires a fixed-point count")
+    if not 0 <= fixed_points <= n - 2:
+        raise ValidationError(
+            f"fixed-point count must satisfy 0 <= f <= n-2, got {fixed_points} for n={n}")
+    return fixed_points
+
+
 @dataclass(frozen=True)
 class ConnectionSet:
-    """An inverse-closed, identity-free subset of S_n.
-
-    kind is one of "transpositions", "derangements", "fixed"; for "fixed",
-    fixed_points gives the exact number of fixed points (0 <= f <= n-2).
+    """An inverse-closed subset of S_n whose elements all have the kind's
+    fixed-point count: n-2 for "transpositions", 0 for "derangements", and
+    for "fixed" the exact count fixed_points (0 <= f <= n-2). So no set
+    holds the identity, which fixes all n points.
     """
 
     degree: int
@@ -151,19 +169,14 @@ class ConnectionSet:
     elements: frozenset[Permutation]
 
     def __post_init__(self):
-        if self.kind not in (KIND_TRANSPOSITIONS, KIND_DERANGEMENTS, KIND_FIXED):
-            raise ValidationError(f"unknown connection set kind {self.kind!r}")
-        if self.kind == KIND_FIXED:
-            f = self.fixed_points
-            if f is None or not 0 <= f <= self.degree - 2:
-                raise ValidationError(
-                    f"fixed-point count must satisfy 0 <= f <= n-2, got {f} for n={self.degree}")
-        ident = Permutation.identity(self.degree)
-        if ident in self.elements:
-            raise ValidationError("connection set must not contain the identity")
+        want = _kind_fixed_points(self.degree, self.kind, self.fixed_points)
         for p in self.elements:
             if p.degree != self.degree:
                 raise ValidationError("connection set element of wrong degree")
+            if sum(1 for i, x in enumerate(p.images) if i == x) != want:
+                raise ValidationError(
+                    f"connection set element {p.images} does not have the {want} "
+                    f"fixed points of kind {self.label()!r}")
             if p.inverse() not in self.elements:
                 raise ValidationError("connection set is not closed under inversion")
 
@@ -198,19 +211,7 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
     fixed-point counts n-2 and 0 respectively."""
     if n < 2:
         raise ValidationError(f"connection sets need n >= 2, got {n}")
-    if kind == KIND_TRANSPOSITIONS:
-        want = n - 2
-    elif kind == KIND_DERANGEMENTS:
-        want = 0
-    elif kind == KIND_FIXED:
-        if fixed_points is None:
-            raise ValidationError("kind 'fixed' requires a fixed-point count")
-        if not 0 <= fixed_points <= n - 2:
-            raise ValidationError(
-                f"fixed-point count must satisfy 0 <= f <= n-2, got {fixed_points} for n={n}")
-        want = fixed_points
-    else:
-        raise ValidationError(f"unknown connection set kind {kind!r}")
+    want = _kind_fixed_points(n, kind, fixed_points)
     check_tuple_count(n, n, config)
     elems = frozenset(
         Permutation(imgs)

@@ -10,7 +10,8 @@ from arrgraph import graphio, indsets, suite
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
-from arrgraph.graphs import Graph, build_arrangement_graph, build_cayley_graph
+from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
+                             is_automorphism, value_relabelings)
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
                               is_independent, is_maximal_independent,
                               max_independent_sets)
@@ -127,6 +128,18 @@ def test_emitted_sets_independent_and_maximal():
                     assert not is_independent(g, s + [w])
 
 
+def test_is_maximal_independent_matches_definition():
+    rng = random.Random(SEED + 11)
+    for _ in range(300):
+        nv = rng.randint(1, 9)
+        g = Graph([(i,) for i in range(nv)], [(u, v) for u in range(nv)
+                                               for v in range(u + 1, nv) if rng.random() < 0.4])
+        s = [v for v in range(nv) if rng.random() < 0.4]
+        expected = is_independent(g, s) and not any(
+            is_independent(g, s + [w]) for w in range(nv) if w not in s)
+        assert is_maximal_independent(g, s) == expected
+
+
 def test_oracle_equivalence_small_corpus(corpus):
     for name, g in corpus.items():
         if g.vertex_count <= 16:
@@ -218,7 +231,7 @@ def test_clique_search_matches_tuple_coloring():
         density = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < density]
-        adj = indsets._complement(Graph([(i,) for i in range(nv)], edges))
+        adj = indsets._complement(Graph([(i,) for i in range(nv)], edges).adjacency)
         for enumerate_all in (False, True):
             expected, nodes = tuple_colored_cliques(adj, nv, enumerate_all)
             assert cliques_within_exact_budget(adj, nv, enumerate_all, nodes) == expected, trial
@@ -237,15 +250,20 @@ PINNED_SIZE_ONLY = {
 }
 
 
+def lifted_symmetries(g):
+    """The value relabelings of g's labels that are automorphisms of g."""
+    return indsets._value_symmetries(g, value_relabelings(g, indsets._value_degree(g)))
+
+
 def value_symmetries(g):
-    return lambda: indsets._value_symmetries(g)
+    return lambda: lifted_symmetries(g)
 
 
 @pytest.mark.parametrize("nkr", list(PINNED_SIZE_ONLY), ids=lambda nkr: "A(%d,%d,%d)" % nkr)
 def test_size_only_search_pinned(nkr):
     nodes, pruned, clique = PINNED_SIZE_ONLY[nkr]
     g = build_arrangement_graph(*nkr)
-    adj = indsets._complement(g)
+    adj = indsets._complement(g.adjacency)
     assert cliques_within_exact_budget(adj, g.vertex_count, False, nodes) == [clique]
     assert indsets._max_cliques(adj, g.vertex_count, False, pruned,
                                 value_symmetries(g)) == [clique]
@@ -260,7 +278,7 @@ def test_size_only_search_pinned(nkr):
 def assert_root_rule_keeps_answer(g, unpruned=None):
     """size_only with the root rule returns the clique of the unpruned
     search (or the one it was recorded to return), and its size."""
-    adj = indsets._complement(g)
+    adj = indsets._complement(g.adjacency)
     if unpruned is None:
         unpruned = indsets._max_cliques(adj, g.vertex_count, False, 10**7)
     assert indsets._max_cliques(adj, g.vertex_count, False, 10**7,
@@ -287,7 +305,7 @@ def test_root_rule_every_arrangement_graph_up_to_n5():
 def test_root_rule_cayley_s5(kind, fixed):
     g = build_cayley_graph(5, connection_set(5, kind, fixed))
     # right multiplications act transitively on S_5
-    assert set(indsets._orbits(indsets._value_symmetries(g), g.vertex_count)) == {0}
+    assert set(indsets._orbits(lifted_symmetries(g), g.vertex_count)) == {0}
     assert_root_rule_keeps_answer(g)
 
 
@@ -320,7 +338,7 @@ def test_root_rule_random_labelled_graphs():
             g = Graph(g.labels, [(u, v) for u, v in itertools.combinations(
                 range(g.vertex_count), 2) if rng.random() < 0.4])
         else:
-            assert len(indsets._value_symmetries(g)) == len(symmetric_group_generators(n))
+            assert len(lifted_symmetries(g)) == len(symmetric_group_generators(n))
         assert_root_rule_keeps_answer(g)
 
 
@@ -331,7 +349,7 @@ def test_root_rule_drops_relabelings_that_are_not_automorphisms(nkr):
     full = build_arrangement_graph(*nkr)
     g = Graph(full.labels, list(full.edges())[1:])  # without the edge at vertex 0
     assert g.edge_count() == full.edge_count() - 1
-    assert indsets._value_symmetries(g) == []
+    assert lifted_symmetries(g) == []
     assert_root_rule_keeps_answer(g)
 
 
@@ -339,7 +357,7 @@ def test_root_rule_needs_labels_over_0_to_n_minus_1():
     g = build_arrangement_graph(4, 2, 2)
     shifted = Graph([tuple(x - 1 for x in t) for t in g.labels], g.edges())
     huge = Graph([tuple(x + 10**12 for x in t) for t in g.labels], g.edges())
-    assert indsets._value_symmetries(shifted) == indsets._value_symmetries(huge) == []
+    assert lifted_symmetries(shifted) == lifted_symmetries(huge) == []
     assert max_independent_sets(shifted)[0] == max_independent_sets(huge)[0] == 3
 
 
@@ -348,8 +366,32 @@ def test_root_rule_leaves_edge_lists_unpruned():
     # the index maps (0 1) and (0 1 ... 119), neither an automorphism
     g = graphio.load(graphio.to_edgelist(build_arrangement_graph(5, 5, 5)))
     assert g.labels[7] == (7,)
-    assert indsets._value_symmetries(g) == []
+    assert lifted_symmetries(g) == []
     assert_root_rule_keeps_answer(g)
+
+
+def test_row_zero_rejects_before_the_whole_check(monkeypatch):
+    # on an edge list the lifted index maps fail on row 0 already, so the
+    # whole check never runs; a map that passes row 0 is still checked whole
+    checked = []
+
+    def counted(graph, f):
+        checked.append(f)
+        return is_automorphism(graph, f)
+
+    monkeypatch.setattr(indsets, "is_automorphism", counted)
+    a555 = build_arrangement_graph(5, 5, 5)
+    listed = graphio.load(graphio.to_edgelist(a555))
+    assert lifted_symmetries(listed) == [] and checked == []
+    assert len(lifted_symmetries(a555)) == 2 and len(checked) == 2
+    # A(4,2,2) less the edge (5, 6), which touches neither 0 nor the images
+    # 3 and 4 of 0: both maps keep row 0, and only the whole check finds
+    # that neither maps {5, 6} onto itself
+    full = build_arrangement_graph(4, 2, 2)
+    g = Graph(full.labels, [e for e in full.edges() if e != (5, 6)])
+    assert g.edge_count() == full.edge_count() - 1
+    checked.clear()
+    assert lifted_symmetries(g) == [] and len(checked) == 2
 
 
 def test_root_rule_computes_orbits_only_for_a_second_root_branch():
@@ -359,19 +401,19 @@ def test_root_rule_computes_orbits_only_for_a_second_root_branch():
     # A(6,6,2): the root's first branch reaches alpha = 360, and the
     # coloring bound then closes the root
     g = build_arrangement_graph(6, 6, 2)
-    [clique] = indsets._max_cliques(indsets._complement(g), g.vertex_count, False, 10**6,
+    [clique] = indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count, False, 10**6,
                                     refuse)
     assert len(clique) == 360
     # enumerate_all never skips, so it never asks
     g = build_arrangement_graph(4, 4, 4)
-    cliques = indsets._max_cliques(indsets._complement(g), g.vertex_count, True, 10**6, refuse)
+    cliques = indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count, True, 10**6, refuse)
     assert len(cliques) == 16
 
 
 @pytest.mark.parametrize("n,k,nodes", [(4, 4, 69), (5, 3, 169)])
 def test_enumerate_all_search_pinned(n, k, nodes):
     g = build_arrangement_graph(n, k, k)
-    adj = indsets._complement(g)
+    adj = indsets._complement(g.adjacency)
     cliques = cliques_within_exact_budget(adj, g.vertex_count, True, nodes)
     assert sorted(cliques) == sorted(sorted(s) for _, s in delta_family(n, k))
 
@@ -381,6 +423,154 @@ def test_deep_clique_needs_no_recursion():
     g = Graph([(i,) for i in range(1100)], [])
     assert max_independent_sets(g, SIZE_ONLY) == (1100, None)
     assert max_independent_sets(g, ENUMERATE_ALL) == (1100, [list(range(1100))])
+
+
+# -- the clique-cover order ----------------------------------------------------
+
+
+class _Stop(Exception):
+    pass
+
+
+def uses_cover_order(g, monkeypatch):
+    """Whether max_independent_sets searches g in the order of the lifted
+    n-cycle's orbits. The gate's answer is read, and the call is stopped
+    before it searches."""
+    gate = indsets._clique_cover_order
+    answers = []
+
+    def spy(graph, lift):
+        answers.append(gate(graph, lift))
+        raise _Stop
+
+    with monkeypatch.context() as m:
+        m.setattr(indsets, "_clique_cover_order", spy)
+        with pytest.raises(_Stop):
+            max_independent_sets(g)
+    return answers[0] is not None
+
+
+def test_cover_order_gate_on_every_arrangement_graph_up_to_n6(monkeypatch):
+    # the c-orbits are cliques exactly when r = k: two tuples of one orbit
+    # differ in all k positions. A(1,1,1) has one value and no n-cycle
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                g = build_arrangement_graph(n, k, r)
+                assert uses_cover_order(g, monkeypatch) == (r == k and n > 1), (n, k, r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cover_order_gate_on_cayley_graphs_up_to_n6(n, monkeypatch):
+    # c^j g and g differ by the derangement g^-1 c^j g, so only D = F_0 has
+    # the orbits as cliques; T is F_{n-2}
+    for kind, fixed in ([("transpositions", None), ("derangements", None)]
+                        + [("fixed", f) for f in range(n - 1)]):
+        g = build_cayley_graph(n, connection_set(n, kind, fixed))
+        expected = kind == "derangements" or fixed == 0
+        assert uses_cover_order(g, monkeypatch) == expected, (n, kind, fixed)
+
+
+def test_cover_order_gate_declines_edge_lists(monkeypatch):
+    # labels (i,) lift the V-cycle of the indexes: one orbit, not a clique
+    g = graphio.load(graphio.to_edgelist(build_arrangement_graph(4, 4, 4)))
+    assert not uses_cover_order(g, monkeypatch)
+
+
+def small_graphs():
+    """Every A(n,k,r) with n <= 5, and Cay(S_5, S) for each kind of S
+    (F_0 is D and F_3 is T)."""
+    graphs = {f"A({n},{k},{r})": (n, k, r)
+              for n in range(1, 6) for k in range(1, n + 1) for r in range(1, k + 1)}
+    for kind, fixed in [("transpositions", None), ("derangements", None),
+                        ("fixed", 1), ("fixed", 2)]:
+        graphs[f"Cay(S5,{kind}{'' if fixed is None else fixed})"] = (kind, fixed)
+    return graphs
+
+
+SMALL_GRAPHS = small_graphs()
+
+
+def build_small(name):
+    params = SMALL_GRAPHS[name]
+    if name.startswith("A"):
+        return build_arrangement_graph(*params)
+    return build_cayley_graph(5, connection_set(5, *params))
+
+
+@pytest.mark.parametrize("name", [name for name, params in SMALL_GRAPHS.items()
+                                  if name.startswith("A") and math.perm(*params[:2]) <= 20])
+def test_cover_order_sizes_match_the_oracle(name):
+    # the subset-scan oracle reaches 20 vertices; above that the sizes are
+    # checked against the plain-order search below
+    g = build_small(name)
+    alpha = independence_number_oracle(g)
+    assert max_independent_sets(g, SIZE_ONLY) == (alpha, None)
+    assert max_independent_sets(g, ENUMERATE_ALL)[0] == alpha
+
+
+# A(5,4,2) holds 9140 maximum independent sets; each enumeration takes about
+# 20 s. The gate declines it, so its search is the plain one, and its
+# size_only is checked against A542_UNPRUNED above
+@pytest.mark.parametrize("name", [name for name in SMALL_GRAPHS if name != "A(5,4,2)"])
+def test_cover_order_enumerations_match_the_plain_order(name):
+    g = build_small(name)
+    plain = sorted(indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count,
+                                        True, 10**7))
+    size, sets = max_independent_sets(g, ENUMERATE_ALL)
+    assert sets == plain and size == len(plain[0])
+    assert max_independent_sets(g, SIZE_ONLY) == (size, None)
+    params = SMALL_GRAPHS[name]
+    # for n = 2 the delta sets (i, j) and (1 - i, 1 - j) coincide
+    if name.startswith("A") and params[1] == params[2] and params[0] > 2:
+        assert sets == sorted(sorted(s) for _, s in delta_family(*params[:2]))
+
+
+def test_cover_order_enumerates_the_delta_family_of_a755():
+    # 2520 vertices, 35 sets of 360
+    size, sets = max_independent_sets(build_arrangement_graph(7, 5, 5), ENUMERATE_ALL)
+    assert size == 360
+    assert sets == sorted(sorted(s) for _, s in delta_family(7, 5))
+
+
+def _mask_image(images, row):
+    """The row with its vertices moved by the image tuple."""
+    out = 0
+    for v, x in enumerate(images):
+        if row >> v & 1:
+            out |= 1 << x
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (4, 4), (5, 3)])
+def test_cover_order_with_root_pruning(n, k, monkeypatch):
+    # A(n,k,k) with the edges of A(n,k,k-1) added: the c-orbits stay
+    # cliques, but the orbit cover no longer meets alpha, so the root opens
+    # a second branch and prunes by the value relabelings, moved to the
+    # searched order
+    nkk, extra = build_arrangement_graph(n, k, k), build_arrangement_graph(n, k, k - 1)
+    g = Graph(nkk.labels, itertools.chain(nkk.edges(), extra.edges()))
+    assert uses_cover_order(g, monkeypatch)
+    asked = []
+    search = indsets._max_cliques
+
+    def checked_search(adj, nv, enumerate_all, node_budget, symmetries):
+        def moved():
+            images = symmetries()
+            asked.append(images)
+            # each moved map is an automorphism of the searched complement
+            for f in images:
+                assert all(_mask_image(f, adj[v]) == adj[f[v]] for v in range(nv))
+            return images
+        return search(adj, nv, enumerate_all, node_budget, moved)
+
+    monkeypatch.setattr(indsets, "_max_cliques", checked_search)
+    size, _ = max_independent_sets(g, SIZE_ONLY)
+    monkeypatch.undo()
+    assert asked and len(asked[0]) == len(symmetric_group_generators(n))
+    unpruned = indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count,
+                                    False, 10**7)
+    assert size == len(unpruned[0])
 
 
 # -- the characterization, as the prop2.1 claim checks it ---------------------

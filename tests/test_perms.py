@@ -168,6 +168,23 @@ def test_connection_set_invariants_enforced():
         ConnectionSet(3, "derangements", None, frozenset([P1(2, 3, 1)]))
 
 
+@pytest.mark.parametrize("kind,fixed,element", [
+    ("derangements", None, transposition(3, 0, 1)),   # one fixed point, not 0
+    ("transpositions", None, cycle(4)),                # 0 fixed points, not 2
+    ("fixed", 1, transposition(4, 0, 1)),              # 2 fixed points, not 1
+    ("fixed", 0, Permutation.identity(3)),             # the identity fixes all 3
+], ids=["D", "T", "F1", "F0-identity"])
+def test_connection_set_rejects_elements_of_another_kind(kind, fixed, element):
+    # each set is inverse-closed, so only the fixed-point count can reject it
+    elements = frozenset([element, element.inverse()])
+    with pytest.raises(ValidationError, match="fixed points"):
+        ConnectionSet(element.degree, kind, fixed, elements)
+    # the sets that connection_set makes pass the same check
+    for f in range(element.degree - 1):
+        cset = connection_set(element.degree, "fixed", f)
+        assert ConnectionSet(cset.degree, "fixed", f, cset.elements) == cset
+
+
 # -- stabilizer chains --------------------------------------------------------
 
 
