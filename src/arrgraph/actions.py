@@ -6,6 +6,7 @@ block systems diff cleanly across runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,12 @@ class ActionOnSets:
 
     family: tuple[frozenset[int], ...]
     movers: tuple[Permutation, ...]
+
+    @functools.cached_property
+    def image_order(self) -> int:
+        """Order of the group the movers generate on the family indexes,
+        from a stabilizer chain built the first time it is asked for."""
+        return build_stabilizer_chain(self.movers, degree=len(self.family)).order()
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,11 @@ def induce_action(generators: Sequence[Permutation],
 def kernel_order(group_order: int, action: ActionOnSets) -> int:
     """Order of the kernel of the action of a group G of order group_order
     whose generators map to action.movers: |G| / |G^family|, the order of
-    the image G^family taken from a stabilizer chain."""
-    image_order = build_stabilizer_chain(action.movers, degree=len(action.family)).order()
-    order, rem = divmod(group_order, image_order)
+    the image G^family taken from the action's stabilizer chain."""
+    order, rem = divmod(group_order, action.image_order)
     if rem:
         raise ArrgraphError(
-            f"image order {image_order} does not divide group order {group_order}")
+            f"image order {action.image_order} does not divide group order {group_order}")
     return order
 
 
@@ -117,7 +123,7 @@ def quotient_action(action: ActionOnSets, blocks: BlockSystem
                        for mover in action.movers]
     family = tuple(frozenset(block) for block in blocks.blocks)
     quotient = ActionOnSets(family, tuple(quotient_movers))
-    action_order = build_stabilizer_chain(action.movers, degree=len(action.family)).order()
+    action_order = action.image_order
     kernel = kernel_order(action_order, quotient)
     return quotient, action_order // kernel, kernel
 

@@ -24,7 +24,9 @@ earlier in that order:
 
 - orbit pruning: a node skips a child in the orbit of an explored sibling
   under the automorphisms found so far that fix its prefix pointwise, since
-  such an automorphism maps the sibling's subtree onto the child's;
+  such an automorphism maps the sibling's subtree onto the child's. The
+  node keeps their orbit labels (``perms.orbits``), made again only when
+  one more is found, and skips a child whose label an explored one has;
 - return to the first-path ancestor: when a leaf has the first leaf's
   certificate, the automorphism γ between them maps the first path onto
   this leaf's path, so it fixes their common prefix of length d pointwise
@@ -60,12 +62,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _transpose, is_automorphism
-from .perms import Permutation, StabilizerChain
+from .graphs import Graph, _mask, _transpose, is_automorphism
+from .perms import Permutation, StabilizerChain, orbits
 
 OrderedPartition = list[list[int]]
 
@@ -86,13 +88,6 @@ def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> Or
     """
     _validate_partition(graph, partition)
     return _refine(graph.adjacency, [sorted(c) for c in partition if c])
-
-
-def _mask(cell: Iterable[int]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
 
 
 def _refine(adj: list[int], cells: OrderedPartition,
@@ -162,25 +157,6 @@ def _refine(adj: list[int], cells: OrderedPartition,
             shift -= 1
         open_cells = reopened
     return cells
-
-
-def _in_explored_orbit(v: int, explored: list[int],
-                       fixing: list[tuple[int, ...]]) -> bool:
-    """Orbit pruning: skip v if the automorphisms fixing the individualized
-    prefix pointwise (given as image tuples) map an already-explored
-    sibling into v's orbit."""
-    orbit = set(explored)
-    frontier = list(explored)
-    while frontier:
-        x = frontier.pop()
-        for g in fixing:
-            y = g[x]
-            if y == v:
-                return True
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return False
 
 
 @dataclass(frozen=True)
@@ -277,18 +253,25 @@ class _IRSearch:
             return self._leaf([c[0] for c in cells], prefix)
         explored: list[int] = []
         # images of the automorphisms found so far that fix the prefix
-        # pointwise; the list of automorphisms only grows, so scan new ones
+        # pointwise (the list of automorphisms only grows, so scan new
+        # ones), their orbit labels, and the explored children's labels
         fixing: list[tuple[int, ...]] = []
         scanned = 0
+        orbit: Sequence[int] = range(self.n)
+        opened: set[int] = set()
         for v in sorted(cells[target]):
             if explored:
-                for g in self.automorphisms[scanned:]:
-                    if [g[p] for p in prefix] == prefix:
-                        fixing.append(g)
+                new = [g for g in self.automorphisms[scanned:]
+                       if [g[p] for p in prefix] == prefix]
                 scanned = len(self.automorphisms)
-                if fixing and _in_explored_orbit(v, explored, fixing):
+                if new:
+                    fixing += new
+                    orbit = orbits(fixing, self.n)
+                    opened = {orbit[x] for x in explored}
+                if orbit[v] in opened:
                     continue
             explored.append(v)
+            opened.add(orbit[v])
             child = (cells[:target]
                      + [[v], [u for u in cells[target] if u != v]]
                      + cells[target + 1:])

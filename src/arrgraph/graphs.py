@@ -256,6 +256,14 @@ def value_relabelings(graph: Graph, n: int,
     return out
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The bit row with the given vertices set."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The transpose of a square bit matrix given as V rows of V bits: bit
     r of row c of the result is bit c of row r. The package's one row map.

@@ -68,8 +68,8 @@ from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, _transpose, is_automorphism, value_relabelings
-from .perms import Permutation, symmetric_group_generators
+from .graphs import Graph, _mask, _transpose, is_automorphism, value_relabelings
+from .perms import Permutation, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
@@ -158,23 +158,6 @@ def _clique_cover_order(graph: Graph, lift: Sequence[Permutation]) -> Optional[l
     return order
 
 
-def _orbits(generators: Sequence[Sequence[int]], nv: int) -> list[int]:
-    """orbit[v]: the least vertex of v's orbit under the group generated by
-    the given vertex permutations (image tuples)."""
-    orbit = [-1] * nv
-    for v in range(nv):
-        if orbit[v] < 0:
-            orbit[v] = v
-            frontier = [v]
-            for x in frontier:  # grows while it is read
-                for images in generators:
-                    y = images[x]
-                    if orbit[y] < 0:
-                        orbit[y] = v
-                        frontier.append(y)
-    return orbit
-
-
 def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                  symmetries: Optional[Callable[[], list[tuple[int, ...]]]] = None
                  ) -> list[list[int]]:
@@ -250,7 +233,7 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 first_root = v
             else:
                 if orbit is None:
-                    orbit = _orbits(symmetries(), nv)
+                    orbit = orbits(symmetries(), nv)
                     opened.add(orbit[first_root])
                 if orbit[v] in opened:
                     continue
@@ -265,13 +248,6 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 found.append(sorted(current))
             current.pop()
             candidates = None
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def is_independent(graph: Graph, vertices) -> bool:

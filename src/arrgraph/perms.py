@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
@@ -126,6 +126,26 @@ def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(images):
         inv[x] = i
     return tuple(inv)
+
+
+def orbits(generators: Sequence[Sequence[int]], degree: int) -> list[int]:
+    """orbit[x]: the least point of x's orbit under the group generated by
+    the given permutations of 0..degree-1 (image tuples or Permutations),
+    one breadth-first pass per orbit. The package's one orbit-label routine:
+    both searches' symmetry pruning skip a point whose label is that of one
+    they already branched on."""
+    orbit = [-1] * degree
+    for v in range(degree):
+        if orbit[v] < 0:
+            orbit[v] = v
+            frontier = [v]
+            for x in frontier:  # grows while it is read
+                for images in generators:
+                    y = images[x]
+                    if orbit[y] < 0:
+                        orbit[y] = v
+                        frontier.append(y)
+    return orbit
 
 
 # --------------------------------------------------------------------------

@@ -294,6 +294,19 @@ def test_loaded_graph_over_vertex_guard(command, capsys, tmp_path):
     assert err.startswith("error: ") and "over the guard" in err
 
 
+@pytest.mark.parametrize("bad", [[0, "x"], [0, 1, 2], [True, 1], [0, 0], [0, 120], 7])
+def test_bad_edge_at_the_end_of_a_long_list(bad, capsys, tmp_path):
+    # the edges stream into the graph, so the last of 3181 is checked too
+    doc = json.loads(graphio.to_graphdoc(build_arrangement_graph(5, 4, 4)))
+    assert len(doc["edges"]) == 3180
+    doc["edges"].append(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "mis", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")
+
+
 def test_aut_stats(capsys, tmp_path):
     path = tmp_path / "a543.json"
     path.write_text(graphio.to_graphdoc(build_arrangement_graph(5, 4, 3)))

@@ -65,6 +65,13 @@ def test_graphdoc_rejects_non_documents():
         graphio.from_graphdoc("not json")
 
 
+def test_graphdoc_metadata_is_checked_before_the_edges():
+    doc = ('{"format":"arrgraph-graphdoc","version":1,"metadata":[],'
+           '"vertex_count":2,"labels":[[1],[2]],"edges":[[0,0]]}')
+    with pytest.raises(ValidationError, match="metadata"):
+        graphio.from_graphdoc(doc)
+
+
 def test_dot_output():
     g = build_arrangement_graph(3, 2, 2)
     dot = graphio.to_dot(g)

@@ -15,9 +15,10 @@ from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
                               is_independent, is_maximal_independent,
                               max_independent_sets)
-from arrgraph.perms import connection_set, symmetric_group_generators
+from arrgraph.perms import connection_set, orbits, symmetric_group_generators
 from arrgraph.suite import verify_prop_2_1
-from oracles import differing_coordinates, independence_number_oracle
+from oracles import (differing_coordinates, independence_number_by_branching,
+                     independence_number_oracle)
 
 SEED = 20240811
 
@@ -305,7 +306,7 @@ def test_root_rule_every_arrangement_graph_up_to_n5():
 def test_root_rule_cayley_s5(kind, fixed):
     g = build_cayley_graph(5, connection_set(5, kind, fixed))
     # right multiplications act transitively on S_5
-    assert set(indsets._orbits(lifted_symmetries(g), g.vertex_count)) == {0}
+    assert set(orbits(lifted_symmetries(g), g.vertex_count)) == {0}
     assert_root_rule_keeps_answer(g)
 
 
@@ -505,6 +506,37 @@ def test_cover_order_sizes_match_the_oracle(name):
     # checked against the plain-order search below
     g = build_small(name)
     alpha = independence_number_oracle(g)
+    assert max_independent_sets(g, SIZE_ONLY) == (alpha, None)
+    assert max_independent_sets(g, ENUMERATE_ALL)[0] == alpha
+
+
+def test_the_two_oracles_agree_on_random_graphs():
+    rng = random.Random(SEED + 3)
+    for _ in range(30):
+        nv = rng.randint(1, 18)
+        density = rng.random()
+        g = Graph([(i,) for i in range(nv)],
+                  [(u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < density])
+        assert independence_number_by_branching(g) == independence_number_oracle(g)
+
+
+BRANCHING_GRAPHS = {
+    **{f"A({n},{k},{r})": (n, k, r)
+       for n, k_max in [(4, 4), (5, 3)] for k in range(1, k_max + 1) for r in range(1, k + 1)},
+    # F_0 is D and F_2 is T
+    **{f"Cay(S4,{kind}{'' if fixed is None else fixed})": (kind, fixed)
+       for kind, fixed in [("transpositions", None), ("derangements", None), ("fixed", 1)]},
+}
+
+
+@pytest.mark.parametrize("name", BRANCHING_GRAPHS)
+def test_sizes_match_the_branching_oracle(name):
+    # take-or-drop branching reaches 60 vertices in about 1 s (A(5,3,1));
+    # the 120-vertex A(5,4,r), A(5,5,r) and Cay(S5, .) are beyond it
+    params = BRANCHING_GRAPHS[name]
+    g = (build_arrangement_graph(*params) if name.startswith("A")
+         else build_cayley_graph(4, connection_set(4, *params)))
+    alpha = independence_number_by_branching(g)
     assert max_independent_sets(g, SIZE_ONLY) == (alpha, None)
     assert max_independent_sets(g, ENUMERATE_ALL)[0] == alpha
 

@@ -10,7 +10,7 @@ from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.config import Config
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
                             build_stabilizer_chain, check_tuple_count,
-                            connection_set, cycle, transposition)
+                            connection_set, cycle, orbits, transposition)
 from oracles import brute_force_closure, fixed_point_count
 
 SEED = 20240811
@@ -274,6 +274,18 @@ def test_chain_order_matches_brute_force_closure_random():
                              min(len(closure), 40))
         for p in members + [random_perm(rng, d) for _ in range(40)]:
             assert chain.contains(p) == (p in closure)
+
+
+def test_orbits_match_brute_force_closure_random():
+    # the label of x is the least image of x under the group's elements,
+    # and the generators may be Permutations or image tuples
+    rng = random.Random(SEED + 9)
+    for closure, gens in _random_groups(rng, 30):
+        d = gens[0].degree
+        expected = [min(p(x) for p in closure) for x in range(d)]
+        assert orbits(gens, d) == expected
+        assert orbits([g.images for g in gens], d) == expected
+    assert orbits([], 4) == [0, 1, 2, 3]
 
 
 def test_chain_deterministic():

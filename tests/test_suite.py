@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from arrgraph import suite
+from arrgraph import actions, suite
 from arrgraph.autsearch import AutResult
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, candidate_aut_generators, is_automorphism
-from arrgraph.perms import transposition
+from arrgraph.perms import build_stabilizer_chain, transposition
 from arrgraph.suite import (Context, ReportDocument, run_full_suite, suite_jobs,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
@@ -268,6 +268,22 @@ def test_job_makes_each_group_once(job, induced, monkeypatch):
     assert len(calls["build_stabilizer_chain"]) == 1
     induced_by = [tuple(generators) for generators, _ in calls["induce_action"]]
     assert len(induced_by) == len(set(induced_by)) == induced
+
+
+def test_akk_job_builds_one_chain_per_induced_action(monkeypatch):
+    # prop2.2's kernel and lemma2.5's quotient read the order of the action
+    # on the delta family from one chain; lemma2.5 adds the chain of the
+    # action on the row blocks
+    built = []
+
+    def counting(generators, degree=None):
+        built.append(degree)
+        return build_stabilizer_chain(generators, degree)
+
+    monkeypatch.setattr(actions, "build_stabilizer_chain", counting)
+    claims = suite._job_claims(("akk", 5, 4), Config())
+    assert all(c.passed for c in claims)
+    assert built == [20, 5]
 
 
 def test_package_import_leaves_out_the_process_pool():
