@@ -16,8 +16,13 @@ the transpose, again in labelling order, are the relabeled matrix's rows,
 as the adjacency is symmetric. A leaf holds one transposed copy of V²/8
 bytes while its certificate is made.
 
-The search is fully deterministic: target cell = first non-singleton cell
-of smallest size, branching in ascending vertex index.
+Every cell of the search is a vertex bit mask, from the root partition to
+the leaf. ``_refine`` sums a splitter's neighbour counts into bit-planes
+and cuts a cell that splits by those planes with big-int ANDs, with no
+per-vertex grouping. The search is fully deterministic: target cell =
+first cell of smallest ``bit_count()`` above 1, branching on its set bits
+in ascending vertex index; a child puts ``1 << v`` before the rest of the
+target, and a leaf's labelling is each singleton's ``bit_length() - 1``.
 
 Two rules prune the tree, and both only skip leaves that have an equal leaf
 earlier in that order:
@@ -66,15 +71,17 @@ from typing import Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _mask, _transpose, is_automorphism
+from .graphs import Graph, _bits, _mask, _transpose, is_automorphism
 from .perms import Permutation, StabilizerChain, orbits
 
 OrderedPartition = list[list[int]]
 
 
 def _validate_partition(graph: Graph, cells: Sequence[Sequence[int]]) -> None:
+    """Each vertex exactly once, by exact type int: bool, float and str
+    are kept out, as for graph document edges."""
     flat = [v for c in cells for v in c]
-    if sorted(flat) != list(range(graph.vertex_count)):
+    if set(map(type, flat)) - {int} or sorted(flat) != list(range(graph.vertex_count)):
         raise ValidationError("cells do not partition the vertex set")
 
 
@@ -84,31 +91,35 @@ def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> Or
     Splits every cell by neighbor counts into every (current) cell until
     stable; fragments of a split cell replace it in place, ordered by
     ascending neighbor count. Deterministic given the cell order, and
-    idempotent. Empty cells are dropped.
+    idempotent. Empty cells are dropped. The cells are refined as vertex
+    bit masks (``_refine``) and returned as sorted lists.
     """
     _validate_partition(graph, partition)
-    return _refine(graph.adjacency, [sorted(c) for c in partition if c])
+    cells = _refine(graph.adjacency, [_mask(c) for c in partition if c])
+    return [list(_bits(m)) for m in cells]
 
 
-def _refine(adj: list[int], cells: OrderedPartition,
-            queue: Optional[list[int]] = None) -> OrderedPartition:
-    """Split cells by neighbour counts into splitters taken first in, first
-    out (all cells, as masks, unless `queue` is given) until stable.
+def _refine(adj: list[int], cells: list[int],
+            queue: Optional[list[int]] = None) -> list[int]:
+    """Split cells, each a vertex bit mask, by neighbour counts into
+    splitters taken first in, first out (all cells, unless `queue` is
+    given) until stable.
 
     For each splitter the counts of all vertices are added up at once as
     bit-planes (plane j holds bit j of every count), so a cell is stable when
-    every plane masks it to nothing or to the whole cell; only cells that
-    split are grouped vertex by vertex. A split cell is replaced in place by
-    its fragments in ascending count, and all fragments but the last join the
-    queue: by the time the last would be popped, its parent cell and its
-    earlier siblings have been applied, so the partition is already
-    equitable with respect to it.
+    every plane masks it to nothing or to the whole cell. A cell that splits
+    is cut by the planes alone: the fragment of count c is the cell ANDed,
+    for every plane j, with plane j or its complement by bit j of c. A split
+    cell is replaced in place by its fragments in ascending count, and all
+    fragments but the last join the queue: by the time the last would be
+    popped, its parent cell and its earlier siblings have been applied, so
+    the partition is already equitable with respect to it.
     """
     cells = list(cells)
     if queue is None:
-        queue = [_mask(c) for c in cells]
+        queue = list(cells)
     # the non-singleton cells as (index, mask), ascending index
-    open_cells = [(i, _mask(c)) for i, c in enumerate(cells) if len(c) > 1]
+    open_cells = [(i, m) for i, m in enumerate(cells) if m & (m - 1)]
     qi = 0
     while qi < len(queue) and open_cells:
         splitter = queue[qi]
@@ -143,16 +154,18 @@ def _refine(adj: list[int], cells: OrderedPartition,
             if i not in splits:
                 reopened.append((i + shift, m))
                 continue
-            groups: dict[int, list[int]] = {}
-            for v in cells[i + shift]:
-                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            frags = [groups[count] for count in sorted(groups)]
-            fmasks = [_mask(f) for f in frags]
-            queue.extend(fmasks[:-1])
+            frags = [m]
+            for plane in reversed(planes):  # highest first: ascending count
+                cut = []
+                for f in frags:
+                    high = f & plane
+                    cut += (f ^ high, high) if high and high != f else (f,)
+                frags = cut
+            queue.extend(frags[:-1])
             cells[i + shift:i + shift + 1] = frags
-            for f, fm in zip(frags, fmasks):
-                if len(f) > 1:
-                    reopened.append((i + shift, fm))
+            for f in frags:
+                if f & (f - 1):
+                    reopened.append((i + shift, f))
                 shift += 1
             shift -= 1
         open_cells = reopened
@@ -211,7 +224,7 @@ class _IRSearch:
         if self.n == 0:
             self.best = (b"", [])
             return
-        self._node(_refine(self.adj, [list(range(self.n))]), [])
+        self._node(_refine(self.adj, [(1 << self.n) - 1]), [])
 
     def result(self) -> AutResult:
         cert_bits, lab = self.best
@@ -233,7 +246,7 @@ class _IRSearch:
 
     # -- search tree
 
-    def _node(self, cells: OrderedPartition, prefix: list[int]) -> int:
+    def _node(self, cells: list[int], prefix: list[int]) -> int:
         """Search the subtree below the node reached by individualizing
         prefix. Returns the depth the search backs up to: the node's own
         depth once its subtree is done, or a smaller one when a leaf below
@@ -246,11 +259,11 @@ class _IRSearch:
         target = -1
         smallest = self.n + 1
         for i, cell in enumerate(cells):
-            if 1 < len(cell) < smallest:
+            if 1 < cell.bit_count() < smallest:
                 target = i
-                smallest = len(cell)
+                smallest = cell.bit_count()
         if target < 0:
-            return self._leaf([c[0] for c in cells], prefix)
+            return self._leaf([c.bit_length() - 1 for c in cells], prefix)
         explored: list[int] = []
         # images of the automorphisms found so far that fix the prefix
         # pointwise (the list of automorphisms only grows, so scan new
@@ -259,7 +272,8 @@ class _IRSearch:
         scanned = 0
         orbit: Sequence[int] = range(self.n)
         opened: set[int] = set()
-        for v in sorted(cells[target]):
+        m = cells[target]
+        for v in _bits(m):
             if explored:
                 new = [g for g in self.automorphisms[scanned:]
                        if [g[p] for p in prefix] == prefix]
@@ -272,9 +286,7 @@ class _IRSearch:
                     continue
             explored.append(v)
             opened.add(orbit[v])
-            child = (cells[:target]
-                     + [[v], [u for u in cells[target] if u != v]]
-                     + cells[target + 1:])
+            child = cells[:target] + [1 << v, m ^ (1 << v)] + cells[target + 1:]
             # cells is equitable, so only the new singleton can split anything
             back = self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
             if back < depth:

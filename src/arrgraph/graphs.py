@@ -67,11 +67,7 @@ class Graph:
         return self.adjacency[v].bit_count()
 
     def neighbors(self, v: int) -> Iterator[int]:
-        row = self.adjacency[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        return _bits(self.adjacency[v])
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.vertex_count)) // 2
@@ -104,11 +100,8 @@ class Graph:
         frontier = 1
         while frontier:
             nxt = 0
-            row = frontier
-            while row:
-                low = row & -row
-                nxt |= self.adjacency[low.bit_length() - 1]
-                row ^= low
+            for v in _bits(frontier):
+                nxt |= self.adjacency[v]
             frontier = nxt & ~seen
             seen |= nxt
         return seen.bit_count() == self.vertex_count
@@ -262,6 +255,14 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a bit row, ascending: the inverse of ``_mask``."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:

@@ -2,9 +2,10 @@
 generating set, automorphism count by trying every bijection, independence
 number by scanning every vertex subset and by take-or-drop branching, the
 IR search with orbit pruning only with its leaf certificates from
-neighbour lists, tuple ranks, the candidate group of Cay(S_n, F_f) built
-from S_n itself, minimal block systems, common neighbourhoods, the bit
-matrix transpose bit by bit, and the automorphism check by relabeling."""
+neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
+candidate group of Cay(S_n, F_f) built from S_n itself, minimal block
+systems, common neighbourhoods, the bit matrix transpose bit by bit, and
+the automorphism check by relabeling."""
 
 import itertools
 import math
@@ -142,7 +143,8 @@ class OrbitPruningSearch(_IRSearch):
     labelings are the reference for the search's. Its leaf certificates
     come from `leaf_certificate_by_neighbours`, not from the search's
     transpose, and its orbits from a walk per child, `_in_explored_orbit`,
-    not from the search's orbit labels.
+    not from the search's orbit labels. Its cells are vertex bit masks
+    refined by the search's `_refine`, which `reference_refine` checks.
 
     Without the return it finds many repeats and chain members. A repeat
     is skipped, and only the generators, the non-members the chain of
@@ -166,16 +168,17 @@ class OrbitPruningSearch(_IRSearch):
         target = -1
         smallest = self.n + 1
         for i, cell in enumerate(cells):
-            if 1 < len(cell) < smallest:
+            if 1 < cell.bit_count() < smallest:
                 target = i
-                smallest = len(cell)
+                smallest = cell.bit_count()
         if target < 0:
-            self._leaf([c[0] for c in cells])
+            self._leaf([c.bit_length() - 1 for c in cells])
             return
         explored = []
         fixing = []
         scanned = 0
-        for v in sorted(cells[target]):
+        m = cells[target]
+        for v in [u for u in range(self.n) if m >> u & 1]:
             if explored:
                 for g in self.automorphisms[scanned:]:
                     if [g[p] for p in prefix] == prefix:
@@ -184,9 +187,7 @@ class OrbitPruningSearch(_IRSearch):
                 if fixing and _in_explored_orbit(v, explored, fixing):
                     continue
             explored.append(v)
-            child = (cells[:target]
-                     + [[v], [u for u in cells[target] if u != v]]
-                     + cells[target + 1:])
+            child = cells[:target] + [1 << v, m ^ (1 << v)] + cells[target + 1:]
             self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
 
     def _leaf(self, lab):
@@ -247,6 +248,43 @@ def orbit_pruning_automorphism_group(graph: Graph) -> AutResult:
     search = OrbitPruningSearch(graph, Config())
     search.run()
     return search.result()
+
+
+def reference_refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
+    """The per-vertex refinement: every splitter regroups every
+    non-singleton cell by its neighbour count, fragments in ascending count
+    replace the cell in place and join the queue in that order. The cells
+    are sorted lists, and every cell starts in the queue."""
+    def mask(cell):
+        m = 0
+        for v in cell:
+            m |= 1 << v
+        return m
+
+    queue = [mask(c) for c in cells]
+    qi = 0
+    while qi < len(queue):
+        splitter = queue[qi]
+        qi += 1
+        newcells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                newcells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(groups) == 1:
+                newcells.append(cell)
+                continue
+            changed = True
+            for count in sorted(groups):
+                newcells.append(groups[count])
+                queue.append(mask(groups[count]))
+        if changed:
+            cells = newcells
+    return cells
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from arrgraph.autsearch import (SearchStats, _IRSearch, automorphism_group,
+from arrgraph.autsearch import (SearchStats, _IRSearch, _refine, automorphism_group,
                                 are_isomorphic, equitable_refinement)
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
@@ -15,7 +15,8 @@ from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
 from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
                      common_neighborhood, leaf_certificate_by_neighbours,
-                     orbit_pruning_automorphism_group, rank_tuple)
+                     orbit_pruning_automorphism_group, rank_tuple,
+                     reference_refine)
 
 SEED = 20240811
 
@@ -74,6 +75,20 @@ def test_refinement_rejects_non_partition():
     g = build_arrangement_graph(4, 2, 2)
     with pytest.raises(ValidationError):
         equitable_refinement(g, [[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("cells", [[[0.0, 1, 2]], [[0, 1, "2"]], [[True, 0, 2]],
+                                   [[0, 1], [False]], [[0, 1, 2, None]]])
+def test_refinement_rejects_vertices_that_are_not_ints(cells):
+    # a vertex must be an int, not a float, str or bool equal to one
+    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    with pytest.raises(ValidationError):
+        equitable_refinement(p3, cells)
+
+
+def test_refinement_drops_empty_cells():
+    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    assert equitable_refinement(p3, [[], [2, 0], [], [1], []]) == [[0, 2], [1]]
 
 
 # -- automorphism groups ------------------------------------------------------
@@ -349,42 +364,6 @@ def test_search_matches_orbit_pruning_random_graphs():
 # -- refinement against the per-vertex reference ------------------------------
 
 
-def reference_refine(adj, cells):
-    """The original per-vertex refinement: every splitter regroups every
-    non-singleton cell by its neighbour count, fragments in ascending count
-    replace the cell in place and join the queue in that order."""
-    def mask(cell):
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        return m
-
-    queue = [mask(c) for c in cells]
-    qi = 0
-    while qi < len(queue):
-        splitter = queue[qi]
-        qi += 1
-        newcells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                newcells.append(cell)
-                continue
-            groups = {}
-            for v in cell:
-                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(groups) == 1:
-                newcells.append(cell)
-                continue
-            changed = True
-            for count in sorted(groups):
-                newcells.append(groups[count])
-                queue.append(mask(groups[count]))
-        if changed:
-            cells = newcells
-    return cells
-
-
 def _random_graph(rng, max_vertices=40):
     shape = rng.choice(["dense", "sparse", "edgeless", "disconnected", "regular"])
     nv = rng.randint(1, max_vertices)
@@ -435,6 +414,40 @@ def test_refinement_matches_reference_random_graphs(corpus):
         shapes.add((g.edge_count() == 0, g.is_connected()))
     # edgeless, disconnected and connected graphs all took part
     assert {(True, False), (False, False), (False, True)} <= shapes
+
+
+def _as_lists(masks):
+    return [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
+
+
+def test_search_refinement_matches_reference(corpus):
+    # the search's own path: an equitable parent, one vertex of a cell
+    # individualized, and only that vertex as the first splitter
+    rng = random.Random(SEED + 8)
+    graphs = [_random_graph(rng) for _ in range(120)]
+    graphs += list(corpus.values()) + [build_arrangement_graph(4, 3, 2),
+                                       build_arrangement_graph(5, 3, 3)]
+    children = 0
+    for g in graphs:
+        adj = g.adjacency
+        parent = reference_refine(
+            adj, [sorted(c) for c in _random_ordered_partition(rng, g.vertex_count) if c])
+        while any(len(c) > 1 for c in parent):
+            # every vertex of one open cell, then down one of the children
+            t = rng.choice([i for i, c in enumerate(parent) if len(c) > 1])
+            cell = parent[t]
+            masks = [sum(1 << v for v in c) for c in parent]
+            results = []
+            for v in cell:
+                child = parent[:t] + [[v], [u for u in cell if u != v]] + parent[t + 1:]
+                expected = reference_refine(adj, child)
+                refined = _refine(adj, masks[:t] + [1 << v, masks[t] ^ (1 << v)]
+                                  + masks[t + 1:], [1 << v])
+                assert _as_lists(refined) == expected
+                results.append(expected)
+                children += 1
+            parent = rng.choice(results)
+    assert children > 1000
 
 
 # -- generators found by the search -------------------------------------------
