@@ -77,12 +77,19 @@ from .perms import Permutation, StabilizerChain, orbits
 OrderedPartition = list[list[int]]
 
 
-def _validate_partition(graph: Graph, cells: Sequence[Sequence[int]]) -> None:
-    """Each vertex exactly once, by exact type int: bool, float and str
-    are kept out, as for graph document edges."""
+def _validate_partition(graph: Graph, partition: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The cells of partition as lists, each read once, after checking that
+    they hold each vertex exactly once, by exact type int: bool, float and
+    str are kept out, as for graph document edges, and so is a partition or
+    a cell that is not iterable."""
+    try:
+        cells = [list(c) for c in partition]
+    except TypeError:
+        raise ValidationError("the partition and each of its cells must be iterable") from None
     flat = [v for c in cells for v in c]
     if set(map(type, flat)) - {int} or sorted(flat) != list(range(graph.vertex_count)):
         raise ValidationError("cells do not partition the vertex set")
+    return cells
 
 
 def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> OrderedPartition:
@@ -94,8 +101,7 @@ def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> Or
     idempotent. Empty cells are dropped. The cells are refined as vertex
     bit masks (``_refine``) and returned as sorted lists.
     """
-    _validate_partition(graph, partition)
-    cells = _refine(graph.adjacency, [_mask(c) for c in partition if c])
+    cells = _refine(graph.adjacency, [_mask(c) for c in _validate_partition(graph, partition) if c])
     return [list(_bits(m)) for m in cells]
 
 

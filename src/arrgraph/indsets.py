@@ -14,6 +14,22 @@ and within a class from the highest vertex down. Open nodes live on an
 explicit stack, so the depth of the search (the size of the independent
 set) is not limited by Python's recursion limit.
 
+A node whose color classes are single vertices, m of them, has a clique
+of candidates, and it closes in one step: it records the clique current +
+candidates and counts the m nodes, with m, m - 1, ..., 1 candidates, that
+the branching would open on the path down to that leaf. A leaf is the case
+m = 0 and counts as no node. A vertex of color c has a neighbour in every
+lower class, so the branch on it that opens such a node leaves it exactly
+c - 1 candidates, as many as the bound that branch passed asks for (at the
+root, any clique beats the empty best): the clique beats the best one so
+far, or ties it with enumerate_all. Each sibling on the path back up is
+one color short of that clique and fails the bound in both modes. So the
+node count, the budget at which the search stops, and the cliques found
+and their order are those of the node-by-node search; a root whose
+candidates are a clique never opens a second branch, either way. On
+A(6,6,2) the first descent meets a 300-vertex clique of candidates 60
+levels down, and on A(7,7,2) a 2160-vertex one 360 levels down.
+
 size_only adds one rule at the root: it skips a vertex in the orbit of a
 root vertex it has already branched on, under automorphisms of the graph.
 The root takes its vertices v1, v2, ... in turn and drops each from its
@@ -171,7 +187,10 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
     A color class takes the lowest candidates not adjacent to the class so
     far. The color of a vertex bounds the clique it can still reach, so a
     node ends at the first vertex whose color cannot beat the best clique
-    (or, with enumerate_all, tie it).
+    (or, with enumerate_all, tie it). A node whose candidates are a clique,
+    one vertex per class, closes in one step with the node count and the
+    clique of the path below it; a leaf is such a node with no candidates
+    (the module docstring has the argument).
 
     Without enumerate_all, symmetries may give automorphisms of the graph
     as image tuples; it is called at most once, when the root is about to
@@ -188,16 +207,13 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
     # classes below the one in use, the untried vertices of the class in
     # use, its color]
     stack: list[list] = []
-    candidates: Optional[int] = (1 << nv) - 1  # a node to open, or None
+    candidates: Optional[int] = (1 << nv) - 1  # a node to open (0: a leaf), or None
     prune_root = symmetries is not None and not enumerate_all
     first_root = -1  # the root's first branch vertex
     orbit: Optional[list[int]] = None
     opened: set[int] = set()  # the orbits of the root's branch vertices
     while True:
         if candidates is not None:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(f"clique search exceeded node budget {node_budget}")
             classes = []
             rest = candidates
             while rest:
@@ -209,10 +225,31 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                     avail &= outside[low.bit_length() - 1]
                 rest ^= members
                 classes.append(members)
+            m = len(classes)
+            closed = m == candidates.bit_count()
+            # candidates that are a clique, one vertex per class, stand for
+            # the m nodes of the path down to the leaf current + candidates
+            # (none at a leaf), which beats the best clique or ties it with
+            # enumerate_all (module docstring)
+            nodes += m if closed else 1
+            if nodes > node_budget:
+                raise BudgetError(f"clique search exceeded node budget {node_budget}")
+            if closed:
+                clique = sorted(current + [c.bit_length() - 1 for c in classes])
+                if len(clique) > best:
+                    best = len(clique)
+                    found = [clique]
+                else:
+                    found.append(clique)
+                if not stack:
+                    return found
+                current.pop()
+                candidates = None
+                continue
             # a vertex of color c extends the clique to at most
             # len(current) + c vertices, so lower classes never pass the bound
             lowest = max(best - len(current) + keep_ties, 1)
-            stack.append([candidates, classes[lowest - 1:], 0, len(classes) + 1])
+            stack.append([candidates, classes[lowest - 1:], 0, m + 1])
         frame = stack[-1]
         if not frame[2] and frame[1]:
             frame[2] = frame[1].pop()
@@ -240,14 +277,6 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 opened.add(orbit[v])
         current.append(v)
         candidates = frame[0] & adj[v]
-        if not candidates:
-            if len(current) > best:
-                best = len(current)
-                found = [sorted(current)]
-            elif len(current) == best and enumerate_all:
-                found.append(sorted(current))
-            current.pop()
-            candidates = None
 
 
 def is_independent(graph: Graph, vertices) -> bool:

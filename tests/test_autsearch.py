@@ -78,9 +78,11 @@ def test_refinement_rejects_non_partition():
 
 
 @pytest.mark.parametrize("cells", [[[0.0, 1, 2]], [[0, 1, "2"]], [[True, 0, 2]],
-                                   [[0, 1], [False]], [[0, 1, 2, None]]])
+                                   [[0, 1], [False]], [[0, 1, 2, None]],
+                                   [[0, 1], 2], [[0, 1, 2], None], 5])
 def test_refinement_rejects_vertices_that_are_not_ints(cells):
-    # a vertex must be an int, not a float, str or bool equal to one
+    # a vertex must be an int, not a float, str or bool equal to one, and
+    # the partition and each cell must be iterable
     p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     with pytest.raises(ValidationError):
         equitable_refinement(p3, cells)
@@ -89,6 +91,14 @@ def test_refinement_rejects_vertices_that_are_not_ints(cells):
 def test_refinement_drops_empty_cells():
     p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     assert equitable_refinement(p3, [[], [2, 0], [], [1], []]) == [[0, 2], [1]]
+
+
+def test_refinement_reads_a_one_pass_partition_once():
+    # a generator of cells, or a cell that is an iterator, is read once by
+    # the check and not found empty by the refinement after it
+    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    assert equitable_refinement(p3, (c for c in [[0, 1, 2]])) == [[0, 2], [1]]
+    assert equitable_refinement(p3, [iter([0, 1, 2])]) == [[0, 2], [1]]
 
 
 # -- automorphism groups ------------------------------------------------------

@@ -225,17 +225,37 @@ def cliques_within_exact_budget(adj, nv, enumerate_all, nodes):
     return result
 
 
+def clique_rich_graph(rng, nv):
+    """A graph whose clique search meets many nodes below the root with a
+    clique of candidates, and many ties among their leaves: a disjoint union
+    of cliques, with each vertex in a random one of up to 6, or a random
+    graph with density 0.95."""
+    if rng.random() < 0.5:
+        block = [rng.randrange(rng.randint(1, 6)) for _ in range(nv)]
+        edges = [(u, v) for u, v in itertools.combinations(range(nv), 2) if block[u] == block[v]]
+    else:
+        edges = [(u, v) for u, v in itertools.combinations(range(nv), 2) if rng.random() < 0.95]
+    return Graph([(i,) for i in range(nv)], edges).adjacency
+
+
 def test_clique_search_matches_tuple_coloring():
+    # complements of random graphs, then graphs rich in nodes whose
+    # candidates are a clique, which the search closes in one step and
+    # must count as the nodes the oracle opens one by one
     rng = random.Random(SEED + 2)
-    for trial in range(60):
+    inputs = []
+    for _ in range(60):
         nv = rng.randint(1, 40)
         density = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
                  if rng.random() < density]
-        adj = indsets._complement(Graph([(i,) for i in range(nv)], edges).adjacency)
+        inputs.append(indsets._complement(Graph([(i,) for i in range(nv)], edges).adjacency))
+    rng = random.Random(SEED + 4)
+    inputs += [clique_rich_graph(rng, rng.randint(1, 40)) for _ in range(60)]
+    for trial, adj in enumerate(inputs):
         for enumerate_all in (False, True):
-            expected, nodes = tuple_colored_cliques(adj, nv, enumerate_all)
-            assert cliques_within_exact_budget(adj, nv, enumerate_all, nodes) == expected, trial
+            expected, nodes = tuple_colored_cliques(adj, len(adj), enumerate_all)
+            assert cliques_within_exact_budget(adj, len(adj), enumerate_all, nodes) == expected, trial
 
 
 # (n, k, r): search nodes without symmetries, then with the root rule that
@@ -249,6 +269,18 @@ PINNED_SIZE_ONLY = {
     (5, 4, 3): (6332, 378, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
     (5, 5, 4): (1569, 121, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
 }
+
+
+@pytest.mark.parametrize("nkr", [(6, 6, 2), (6, 5, 1)], ids=["A(6,6,2)", "A(6,5,1)"])
+def test_size_only_clique_descent_pinned(nkr):
+    # the first descent reaches a node whose candidates are a clique, with
+    # alpha = 360 in reach; the search closes it in one step and counts the
+    # nodes the oracle opens one by one
+    g = build_arrangement_graph(*nkr)
+    adj = indsets._complement(g.adjacency)
+    expected, nodes = tuple_colored_cliques(adj, g.vertex_count, False)
+    assert nodes == 360 and len(expected[0]) == 360
+    assert cliques_within_exact_budget(adj, g.vertex_count, False, nodes) == expected
 
 
 def lifted_symmetries(g):
