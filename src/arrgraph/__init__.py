@@ -11,8 +11,7 @@ from .errors import ArrgraphError, BudgetError, FamilyError, ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
 from .indsets import delta_family, delta_set, max_independent_sets
-from .perms import (ConnectionSet, Permutation, StabilizerChain,
-                    build_stabilizer_chain, connection_set)
+from .perms import ConnectionSet, Permutation, StabilizerChain, connection_set
 from .suite import (ClaimReport, ReportDocument, run_full_suite,
                     test_conjecture, verify_prop_2_6, verify_section3_iso,
                     verify_theorem_1_2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArrgraphError, FamilyError, ValidationError
-from .perms import Permutation, build_stabilizer_chain
+from .perms import Permutation, StabilizerChain
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class ActionOnSets:
     def image_order(self) -> int:
         """Order of the group the movers generate on the family indexes,
         from a stabilizer chain built the first time it is asked for."""
-        return build_stabilizer_chain(self.movers, degree=len(self.family)).order()
+        return StabilizerChain(self.movers, degree=len(self.family)).order()
 
 
 @dataclass(frozen=True)

@@ -428,8 +428,3 @@ class StabilizerChain:
                 if h != self._identity:
                     return h, m
         return None
-
-
-def build_stabilizer_chain(generators: Iterable[Permutation],
-                           degree: Optional[int] = None) -> StabilizerChain:
-    return StabilizerChain(generators, degree)

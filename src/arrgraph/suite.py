@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
 from .indsets import ENUMERATE_ALL, delta_family, max_independent_sets
-from .perms import Permutation, build_stabilizer_chain, connection_set
+from .perms import Permutation, connection_set
 
 CASE_RKLTN = "r=k<n"
 CASE_RKN = "r=k=n"
@@ -156,16 +156,20 @@ class Context:
 
         return self._once(("aut", n, k, r), search)
 
-    def candidates(self, n: int, k: int) -> tuple[list[Permutation], int]:
+    def candidates(self, n: int, k: int) -> tuple[list[Permutation], ActionOnSets]:
         """The generators of the candidate group of Aut(A(n,k,r)), lifted
-        and verified on A(n,k,k), and the group's order. They are the same
-        vertex permutations for every r, and for k = n on Cay(S_n, F_f) too,
-        whose labels are those of A(n,n,n-f)."""
+        and verified on A(n,k,k), and the group's action on the delta
+        family, in family order. They are the same vertex permutations for
+        every r, and for k = n on Cay(S_n, F_f) too, whose labels are those
+        of A(n,n,n-f).
+
+        The action is faithful, so its image_order is the group's order: a
+        tuple t is the only vertex in every D_{t[j],j}, so a permutation
+        fixing each delta set fixes every vertex. Its chain has degree
+        n*k, not the vertex count."""
         def lift():
-            graph = self.arrangement(n, k, k)
-            generators = candidate_aut_generators(n, k, graph)
-            return generators, build_stabilizer_chain(
-                generators, degree=graph.vertex_count).order()
+            generators = candidate_aut_generators(n, k, self.arrangement(n, k, k))
+            return generators, induce_action(generators, [s for _, s in delta_family(n, k)])
 
         return self._once(("cand", n, k), lift)
 
@@ -192,6 +196,13 @@ def _labels(indexes, k: int) -> list[str]:
 
 # --------------------------------------------------------------------------
 # individual claims
+
+
+def _require(claim: str, n: int, k: int, k_max: int) -> None:
+    """The paper's range for a claim about A(n,k,k): n > 2 and 1 <= k <= k_max."""
+    if n <= 2 or not 1 <= k <= k_max:
+        k_range = "1 <= k <= n" if k_max == n else "1 <= k < n"
+        raise ValidationError(f"{claim} requires n > 2 and {k_range}, got n={n} k={k}")
 
 
 def _claim(check):
@@ -225,7 +236,8 @@ def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
     aut = search.aut
     # the chain is generated by verified automorphisms, so a candidate
     # that is none of A(n,k,r)'s is not contained and the claim fails
-    candidates, cand_order = ctx.candidates(n, k)
+    candidates, action = ctx.candidates(n, k)
+    cand_order = action.image_order
     contained = all(search.contains(g) for g in candidates)
     return ClaimReport(
         claim_id=claim_id,
@@ -243,10 +255,7 @@ def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
 def verify_prop_2_1(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """Maximum independent sets of A(n,k,k) are exactly the delta family:
     independence number (n-1)!/(n-k)!, count n*k, and setwise equality."""
-    if n <= 2:
-        raise ValidationError(f"the characterization requires n > 2, got n={n}")
-    if not 1 <= k <= n:
-        raise ValidationError(f"need 1 <= k <= n, got k={k} n={n}")
+    _require("prop2.1", n, k, n)
     claim_id = f"prop2.1/n={n}/k={k}"
     graph = ctx.arrangement(n, k, k)
     family = sorted(sorted(s) for _, s in delta_family(n, k))
@@ -267,6 +276,7 @@ def verify_prop_2_1(n: int, k: int, *, ctx: Context) -> ClaimReport:
 def verify_prop_2_2(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """The kernel of the induced action of Aut(A(n,k,k)) on the delta family
     is trivial."""
+    _require("prop2.2", n, k, n)
     claim_id = f"prop2.2/n={n}/k={k}"
     search = ctx.group(n, k, k)
     kernel = kernel_order(search.aut.order, ctx.action(n, k))
@@ -288,6 +298,7 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
     it is checked under the value/position relabeling subgroup, and the
     report additionally records an explicit violation of the block property
     under the tuple-inversion map (searched for, not assumed)."""
+    _require("blocks", n, k, n)
     claim_id = f"blocks/n={n}/k={k}"
     sigma = row_partition(n, k)
     sigma_prime = column_partition(n, k)
@@ -299,7 +310,7 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
         # the candidates end with the inversion, after the relabelings
-        action = induce_action(ctx.candidates(n, n)[0], [s for _, s in delta_family(n, k)])
+        action = ctx.candidates(n, n)[1]
         pq_action = ActionOnSets(action.family, action.movers[:-1])
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
@@ -324,8 +335,7 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
 def verify_lemma_2_5(n: int, k: int, *, ctx: Context) -> ClaimReport:
     """For k < n: the action on the row blocks has order n! and the kernel
     of the quotient map has order k!."""
-    if not k < n:
-        raise ValidationError("the quotient check applies to k < n only")
+    _require("lemma2.5", n, k, n - 1)
     claim_id = f"lemma2.5/n={n}/k={k}"
     _, quotient_order, kernel_order = quotient_action(ctx.action(n, k), row_partition(n, k))
     expected = {"quotient": math.factorial(n), "kernel": math.factorial(k)}
@@ -406,7 +416,8 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     anchored = fixed in (0, n - 2)
     graph = ctx.cayley(n, fixed)
     expected_candidate = 2 * math.factorial(n) ** 2
-    candidates, cand_order = ctx.candidates(n, n)
+    candidates, action = ctx.candidates(n, n)
+    cand_order = action.image_order
     preserves = all(is_automorphism(graph, g) for g in candidates)
     details = {
         "candidate_order": cand_order,

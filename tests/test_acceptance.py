@@ -18,7 +18,7 @@ from arrgraph.graphs import (apply_position_permutation, apply_value_permutation
                              build_arrangement_graph, invert_tuple,
                              vertex_permutation)
 from arrgraph.indsets import max_independent_sets
-from arrgraph.perms import Permutation, build_stabilizer_chain
+from arrgraph.perms import Permutation, StabilizerChain
 from arrgraph.suite import (Context, test_conjecture as conjecture_probe,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
@@ -228,7 +228,7 @@ def test_criterion_9_property_suites():
         closure = brute_force_closure(gens, degree=d, limit=5001)
         if len(closure) > 5000:
             continue
-        ok = ok and build_stabilizer_chain(gens, degree=d).order() == len(closure)
+        ok = ok and StabilizerChain(gens, degree=d).order() == len(closure)
         checked += 1
 
     # independence-number oracle on all corpus graphs with <= 16 vertices

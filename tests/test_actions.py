@@ -16,7 +16,7 @@ from arrgraph.graphs import (apply_position_permutation, apply_value_permutation
                              candidate_aut_generators, is_automorphism,
                              vertex_permutation)
 from arrgraph.indsets import delta_family
-from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
+from arrgraph.perms import (Permutation, StabilizerChain, connection_set,
                             symmetric_group_generators, transposition)
 from arrgraph.suite import Context, test_conjecture as conjecture_probe
 from oracles import (brute_force_closure, conjecture_candidate_group,
@@ -211,7 +211,7 @@ def test_quotient_by_trivial_system():
     one_block = BlockSystem.from_blocks([list(range(8))])
     _, qorder, korder = quotient_action(action, one_block)
     assert qorder == 1
-    assert korder == build_stabilizer_chain(list(action.movers), degree=8).order()
+    assert korder == StabilizerChain(list(action.movers), degree=8).order()
 
 
 def test_quotient_rejects_non_block_system():
@@ -287,12 +287,12 @@ def test_candidate_group_is_theorem_families_on_cayley_labels(n):
     # group of the thm1.2 families read on the indexes of Cay(S_n, F_f)
     degree = math.factorial(n)
     oracle = conjecture_candidate_group(n)
-    oracle_chain = build_stabilizer_chain(oracle, degree=degree)
+    oracle_chain = StabilizerChain(oracle, degree=degree)
     assert oracle_chain.order() == 2 * degree ** 2
     for fixed in range(n - 1):
         g = build_cayley_graph(n, connection_set(n, "fixed", fixed))
         families = candidate_aut_generators(n, n, g)
-        chain = build_stabilizer_chain(families, degree=degree)
+        chain = StabilizerChain(families, degree=degree)
         assert all(chain.contains(p) for p in oracle)
         assert all(oracle_chain.contains(p) for p in families)
         assert all(is_automorphism(g, p) for p in families + oracle)

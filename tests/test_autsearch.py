@@ -12,7 +12,7 @@ from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
-from arrgraph.perms import Permutation, build_stabilizer_chain, connection_set
+from arrgraph.perms import Permutation, StabilizerChain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
                      common_neighborhood, leaf_certificate_by_neighbours,
                      orbit_pruning_automorphism_group, rank_tuple,
@@ -478,7 +478,7 @@ def test_generators_are_chain_non_members(corpus):
         result = automorphism_group(g)
         for i, f in enumerate(result.generators):
             assert is_automorphism(g, f), name
-            prefix = build_stabilizer_chain(result.generators[:i], degree=g.vertex_count)
+            prefix = StabilizerChain(result.generators[:i], degree=g.vertex_count)
             assert not prefix.contains(f), (name, i)
 
 
@@ -488,7 +488,7 @@ def test_generators_rebuild_the_chain(corpus):
     rng = random.Random(SEED + 6)
     for name, g in _searched_graphs(corpus).items():
         result = automorphism_group(g)
-        rebuilt = build_stabilizer_chain(result.generators, degree=g.vertex_count)
+        rebuilt = StabilizerChain(result.generators, degree=g.vertex_count)
         assert rebuilt.order() == result.order == result.chain.order(), name
         assert all(map(rebuilt.contains, result.chain.strong_generators())), name
         assert all(map(result.chain.contains, rebuilt.strong_generators())), name

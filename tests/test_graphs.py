@@ -13,7 +13,7 @@ from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple, is_automorphism,
                              value_relabelings, vertex_permutation)
-from arrgraph.perms import (Permutation, build_stabilizer_chain, connection_set,
+from arrgraph.perms import (Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
 from oracles import (differing_coordinates, is_automorphism_by_relabeling, rank_tuple,
                      transpose_bit_by_bit, tuple_count, unrank_tuple)
@@ -572,4 +572,4 @@ def test_candidate_generators_orders():
         gens = candidate_aut_generators(n, k, g)
         assert len(gens) == count
         assert all(is_automorphism(g, f) for f in gens)
-        assert build_stabilizer_chain(gens, degree=g.vertex_count).order() == order
+        assert StabilizerChain(gens, degree=g.vertex_count).order() == order

@@ -9,8 +9,8 @@ import pytest
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.config import Config
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
-                            build_stabilizer_chain, check_tuple_count,
-                            connection_set, cycle, orbits, transposition)
+                            check_tuple_count, connection_set, cycle, orbits,
+                            transposition)
 from oracles import brute_force_closure, fixed_point_count
 
 SEED = 20240811
@@ -189,12 +189,12 @@ def test_connection_set_rejects_elements_of_another_kind(kind, fixed, element):
 
 
 def test_chain_order_s4():
-    chain = build_stabilizer_chain([transposition(4, 0, 1), cycle(4)])
+    chain = StabilizerChain([transposition(4, 0, 1), cycle(4)])
     assert chain.order() == 24
 
 
 def test_chain_empty_generators_is_trivial_group():
-    chain = build_stabilizer_chain([], degree=5)
+    chain = StabilizerChain([], degree=5)
     assert chain.order() == 1
     assert chain.contains(Permutation.identity(5))
     assert not chain.contains(transposition(5, 0, 1))
@@ -207,7 +207,7 @@ def test_chain_three_cycles_generate_a4():
     ]
     closure = brute_force_closure(three_cycles)
     assert len(closure) == 12
-    chain = build_stabilizer_chain(three_cycles)
+    chain = StabilizerChain(three_cycles)
     assert chain.order() == 12
 
 
@@ -215,7 +215,7 @@ def test_chain_invariants():
     groups = [[transposition(5, 0, 1), cycle(5)]]
     groups += [gens for _, gens in _random_groups(random.Random(SEED + 8), 10)]
     for gens in groups:
-        chain = build_stabilizer_chain(gens)
+        chain = StabilizerChain(gens)
         orbits = chain.fundamental_orbits()
         assert math.prod(len(o) for o in orbits) == chain.order()
         base = chain.base
@@ -225,15 +225,15 @@ def test_chain_invariants():
             for g in level.gens:
                 assert all(g[b] == b for b in base[:i])
                 assert {g[x] for x in orbit} == orbit
-    assert build_stabilizer_chain(groups[0]).order() == 120
+    assert StabilizerChain(groups[0]).order() == 120
 
 
 def test_chain_membership():
-    chain = build_stabilizer_chain([transposition(4, 0, 1), cycle(4)])
+    chain = StabilizerChain([transposition(4, 0, 1), cycle(4)])
     rng = random.Random(SEED + 4)
     for _ in range(20):
         assert chain.contains(random_perm(rng, 4))
-    a4 = build_stabilizer_chain([P1(2, 3, 1, 4), P1(1, 3, 4, 2)])
+    a4 = StabilizerChain([P1(2, 3, 1, 4), P1(1, 3, 4, 2)])
     assert a4.order() == 12
     assert not a4.contains(transposition(4, 0, 1))
 
@@ -268,7 +268,7 @@ def test_chain_order_matches_brute_force_closure_random():
     rng = random.Random(SEED + 5)
     for closure, gens in _random_groups(rng, 60):
         d = gens[0].degree
-        chain = build_stabilizer_chain(gens, degree=d)
+        chain = StabilizerChain(gens, degree=d)
         assert chain.order() == len(closure)
         members = rng.sample(sorted(closure, key=lambda p: p.images),
                              min(len(closure), 40))
@@ -290,8 +290,8 @@ def test_orbits_match_brute_force_closure_random():
 
 def test_chain_deterministic():
     gens = [transposition(5, 0, 1), cycle(5)]
-    c1 = build_stabilizer_chain(gens)
-    c2 = build_stabilizer_chain(gens)
+    c1 = StabilizerChain(gens)
+    c2 = StabilizerChain(gens)
     assert c1.base == c2.base
     assert c1.fundamental_orbits() == c2.fundamental_orbits()
     assert c1.strong_generators() == c2.strong_generators()
@@ -302,8 +302,8 @@ def test_chain_add_generator_is_incremental():
     for _ in range(20):
         d = rng.randint(2, 7)
         gens = [random_perm(rng, d) for _ in range(rng.randint(1, 4))]
-        batch = build_stabilizer_chain(gens, degree=d)
-        chain = build_stabilizer_chain([], degree=d)
+        batch = StabilizerChain(gens, degree=d)
+        chain = StabilizerChain([], degree=d)
         for g in gens:
             was_member = chain.contains(g)
             assert chain.add_generator(g) is not was_member
@@ -312,7 +312,7 @@ def test_chain_add_generator_is_incremental():
         assert chain.fundamental_orbits() == batch.fundamental_orbits()
         assert chain.strong_generators() == batch.strong_generators()
     with pytest.raises(ValidationError):
-        build_stabilizer_chain([], degree=3).add_generator(cycle(4))
+        StabilizerChain([], degree=3).add_generator(cycle(4))
 
 
 # -- chains from a known base and strong generating set ----------------------
@@ -324,7 +324,7 @@ def test_chain_from_strong_generators_random():
     rng = random.Random(SEED + 8)
     for closure, gens in _random_groups(rng, 40):
         d = gens[0].degree
-        full = build_stabilizer_chain(gens, degree=d)
+        full = StabilizerChain(gens, degree=d)
         chain = StabilizerChain.from_strong_generators(
             full.base, full.strong_generators(), d)
         assert chain.base == full.base
@@ -336,7 +336,7 @@ def test_chain_from_strong_generators_random():
             assert chain.contains(p) == (p in closure)
         extra = random_perm(rng, d)
         assert chain.add_generator(extra) is (extra not in closure)
-        assert chain.order() == build_stabilizer_chain(gens + [extra], degree=d).order()
+        assert chain.order() == StabilizerChain(gens + [extra], degree=d).order()
 
 
 def test_chain_from_strong_generators_drops_trivial_orbits():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,13 +17,15 @@ from arrgraph.autsearch import AutResult
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, candidate_aut_generators, is_automorphism
-from arrgraph.perms import build_stabilizer_chain, transposition
+from arrgraph.indsets import delta_family
+from arrgraph.perms import StabilizerChain, transposition
 from arrgraph.suite import (Context, ReportDocument, run_full_suite, suite_jobs,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
 # aliased so pytest does not collect the library entry point as a test
 from arrgraph.suite import test_conjecture as conjecture_probe
+from oracles import brute_force_closure
 
 
 def test_theorem_1_2_examples():
@@ -80,6 +83,24 @@ def test_lemma_2_5_claim():
         verify_lemma_2_5(4, 4)
 
 
+@pytest.mark.parametrize("claim,n,k", [
+    (verify_prop_2_2, 2, 1), (verify_prop_2_2, 2, 2), (verify_prop_2_2, 3, 0),
+    (verify_prop_2_2, 3, 4),
+    (verify_blocks, 1, 1), (verify_blocks, 2, 1), (verify_blocks, 2, 2),
+    (verify_blocks, 3, 0), (verify_blocks, 3, 5),
+    (verify_lemma_2_5, 2, 1), (verify_lemma_2_5, 3, 0), (verify_lemma_2_5, 3, 3),
+])
+def test_claims_reject_parameters_outside_the_paper(claim, n, k, monkeypatch):
+    # the paper's range is n > 2 and 1 <= k <= n (k < n for lemma 2.5);
+    # outside it a claim raises before it builds a graph
+    def unbuilt(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(suite, "build_arrangement_graph", unbuilt)
+    with pytest.raises(ValidationError, match=f"got n={n} k={k}"):
+        claim(n, k)
+
+
 def test_prop_2_6_claim():
     r = verify_prop_2_6(3)
     assert r.passed
@@ -126,9 +147,9 @@ def test_conjecture_checks_candidates_on_the_cayley_graph(monkeypatch):
     # candidates that do not preserve Cay(S_4, D) are reported as such, and
     # the anchored claim fails; so does thm1.2, which reads the same ones
     ctx = Context()
-    generators, order = ctx.candidates(4, 4)
+    generators, action = ctx.candidates(4, 4)
     swap = transposition(ctx.cayley(4, 0).vertex_count, 0, 1)
-    monkeypatch.setattr(ctx, "candidates", lambda n, k: (generators + [swap], order))
+    monkeypatch.setattr(ctx, "candidates", lambda n, k: (generators + [swap], action))
     r = conjecture_probe(4, 0, ctx=ctx)
     assert r.details["candidate_preserves_graph"] is False
     assert r.details["candidates_contained"] is False
@@ -246,13 +267,16 @@ def test_suite_searches_each_graph_copy_once(monkeypatch):
     assert len(searched) == 15
 
 
-@pytest.mark.parametrize("job,induced", [(("akk", 4, 3), 1), (("knn", 4, (0, 2)), 2)])
-def test_job_makes_each_group_once(job, induced, monkeypatch):
-    # thm1.2, conj3.1 and blocks read one candidate lift and one candidate
-    # chain; prop2.2, blocks and lemma2.5 one induced action. A knn job also
-    # induces the candidate group's action, for blocks at k = n
-    calls = {"candidate_aut_generators": [], "build_stabilizer_chain": [],
-             "induce_action": []}
+@pytest.mark.parametrize("job,degrees", [(("akk", 4, 3), [12, 12, 4]),
+                                         (("knn", 4, (0, 2)), [16, 16])],
+                         ids=["akk", "knn"])
+def test_job_makes_each_group_once(job, degrees, monkeypatch):
+    # thm1.2, conj3.1 and blocks at k = n read one candidate lift and its
+    # action on the delta family; prop2.2, blocks at k < n and lemma2.5 the
+    # searched group's action. Each action's order comes from one chain of
+    # degree n*k (and lemma2.5's quotient from one of degree n), and no
+    # chain is built on the vertices, whose count is 24 here
+    calls = {"candidate_aut_generators": [], "induce_action": []}
 
     def counting(name, make):
         def wrapper(*args, **kwargs):
@@ -262,28 +286,98 @@ def test_job_makes_each_group_once(job, induced, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(suite, name, counting(name, getattr(suite, name)))
+    built = []
+
+    def counting_chain(generators, degree=None):
+        built.append(degree)
+        return StabilizerChain(generators, degree)
+
+    monkeypatch.setattr(actions, "StabilizerChain", counting_chain)
     claims = suite._job_claims(job, Config())
     assert all(c.passed is not False for c in claims)
     assert len(calls["candidate_aut_generators"]) == 1
-    assert len(calls["build_stabilizer_chain"]) == 1
     induced_by = [tuple(generators) for generators, _ in calls["induce_action"]]
-    assert len(induced_by) == len(set(induced_by)) == induced
+    assert len(induced_by) == len(set(induced_by)) == 2
+    assert built == degrees
+    assert not hasattr(suite, "StabilizerChain")
 
 
 def test_akk_job_builds_one_chain_per_induced_action(monkeypatch):
-    # prop2.2's kernel and lemma2.5's quotient read the order of the action
-    # on the delta family from one chain; lemma2.5 adds the chain of the
+    # thm1.2 reads the candidate group's order from its action on the delta
+    # family; prop2.2's kernel and lemma2.5's quotient read the searched
+    # group's action from one chain, and lemma2.5 adds the chain of the
     # action on the row blocks
     built = []
 
     def counting(generators, degree=None):
         built.append(degree)
-        return build_stabilizer_chain(generators, degree)
+        return StabilizerChain(generators, degree)
 
-    monkeypatch.setattr(actions, "build_stabilizer_chain", counting)
+    monkeypatch.setattr(actions, "StabilizerChain", counting)
     claims = suite._job_claims(("akk", 5, 4), Config())
     assert all(c.passed for c in claims)
-    assert built == [20, 5]
+    assert built == [20, 20, 5]
+
+
+def test_no_job_builds_a_chain_on_the_vertices(monkeypatch):
+    # every chain a job of run_full_suite(4) builds by sifting acts on the
+    # movers of an action on the delta family or on its row blocks; the
+    # searches' chains come from strong generators and sift nothing. Where
+    # the vertex count V exceeds n*k, no chain has degree V
+    chains, movers = [], []
+    init = StabilizerChain.__init__
+
+    def recording_init(self, generators, degree=None):
+        generators = list(generators)
+        if generators:
+            chains.append((degree, tuple(generators)))
+        init(self, generators, degree)
+
+    def recording(make, action_of):
+        def wrapper(*args):
+            result = make(*args)
+            movers.append(action_of(result).movers)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(StabilizerChain, "__init__", recording_init)
+    monkeypatch.setattr(suite, "induce_action",
+                        recording(suite.induce_action, lambda action: action))
+    monkeypatch.setattr(suite, "quotient_action",
+                        recording(suite.quotient_action, lambda result: result[0]))
+    for kind, n, arg in suite_jobs(4):
+        chains.clear()
+        movers.clear()
+        claims = suite._job_claims((kind, n, arg), Config())
+        assert all(c.passed is not False for c in claims)
+        k = arg if kind == "akk" else n
+        vertices = math.perm(n, k)
+        assert chains and all(generators in movers for _, generators in chains)
+        if vertices > n * k:
+            assert all(degree != vertices for degree, _ in chains)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (3, 4, 5) for k in range(1, n + 1)])
+def test_candidate_order_from_the_delta_family(n, k):
+    # the candidate group acts faithfully on the delta family, so the
+    # chain of its action gives the order of the chain on the vertices
+    generators, action = Context().candidates(n, k)
+    expected = (2 * math.factorial(n) ** 2 if k == n
+                else math.factorial(n) * math.factorial(k))
+    vertices = math.perm(n, k)
+    assert action.image_order == StabilizerChain(generators, degree=vertices).order()
+    assert action.image_order == expected
+    assert list(action.family) == [s for _, s in delta_family(n, k)]
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (4, 4)])
+def test_candidate_action_is_faithful(n, k):
+    # distinct elements of the candidate group move the delta family
+    # distinctly: a check of faithfulness that builds no chain
+    generators, action = Context().candidates(n, k)
+    group = list(brute_force_closure(generators, degree=math.perm(n, k)))
+    induced = actions.induce_action(group, action.family)
+    assert len(set(induced.movers)) == len(group)
 
 
 def test_package_import_leaves_out_the_process_pool():
