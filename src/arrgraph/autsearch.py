@@ -59,8 +59,10 @@ the group's order is the product of the orbit lengths.
 Each automorphism found is checked once with ``is_automorphism`` and
 appended to the list that orbit pruning reads. The search keeps no chain:
 after the search, the stabilizer chain is built once from that list and the
-first path's base with ``StabilizerChain.from_strong_generators``, from
-orbits and transversals only, and every automorphism found is a generator.
+first path's base with ``StabilizerChain.from_strong_generators``, from one
+breadth-first pass per level that records each orbit point's Schreier
+vector entry, with no Schreier generator sifted, and every automorphism
+found is a generator.
 """
 
 from __future__ import annotations

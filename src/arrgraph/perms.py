@@ -1,9 +1,11 @@
 """Exact permutation arithmetic, connection sets, and stabilizer chains.
 
-Stabilizer chains are built by incremental Schreier-Sims that closes each
-(orbit point, generator) pair of a level once (see ``StabilizerChain``), or,
-when a base and a strong generating set for it are known, from orbits and
-transversals alone (``StabilizerChain.from_strong_generators``).
+A stabilizer chain keeps each level's orbit as a Schreier vector over one
+shared list of generators and their inverses, not as transversal elements
+(see ``StabilizerChain``). It is built by incremental Schreier-Sims that
+closes each (orbit point, generator) pair of a level once, or, when a base
+and a strong generating set for it are known, from one breadth-first pass
+per level (``StabilizerChain.from_strong_generators``).
 Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -242,29 +245,46 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
 
 
 # --------------------------------------------------------------------------
-# Deterministic incremental Schreier-Sims
+# Stabilizer chains over Schreier vectors
+
+
+def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of p followed by q. Only for degree >= 2: an itemgetter of one
+    index returns the bare item, not a tuple. A chain composes only on a
+    level, and a level needs a point moved, so its degree is at least 2."""
+    return itemgetter(*p)(q)
 
 
 class _Level:
     """One chain level: its base point, the generators of the group at this
-    level (each fixes the earlier base points), and the fundamental orbit in
-    discovery order. trans[x] maps the base point to x and inv[x] is its
-    inverse, image tuples made once when x joins the orbit; applied[j]
-    counts the generators already applied to orbit[j]."""
+    level (indexes into the chain's generator list; each fixes the earlier
+    base points), the fundamental orbit in discovery order, and its
+    Schreier vector (Seress 2003, section 4.1). reached_by[y] is the index
+    of the generator g that first reached the orbit point y, from the
+    orbit point g^-1(y); it is -1 at the base point and None off the orbit.
+    The transversal element of y is that of g^-1(y) followed by g, so no
+    element is stored: a walk from y back to the base point through the
+    generators' inverses strips it."""
 
-    __slots__ = ("point", "gens", "orbit", "applied", "trans", "inv")
+    __slots__ = ("point", "gens", "orbit", "reached_by")
 
-    def __init__(self, point: int, identity: tuple[int, ...]):
+    def __init__(self, point: int, degree: int):
         self.point = point
-        self.gens: list[tuple[int, ...]] = []
+        self.gens: list[int] = []
         self.orbit = [point]
-        self.applied = [0]
-        self.trans = {point: identity}
-        self.inv = {point: identity}
+        self.reached_by: list[Optional[int]] = [None] * degree
+        self.reached_by[point] = -1
 
 
 class StabilizerChain:
     """Base and strong generating set of a permutation group.
+
+    The chain keeps each generator's images and their inverse once, in
+    one list that every level indexes, and each level a Schreier vector in
+    place of its transversal, so its memory grows with the generators and
+    the degree times the base length, not with the orbits times the
+    degree. A sift strips a level by walking its Schreier tree from the
+    image of the base point back to the base point.
 
     Incremental Schreier-Sims (Seress, *Permutation Group Algorithms*,
     2003, section 4.2) over a flat list of levels. A non-member sifts to a
@@ -273,10 +293,13 @@ class StabilizerChain:
     past the last level. h is appended to every level from the one it
     entered at down to m, and the levels are closed bottom-up. Orbits are
     only extended, never rebuilt, and each (orbit point, generator) pair
-    gives one Schreier generator, sifted once from the level below.
+    gives one Schreier generator, sifted once from the level below. The
+    transversal elements that closing a level traces are kept only until
+    ``add_generator``, or the constructor, returns (see ``_Closing``).
 
     Deterministic: a new base point is the first point moved by the residue
-    that needs it, so two builds from the same generator list give
+    that needs it, and an orbit point is reached by the first generator
+    that reaches it, so two builds from the same generator list give
     identical bases, orbits and strong generators, and a chain built from
     a list equals one extended by ``add_generator`` in the same order.
     """
@@ -290,8 +313,12 @@ class StabilizerChain:
         self.degree = degree
         self._identity = tuple(range(degree))
         self._levels: list[_Level] = []
+        # images of every generator of the chain, and of its inverse
+        self._gens: list[tuple[int, ...]] = []
+        self._invs: list[tuple[int, ...]] = []
+        closing = _Closing(self)
         for g in generators:
-            self.add_generator(g)
+            self._add(g, closing)
 
     @classmethod
     def from_strong_generators(cls, base: Iterable[int],
@@ -299,10 +326,10 @@ class StabilizerChain:
                                degree: int) -> "StabilizerChain":
         """The chain of the group generated by a strong generating set for
         a known base (Seress 2003, ch. 4): level i is generated by the
-        generators that fix base[:i] pointwise, and its orbit and
-        transversals come from one breadth-first pass over them. No
-        Schreier generator is sifted; every (orbit point, generator) pair
-        counts as closed, which holds because the set is strong, so
+        generators that fix base[:i] pointwise, and its orbit and Schreier
+        vector come from one breadth-first pass over them. No Schreier
+        generator is sifted; every (orbit point, generator) pair counts as
+        closed, which holds because the set is strong, so
         ``add_generator`` extends the chain as usual. Base points whose
         orbit is trivial get no level.
 
@@ -313,27 +340,26 @@ class StabilizerChain:
         if any(len(g) != degree for g in strong):
             raise ValidationError("generators of mixed degree")
         chain = cls([], degree)
-        gens = strong
+        chain._gens = strong
+        chain._invs = [_inverse(g) for g in strong]
+        gens = list(range(len(strong)))
         for point in base:
             if not gens:
                 break
-            level = _Level(point, chain._identity)
+            level = _Level(point, degree)
             level.gens = gens
-            orbit, trans, inv = level.orbit, level.trans, level.inv
+            orbit, reached_by = level.orbit, level.reached_by
+            pairs = [(i, strong[i]) for i in gens]
             for x in orbit:  # the orbit grows while it is scanned
-                tx = trans[x]
-                for g in gens:
+                for i, g in pairs:
                     y = g[x]
-                    if y not in trans:
-                        t = tuple(map(g.__getitem__, tx))
-                        trans[y] = t
-                        inv[y] = _inverse(t)
+                    if reached_by[y] is None:
+                        reached_by[y] = i
                         orbit.append(y)
             if len(orbit) > 1:
-                level.applied = [len(gens)] * len(orbit)
                 chain._levels.append(level)
             # the generators of the next level also fix this base point
-            gens = [g for g in gens if g[point] == point]
+            gens = [i for i in gens if strong[i][point] == point]
         for g in strong:
             if chain._sift(g, 0)[0] != chain._identity:
                 raise AssertionError(
@@ -348,7 +374,8 @@ class StabilizerChain:
         """Each generator once, grouped by the level whose base point it
         moves."""
         return [Permutation._trusted(g) for level in self._levels
-                for g in level.gens if g[level.point] != level.point]
+                for g in map(self._gens.__getitem__, level.gens)
+                if g[level.point] != level.point]
 
     def fundamental_orbits(self) -> list[list[int]]:
         return [sorted(level.orbit) for level in self._levels]
@@ -367,6 +394,9 @@ class StabilizerChain:
     def add_generator(self, p: Permutation) -> bool:
         """Extend the group by p. Returns False, changing nothing, when p is
         already a member."""
+        return self._add(p, _Closing(self))
+
+    def _add(self, p: Permutation, closing: "_Closing") -> bool:
         if p.degree != self.degree:
             raise ValidationError("generators of mixed degree")
         h, m = self._sift(p.images, 0)
@@ -377,54 +407,118 @@ class StabilizerChain:
             # h enters at level `first` and drops out at level m
             if m == len(self._levels):
                 point = next(i for i, x in enumerate(h) if i != x)
-                self._levels.append(_Level(point, self._identity))
+                self._levels.append(_Level(point, self.degree))
+            index = len(self._gens)
+            self._gens.append(h)
+            self._invs.append(_inverse(h))
             for level in self._levels[first:m + 1]:
-                level.gens.append(h)
+                level.gens.append(index)
             # close the levels bottom-up from m; a residue of a Schreier
             # generator of level i enters at level i + 1
             i = m
-            while (found := self._next_residue(i)) is None:
+            while (found := closing.next_residue(i)) is None:
                 i -= 1
                 if i < 0:
                     return True
             (h, m), first = found, i + 1
 
     def _sift(self, images: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
-        """Strip images through the levels from i on. Returns the residue
-        and the level it drops out at (len(levels) if it gets through)."""
-        levels = self._levels
+        """Strip images through the levels from i on, each by the walk
+        back through its Schreier tree from the image of its base point.
+        Returns the residue and the level it drops out at (len(levels) if
+        it gets through)."""
+        levels, invs = self._levels, self._invs
         while i < len(levels):
             level = levels[i]
-            x = images[level.point]
-            if x != level.point:
-                inv = level.inv.get(x)
-                if inv is None:
+            point, reached_by = level.point, level.reached_by
+            x = images[point]
+            if x != point:
+                if reached_by[x] is None:
                     break
-                images = tuple(map(inv.__getitem__, images))
+                while x != point:
+                    inv = invs[reached_by[x]]
+                    images = _then(images, inv)
+                    x = inv[x]
             i += 1
         return images, i
 
-    def _next_residue(self, i: int) -> Optional[tuple[tuple[int, ...], int]]:
+
+class _Closing:
+    """What ``add_generator``, or the constructor for its whole generator
+    list, keeps while it closes the levels, dropped when it returns: per
+    level, the count of the level's generators applied to each orbit
+    point, and the transversal elements traced so far and their inverses.
+    Every level is closed when a generator has been added, so the counts
+    need not outlive the call, and the traced elements spare each Schreier
+    generator the walks to its points. Schreier vectors are only extended,
+    so a traced element stays valid while the chain grows."""
+
+    def __init__(self, chain: StabilizerChain):
+        self.chain = chain
+        # every orbit point of every level has had all the generators the
+        # level has now: the levels are closed between calls. A level that
+        # gets a generator is closed through next_residue, which keeps its
+        # counts from then on
+        self.closed = [len(level.gens) for level in chain._levels]
+        self.applied: dict[int, list[int]] = {}
+        self.traced: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.inverses: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def _trace(self, memo: dict, i: int, x: int, step) -> tuple[int, ...]:
+        """memo[i][x], made from the element of the point x came from:
+        step(element, generator index) gives the element of its child."""
+        known = memo.get(i)
+        if known is None:
+            known = memo[i] = {self.chain._levels[i].point: self.chain._identity}
+        reached_by, invs = self.chain._levels[i].reached_by, self.chain._invs
+        path = []
+        while x not in known:
+            path.append(x)
+            x = invs[reached_by[x]][x]
+        u = known[x]
+        for y in reversed(path):
+            u = known[y] = step(u, reached_by[y])
+        return u
+
+    def transversal(self, i: int, x: int) -> tuple[int, ...]:
+        """The element of level i that maps its base point to x."""
+        gens = self.chain._gens
+        return self._trace(self.traced, i, x, lambda u, g: _then(u, gens[g]))
+
+    def inverse_transversal(self, i: int, x: int) -> tuple[int, ...]:
+        """The inverse of transversal(i, x)."""
+        invs = self.chain._invs
+        return self._trace(self.inverses, i, x, lambda u, g: _then(invs[g], u))
+
+    def next_residue(self, i: int) -> Optional[tuple[tuple[int, ...], int]]:
         """Apply level i's generators to its orbit points, pair by pair,
         until a Schreier generator sifts to a non-identity residue; returns
         it with its drop-out level, or None once the level is closed."""
-        level = self._levels[i]
-        gens, orbit, applied, trans, inv = (
-            level.gens, level.orbit, level.applied, level.trans, level.inv)
+        chain = self.chain
+        level = chain._levels[i]
+        gens, orbit, reached_by = level.gens, level.orbit, level.reached_by
+        applied = self.applied.get(i)
+        if applied is None:
+            closed = self.closed[i] if i < len(self.closed) else 0
+            applied = self.applied[i] = [closed] * len(orbit)
         for j, x in enumerate(orbit):  # the orbit grows while it is scanned
+            if applied[j] == len(gens):
+                continue
+            tx = self.transversal(i, x)
             while applied[j] < len(gens):
-                g = gens[applied[j]]
+                index = gens[applied[j]]
                 applied[j] += 1
-                tg = tuple(map(g.__getitem__, trans[x]))
+                g = chain._gens[index]
+                tg = _then(tx, g)
                 y = g[x]
-                if y not in trans:
-                    trans[y] = tg
-                    inv[y] = _inverse(tg)
+                if reached_by[y] is None:
+                    reached_by[y] = index
+                    self.traced[i][y] = tg
                     orbit.append(y)
                     applied.append(0)
                     continue
-                # images of trans[x] * g * trans[y]^-1
-                h, m = self._sift(tuple(map(inv[y].__getitem__, tg)), i + 1)
-                if h != self._identity:
+                # trans[x] * g * trans[y]^-1, sifted from level i + 1 on
+                h, m = chain._sift(_then(tg, self.inverse_transversal(i, y)), i + 1)
+                if h != chain._identity:
                     return h, m
         return None

@@ -156,19 +156,20 @@ class Context:
 
         return self._once(("aut", n, k, r), search)
 
-    def candidates(self, n: int, k: int) -> tuple[list[Permutation], ActionOnSets]:
+    def candidates(self, n: int, k: int, r: int) -> tuple[list[Permutation], ActionOnSets]:
         """The generators of the candidate group of Aut(A(n,k,r)), lifted
-        and verified on A(n,k,k), and the group's action on the delta
+        and verified on A(n,k,r), and the group's action on the delta
         family, in family order. They are the same vertex permutations for
         every r, and for k = n on Cay(S_n, F_f) too, whose labels are those
-        of A(n,n,n-f).
+        of A(n,n,n-f); so they are made once per (n, k), on the graph of
+        the first r asked for, which the claim asking holds already.
 
         The action is faithful, so its image_order is the group's order: a
         tuple t is the only vertex in every D_{t[j],j}, so a permutation
         fixing each delta set fixes every vertex. Its chain has degree
         n*k, not the vertex count."""
         def lift():
-            generators = candidate_aut_generators(n, k, self.arrangement(n, k, k))
+            generators = candidate_aut_generators(n, k, self.arrangement(n, k, r))
             return generators, induce_action(generators, [s for _, s in delta_family(n, k)])
 
         return self._once(("cand", n, k), lift)
@@ -236,7 +237,7 @@ def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
     aut = search.aut
     # the chain is generated by verified automorphisms, so a candidate
     # that is none of A(n,k,r)'s is not contained and the claim fails
-    candidates, action = ctx.candidates(n, k)
+    candidates, action = ctx.candidates(n, k, r)
     cand_order = action.image_order
     contained = all(search.contains(g) for g in candidates)
     return ClaimReport(
@@ -310,7 +311,7 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
         sigma_prime_ok = verify_block_system(action, sigma_prime)
     else:
         # the candidates end with the inversion, after the relabelings
-        action = ctx.candidates(n, n)[1]
+        action = ctx.candidates(n, n, n)[1]
         pq_action = ActionOnSets(action.family, action.movers[:-1])
         sigma_ok = verify_block_system(pq_action, sigma)
         sigma_prime_ok = verify_block_system(pq_action, sigma_prime)
@@ -416,7 +417,7 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     anchored = fixed in (0, n - 2)
     graph = ctx.cayley(n, fixed)
     expected_candidate = 2 * math.factorial(n) ** 2
-    candidates, action = ctx.candidates(n, n)
+    candidates, action = ctx.candidates(n, n, n - fixed)
     cand_order = action.image_order
     preserves = all(is_automorphism(graph, g) for g in candidates)
     details = {

@@ -1,5 +1,7 @@
 """Independent oracles the tests check the engines against: closure of a
-generating set, automorphism count by trying every bijection, independence
+generating set, stabilizer chains with a transversal element held per
+orbit point (incremental Schreier-Sims, and the sift of a strong
+generating set), automorphism count by trying every bijection, independence
 number by scanning every vertex subset and by take-or-drop branching, the
 IR search with orbit pruning only with its leaf certificates from
 neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
@@ -46,6 +48,93 @@ def brute_force_closure(generators: Iterable[Permutation],
                         raise BudgetError(f"closure exceeded {limit} elements")
         frontier = new
     return elems
+
+
+class TransversalChain:
+    """Incremental Schreier-Sims in the pair order of StabilizerChain, with
+    each level's transversal element of every orbit point held as a
+    Permutation: a point first reached from the orbit point x by the
+    generator g gets the element of x followed by g. A chain over Schreier
+    vectors must give the same bases, orbits in discovery order, strong
+    generators and residues."""
+
+    def __init__(self, generators: Iterable[Permutation], degree: int):
+        self.identity = Permutation.identity(degree)
+        # per level: [base point, generators, orbit, applied counts, transversal]
+        self.levels: list[list] = []
+        for g in generators:
+            self.add_generator(g)
+
+    def sift(self, p: Permutation, i: int = 0) -> tuple[Permutation, int]:
+        while i < len(self.levels):
+            point, trans = self.levels[i][0], self.levels[i][4]
+            if p(point) not in trans:
+                break
+            p = p.compose(trans[p(point)].inverse())
+            i += 1
+        return p, i
+
+    def add_generator(self, p: Permutation) -> bool:
+        h, m = self.sift(p)
+        if h == self.identity:
+            return False
+        first = 0
+        while True:
+            if m == len(self.levels):
+                point = next(x for x in range(h.degree) if h(x) != x)
+                self.levels.append([point, [], [point], [0], {point: self.identity}])
+            for level in self.levels[first:m + 1]:
+                level[1].append(h)
+            i = m
+            while (found := self._next_residue(i)) is None:
+                i -= 1
+                if i < 0:
+                    return True
+            (h, m), first = found, i + 1
+
+    def _next_residue(self, i: int) -> Optional[tuple[Permutation, int]]:
+        _, gens, orbit, applied, trans = self.levels[i]
+        for j, x in enumerate(orbit):  # grows while it is read
+            while applied[j] < len(gens):
+                g = gens[applied[j]]
+                applied[j] += 1
+                if g(x) not in trans:
+                    trans[g(x)] = trans[x].compose(g)
+                    orbit.append(g(x))
+                    applied.append(0)
+                    continue
+                h, m = self.sift(trans[x].compose(g).compose(trans[g(x)].inverse()), i + 1)
+                if h != self.identity:
+                    return h, m
+        return None
+
+    def strong_generators(self) -> list[Permutation]:
+        return [g for point, gens, *_ in self.levels for g in gens if g(point) != point]
+
+
+def transversal_sift(base: Sequence[int], strong: Sequence[Permutation],
+                     p: Permutation) -> Permutation:
+    """The residue of p through the chain of a strong generating set for
+    the base, with every level's transversal element held explicitly:
+    level i has the generators fixing base[:i], a point y first reached
+    from the orbit point x by the generator g gets the element of x
+    followed by g (breadth first, generators in order), and a level whose
+    orbit is trivial is skipped."""
+    gens = list(strong)
+    for point in base:
+        trans = {point: Permutation.identity(p.degree)}
+        frontier = [point]
+        for x in frontier:  # grows while it is read
+            for g in gens:
+                if g(x) not in trans:
+                    trans[g(x)] = trans[x].compose(g)
+                    frontier.append(g(x))
+        if len(trans) > 1:
+            if p(point) not in trans:
+                return p
+            p = p.compose(trans[p(point)].inverse())
+        gens = [g for g in gens if g(point) == point]
+    return p
 
 
 def brute_force_automorphism_count(graph: Graph, limit: int = 8) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,8 @@ from arrgraph.config import Config
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
                             check_tuple_count, connection_set, cycle, orbits,
                             transposition)
-from oracles import brute_force_closure, fixed_point_count
+from oracles import (TransversalChain, brute_force_closure, fixed_point_count,
+                     transversal_sift)
 
 SEED = 20240811
 
@@ -222,7 +224,8 @@ def test_chain_invariants():
         for i, level in enumerate(chain._levels):
             orbit = set(level.orbit)
             assert level.point == base[i] and sorted(orbit) == orbits[i]
-            for g in level.gens:
+            # a level's generators are indexes into the chain's one list
+            for g in map(chain._gens.__getitem__, level.gens):
                 assert all(g[b] == b for b in base[:i])
                 assert {g[x] for x in orbit} == orbit
     assert StabilizerChain(groups[0]).order() == 120
@@ -339,6 +342,42 @@ def test_chain_from_strong_generators_random():
         assert chain.order() == StabilizerChain(gens + [extra], degree=d).order()
 
 
+def test_chain_sift_matches_explicit_transversals_random():
+    # a Schreier vector keeps the first generator that reaches each orbit
+    # point, so walking it strips the transversal element a breadth-first
+    # pass would store: every residue, member or not, is that of the
+    # explicit transversals
+    rng = random.Random(SEED + 11)
+    for closure, gens in _random_groups(rng, 30):
+        d = gens[0].degree
+        full = StabilizerChain(gens, degree=d)
+        base, strong = full.base, full.strong_generators()
+        chain = StabilizerChain.from_strong_generators(base, strong, d)
+        for p in [random_perm(rng, d) for _ in range(20)]:
+            assert chain.sift(p) == transversal_sift(base, strong, p)
+
+
+def test_chain_matches_explicit_transversals_random():
+    # incremental Schreier-Sims over Schreier vectors traces the transversal
+    # elements a chain holding them would store, so it finds the same
+    # residues: the same base, orbits in discovery order, strong generators
+    # and sifts, also when extended one generator at a time
+    rng = random.Random(SEED + 12)
+    for closure, gens in _random_groups(rng, 40):
+        d = gens[0].degree
+        extra = [random_perm(rng, d) for _ in range(2)]
+        chain, oracle = StabilizerChain(gens, degree=d), TransversalChain(gens, d)
+        for g in [None] + extra:
+            if g is not None:
+                assert chain.add_generator(g) == oracle.add_generator(g)
+            assert [level.orbit for level in chain._levels] == [
+                level[2] for level in oracle.levels]
+            assert chain.base == [level[0] for level in oracle.levels]
+            assert chain.strong_generators() == oracle.strong_generators()
+            for p in [random_perm(rng, d) for _ in range(10)]:
+                assert chain.sift(p) == oracle.sift(p)[0]
+
+
 def test_chain_from_strong_generators_drops_trivial_orbits():
     chain = StabilizerChain.from_strong_generators([2, 0, 1], [transposition(3, 0, 1)], 3)
     assert chain.base == [0]
@@ -355,6 +394,63 @@ def test_chain_from_strong_generators_rejects_a_weak_set():
     with pytest.raises(AssertionError):
         StabilizerChain.from_strong_generators(
             [0, 1], [transposition(3, 0, 1), cycle(3)], 3)
+
+
+def test_chain_deep_schreier_tree():
+    # one long cycle as the only generator reaches each orbit point from
+    # the one before, so the Schreier tree is a path of depth 39 and the
+    # sift of c^k walks k steps back to the base point
+    c = cycle(40)
+    closure = brute_force_closure([c])
+    assert len(closure) == 40
+    near = [transposition(40, 1, 2) * p for p in closure]
+    rng = random.Random(SEED + 10)
+    for chain in (StabilizerChain([c]),
+                  StabilizerChain.from_strong_generators([0], [c], 40)):
+        assert chain.base == [0] and chain.order() == 40
+        level, = chain._levels
+        assert level.orbit == list(range(40))
+        assert level.reached_by[1:] == [0] * 39
+        assert chain.strong_generators() == [c]
+        for p in closure:
+            assert chain.contains(p)
+        for p in near + [random_perm(rng, 40) for _ in range(40)]:
+            assert chain.contains(p) == (p in closure)
+    # a path of depth 6 above the levels of S_7, on 8 points
+    gens = [Permutation(cycle(7).images + (7,)), transposition(8, 0, 1)]
+    closure = brute_force_closure(gens)
+    assert len(closure) == 5040
+    full = StabilizerChain(gens)
+    assert full._levels[0].reached_by[:7] == [-1] + [0] * 6
+    strong = StabilizerChain.from_strong_generators(full.base, full.strong_generators(), 8)
+    members = rng.sample(sorted(closure, key=lambda p: p.images), 200)
+    for chain in (full, strong):
+        assert chain.order() == 5040
+        for p in members + [random_perm(rng, 8) for _ in range(200)]:
+            assert chain.contains(p) == (p in closure)
+
+
+def test_chain_from_strong_generators_memory():
+    # S_120 from its adjacent transpositions, base 0..118: 119 levels whose
+    # orbits sum to 7259 points. A transversal and its inverse per orbit
+    # point took 14.4 MB here; Schreier vectors over one list of generator
+    # inverses take well under 2 MB
+    gens = [transposition(120, i, i + 1) for i in range(119)]
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        base_memory = tracemalloc.get_traced_memory()[0]
+        chain = StabilizerChain.from_strong_generators(range(119), gens, 120)
+        peak = tracemalloc.get_traced_memory()[1] - base_memory
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert chain.base == list(range(119))
+    assert chain.order() == math.factorial(120)
+    assert peak <= 2 * 2**20
 
 
 # -- validation at the API boundary -------------------------------------------

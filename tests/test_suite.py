@@ -147,9 +147,9 @@ def test_conjecture_checks_candidates_on_the_cayley_graph(monkeypatch):
     # candidates that do not preserve Cay(S_4, D) are reported as such, and
     # the anchored claim fails; so does thm1.2, which reads the same ones
     ctx = Context()
-    generators, action = ctx.candidates(4, 4)
+    generators, action = ctx.candidates(4, 4, 4)
     swap = transposition(ctx.cayley(4, 0).vertex_count, 0, 1)
-    monkeypatch.setattr(ctx, "candidates", lambda n, k: (generators + [swap], action))
+    monkeypatch.setattr(ctx, "candidates", lambda n, k, r: (generators + [swap], action))
     r = conjecture_probe(4, 0, ctx=ctx)
     assert r.details["candidate_preserves_graph"] is False
     assert r.details["candidates_contained"] is False
@@ -302,6 +302,28 @@ def test_job_makes_each_group_once(job, degrees, monkeypatch):
     assert not hasattr(suite, "StabilizerChain")
 
 
+@pytest.mark.parametrize("job,graphs", [(("knn", 4, (0, 2)), [(4, 4, 4), (4, 4, 2)]),
+                                        (("fixed", 5, (1,)), [(5, 5, 4)])],
+                         ids=["knn", "fixed"])
+def test_job_lifts_the_candidates_on_a_graph_it_searches(job, graphs, monkeypatch):
+    # the candidates are the same vertex permutations for every r, so a
+    # job lifts them on an A(n,n,r) it already holds and builds no other
+    built = []
+
+    def counting(n, k, r, config):
+        built.append((n, k, r))
+        return build(n, k, r, config)
+
+    build = suite.build_arrangement_graph
+    monkeypatch.setattr(suite, "build_arrangement_graph", counting)
+    claims = suite._job_claims(job, Config())
+    assert all(c.passed is not False for c in claims)
+    assert built == graphs
+    built.clear()
+    conjecture_probe(4, 1)
+    assert built == [(4, 4, 3)]
+
+
 def test_akk_job_builds_one_chain_per_induced_action(monkeypatch):
     # thm1.2 reads the candidate group's order from its action on the delta
     # family; prop2.2's kernel and lemma2.5's quotient read the searched
@@ -361,7 +383,7 @@ def test_no_job_builds_a_chain_on_the_vertices(monkeypatch):
 def test_candidate_order_from_the_delta_family(n, k):
     # the candidate group acts faithfully on the delta family, so the
     # chain of its action gives the order of the chain on the vertices
-    generators, action = Context().candidates(n, k)
+    generators, action = Context().candidates(n, k, k)
     expected = (2 * math.factorial(n) ** 2 if k == n
                 else math.factorial(n) * math.factorial(k))
     vertices = math.perm(n, k)
@@ -374,7 +396,7 @@ def test_candidate_order_from_the_delta_family(n, k):
 def test_candidate_action_is_faithful(n, k):
     # distinct elements of the candidate group move the delta family
     # distinctly: a check of faithfulness that builds no chain
-    generators, action = Context().candidates(n, k)
+    generators, action = Context().candidates(n, k, k)
     group = list(brute_force_closure(generators, degree=math.perm(n, k)))
     induced = actions.induce_action(group, action.family)
     assert len(set(induced.movers)) == len(group)
