@@ -1,5 +1,10 @@
-"""Flat-file graph formats: edge list, DOT, and the self-describing
-"graphdoc" JSON document (bit-exact round-trip)."""
+"""Flat-file graph formats: edge list, DOT, and the "graphdoc" JSON document.
+
+A graphdoc (version 2) holds the metadata, the 1-based tuple labels and the
+adjacency as one lowercase hex string per vertex: row v has ceil(V/4)
+digits, and bit u of it is set when u and v are adjacent. Re-exporting an
+imported document gives the same bytes. Edge lists and DOT keep one line
+per edge, for other tools."""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import json
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, _transpose
 
 FORMAT_EDGELIST = "edgelist"
 FORMAT_DOT = "dot"
@@ -16,6 +21,8 @@ FORMAT_GRAPHDOC = "graphdoc"
 FORMATS = (FORMAT_EDGELIST, FORMAT_DOT, FORMAT_GRAPHDOC)
 
 _GRAPHDOC_MAGIC = "arrgraph-graphdoc"
+_GRAPHDOC_VERSION = 2
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 def _label_str(label: tuple[int, ...]) -> str:
@@ -75,21 +82,31 @@ def to_dot(graph: Graph) -> str:
 
 
 def to_graphdoc(graph: Graph) -> str:
-    """Self-describing JSON: metadata, 1-based tuple labels, sorted edges.
+    """Graphdoc version 2: metadata, 1-based tuple labels, and adjacency
+    row v as ceil(V/4) lowercase hex digits with bit u for vertex u.
     Canonical serialization (sorted keys, fixed separators) so re-export of
     an imported document is byte-identical."""
+    width = _row_width(graph.vertex_count)
     doc = {
         "format": _GRAPHDOC_MAGIC,
-        "version": 1,
+        "version": _GRAPHDOC_VERSION,
         "metadata": graph.metadata,
         "vertex_count": graph.vertex_count,
         "labels": [[x + 1 for x in lab] for lab in graph.labels],
-        "edges": sorted(graph.edges()),
+        "rows": [format(row, f"0{width}x") for row in graph.adjacency],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _row_width(vertex_count: int) -> int:
+    return (vertex_count + 3) // 4
+
+
 def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
+    """Read a version-2 graphdoc, checked once here: the format marker, the
+    version (an older one is rejected with a hint to regenerate the file),
+    vertex_count against the vertex guard before any row is parsed, the
+    labels, the metadata, then the rows (see _rows)."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -98,31 +115,57 @@ def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
         raise ValidationError(f"not a graph document: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _GRAPHDOC_MAGIC:
         raise ValidationError("not a graph document (missing format marker)")
-    if isinstance(doc.get("vertex_count"), int):
-        _check_vertex_guard(doc["vertex_count"], config)
+    version = doc.get("version")
+    if not (type(version) is int and version == _GRAPHDOC_VERSION):
+        raise ValidationError(
+            f"graph document version {version!r} is not {_GRAPHDOC_VERSION}; "
+            "regenerate the file with `arrgraph gen`")
+    nv = doc.get("vertex_count")
+    # exact type: a bool is an int to isinstance
+    if not (type(nv) is int and nv >= 0):
+        raise ValidationError(f"graph document vertex_count {nv!r} is not an integer >= 0")
+    _check_vertex_guard(nv, config)
     labels = [tuple(x - 1 for x in _int_list(lab, "label"))
               for lab in _list(doc.get("labels"), "labels")]
-    if len(labels) != doc.get("vertex_count"):
+    if len(labels) != nv:
         raise ValidationError("label count does not match vertex_count")
+    if len(set(labels)) != nv:
+        raise ValidationError("vertex labels are not pairwise distinct")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValidationError("graph document metadata is not an object")
-    # streamed, so no second edge list is made; Graph checks range and loops
-    return Graph(labels, map(_edge, _list(doc.get("edges"), "edges")), metadata)
+    return Graph._from_adjacency(labels, _rows(doc.get("rows"), nv), metadata)
+
+
+def _rows(value, nv: int) -> list[int]:
+    """The adjacency of a graphdoc's rows, once they are nv strings of
+    ceil(nv/4) lowercase hex digits making a symmetric, loop-free matrix
+    with no bit at nv or above."""
+    width = _row_width(nv)
+    if not (type(value) is list and len(value) == nv
+            and all(type(s) is str and len(s) == width for s in value)):
+        raise ValidationError(
+            f"graph document rows are not {nv} strings of {width} hex digits")
+    # int(s, 16) alone would also take "0x", "_", signs, whitespace and
+    # uppercase, so every character is checked at once
+    joined = "".join(value)
+    if not joined.isascii() or joined.encode().translate(None, _HEX_DIGITS):
+        raise ValidationError("graph document rows hold a character other than 0-9a-f")
+    rows = [int(s, 16) for s in value]
+    # _transpose drops the padding rows at nv and above, so it cannot see
+    # such bits: they are checked first
+    if any(row >> nv for row in rows):
+        raise ValidationError(f"graph document row has a bit at {nv} or above")
+    if any(row >> v & 1 for v, row in enumerate(rows)):
+        raise ValidationError("graph document row has a self-loop")
+    if _transpose(rows) != rows:
+        raise ValidationError("graph document rows are not symmetric")
+    return rows
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"graph document {what} missing or not a list")
-    return value
-
-
-def _edge(value) -> list[int]:
-    """value, once it is a list of two ints: exact types keep bool out and
-    cost less than isinstance on millions of edges."""
-    if not (type(value) is list and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int):
-        raise ValidationError(f"graph document edge {value!r} is not a pair of integers")
     return value
 
 

@@ -79,7 +79,7 @@ class Permutation:
         if self.degree != other.degree:
             raise ValidationError(
                 f"degree mismatch: {self.degree} vs {other.degree}")
-        return Permutation._trusted(tuple(map(other.images.__getitem__, self.images)))
+        return Permutation._trusted(_then(self.images, other.images))
 
     __mul__ = compose
 
@@ -249,9 +249,11 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
 
 
 def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Images of p followed by q. Only for degree >= 2: an itemgetter of one
-    index returns the bare item, not a tuple. A chain composes only on a
-    level, and a level needs a point moved, so its degree is at least 2."""
+    """Images of p followed by q. An itemgetter of one index returns the
+    bare item, not a tuple, and one of no index cannot be made, so degrees
+    below 2 take the loop."""
+    if len(p) < 2:
+        return tuple(q[x] for x in p)
     return itemgetter(*p)(q)
 
 

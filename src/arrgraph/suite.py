@@ -95,10 +95,14 @@ class _Search:
 
     shuffle: Permutation
     aut: AutResult
+    unshuffle: Permutation = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unshuffle", self.shuffle.inverse())
 
     def contains(self, g: Permutation) -> bool:
         """Whether the plain-labelled vertex permutation g is an automorphism."""
-        return self.aut.chain.contains(self.shuffle.inverse() * g * self.shuffle)
+        return self.aut.chain.contains(self.unshuffle * g * self.shuffle)
 
 
 def _shuffled(graph: Graph, rng: random.Random, config: Config) -> _Search:

@@ -246,20 +246,23 @@ def _doc_without_labels():
     return json.dumps(doc)
 
 
-def _doc_with_three_entry_edge():
+def _doc_with_list_row():
     doc = dict(_A422_DOC)
-    doc["edges"] = doc["edges"][:-1] + [[0, 1, 2]]
+    doc["rows"] = doc["rows"][:-1] + [[0, 1, 2]]
     return json.dumps(doc)
 
 
 @pytest.mark.parametrize("text", [
     _doc_without_labels(),
-    _doc_with_three_entry_edge(),
+    _doc_with_list_row(),
     "# vertices x\n0 1\n",
     '{"a": ' + "[" * 200_000 + "]" * 200_000 + "}",
     '{"vertex_count": 1' + "0" * 5000 + "}",
-], ids=["graphdoc-no-labels", "edge-three-entries", "edgelist-vertices-x",
-        "graphdoc-nested-deep", "graphdoc-long-integer"])
+    # a bool is an int to isinstance; this once loaded as one vertex
+    '{"format":"arrgraph-graphdoc","version":2,"vertex_count":true,'
+    '"labels":[[1]],"rows":["0"]}',
+], ids=["graphdoc-no-labels", "row-a-list", "edgelist-vertices-x",
+        "graphdoc-nested-deep", "graphdoc-long-integer", "graphdoc-vertex-count-true"])
 def test_aut_malformed_input_exit_code(text, capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -294,14 +297,62 @@ def test_loaded_graph_over_vertex_guard(command, capsys, tmp_path):
     assert err.startswith("error: ") and "over the guard" in err
 
 
+def _changed_rows(change, graph=None):
+    doc = json.loads(graphio.to_graphdoc(graph or _A544))
+    change(doc["rows"])
+    return json.dumps(doc)
+
+
+def _last_row(row, graph=None):
+    return _changed_rows(lambda rows: rows.__setitem__(-1, row), graph)
+
+
+_A544 = build_arrangement_graph(5, 4, 4)  # 120 vertices, rows of 30 digits
+_A544_LAST = "00000039ece3780febcc0ffc8c0afc"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_last_row(_A544_LAST[:-1] + "g"), "0-9a-f"),
+    (_last_row(_A544_LAST.upper()), "0-9a-f"),
+    # int(row, 16) takes each of these four
+    (_last_row("0x" + _A544_LAST[2:]), "0-9a-f"),
+    (_last_row(_A544_LAST[:10] + "_" + _A544_LAST[11:]), "0-9a-f"),
+    (_last_row("+" + _A544_LAST[1:]), "0-9a-f"),
+    (_last_row(" " + _A544_LAST[1:]), "0-9a-f"),
+    (_last_row(_A544_LAST[1:]), "30 hex digits"),
+    (_last_row("0" + _A544_LAST), "30 hex digits"),
+    # 120 bits fill 30 digits, so the bit past the last vertex is shown on
+    # the 6 vertices of A(3,2,2), whose rows have 2 digits
+    (_last_row("8e", build_arrangement_graph(3, 2, 2)), "bit at 6"),
+    (_last_row("8" + _A544_LAST[1:]), "self-loop"),
+    (_last_row(_A544_LAST[:-1] + "d"), "not symmetric"),
+    (_changed_rows(list.pop), "120 strings"),
+    (_changed_rows(lambda rows: rows.append(rows[-1])), "120 strings"),
+    (_last_row(int(_A544_LAST, 16)), "120 strings"),
+    ('{"edges":[[0,1]],"format":"arrgraph-graphdoc","labels":[[1],[2]],'
+     '"metadata":{},"version":1,"vertex_count":2}', "regenerate"),
+], ids=["non-hex", "uppercase", "0x", "underscore", "plus", "space", "short",
+        "long", "bit-past-last-vertex", "loop", "asymmetric", "one-row-short",
+        "one-row-over", "row-an-int", "version-1"])
+def test_bad_last_row(text, message, capsys, tmp_path):
+    assert _A544.vertex_count == 120
+    assert json.loads(graphio.to_graphdoc(_A544))["rows"][-1] == _A544_LAST
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "mis", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("bad", [[0, "x"], [0, 1, 2], [True, 1], [0, 0], [0, 120], 7])
 def test_bad_edge_at_the_end_of_a_long_list(bad, capsys, tmp_path):
-    # the edges stream into the graph, so the last of 3181 is checked too
-    doc = json.loads(graphio.to_graphdoc(build_arrangement_graph(5, 4, 4)))
-    assert len(doc["edges"]) == 3180
-    doc["edges"].append(bad)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    # an edge list still builds its graph edge by edge, so the last of 3181
+    # edges is checked too
+    text = graphio.to_edgelist(_A544)
+    assert text.count("\n") == 3181
+    line = " ".join(map(str, bad)) if isinstance(bad, list) else str(bad)
+    path = tmp_path / "bad.txt"
+    path.write_text(text + line + "\n")
     code, _, err = run(capsys, "mis", str(path))
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ")

@@ -1,12 +1,15 @@
 """Flat-file formats: edge list, DOT, graphdoc."""
 
+import json
+import random
+
 import pytest
 
 from arrgraph import graphio
 from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph, build_cayley_graph
-from arrgraph.perms import connection_set
+from arrgraph.perms import Permutation, connection_set
 
 
 def test_edgelist_round_trip():
@@ -30,8 +33,8 @@ def test_edgelist_rejects_garbage():
 
 
 def test_vertex_guard_applies_to_loaded_graphs():
-    doc = ('{"format":"arrgraph-graphdoc","version":1,"metadata":{},'
-           '"vertex_count":50001,"labels":[],"edges":[]}')
+    doc = ('{"format":"arrgraph-graphdoc","version":2,"metadata":{},'
+           '"vertex_count":50001,"labels":[],"rows":[]}')
     for text in (doc, "# vertices 50001\n", "0 50000\n"):
         with pytest.raises(ValidationError, match="over the guard"):
             graphio.load(text)
@@ -42,9 +45,24 @@ def test_vertex_guard_applies_to_loaded_graphs():
             graphio.load(text, Config(vertex_guard=11))
 
 
+def _round_trip_graphs():
+    # the aut benchmark's A(4,k,r) and A(5,k<5,r), each also shuffled, and
+    # two Cayley graphs
+    rng = random.Random(20240811)
+    for n in (4, 5):
+        for k in range(1, min(n, 4) + 1):
+            for r in range(1, k + 1):
+                g = build_arrangement_graph(n, k, r)
+                yield g
+                images = list(range(g.vertex_count))
+                rng.shuffle(images)
+                yield g.relabeled(Permutation(images))
+    for n in (3, 4):
+        yield build_cayley_graph(n, connection_set(n, "transpositions"))
+
+
 def test_graphdoc_round_trip_bit_exact():
-    for g in (build_arrangement_graph(4, 2, 2),
-              build_cayley_graph(3, connection_set(3, "transpositions"))):
+    for g in _round_trip_graphs():
         text = graphio.to_graphdoc(g)
         h = graphio.from_graphdoc(text)
         assert h.labels == g.labels
@@ -65,9 +83,16 @@ def test_graphdoc_rejects_non_documents():
         graphio.from_graphdoc("not json")
 
 
-def test_graphdoc_metadata_is_checked_before_the_edges():
-    doc = ('{"format":"arrgraph-graphdoc","version":1,"metadata":[],'
-           '"vertex_count":2,"labels":[[1],[2]],"edges":[[0,0]]}')
+def test_graphdoc_rows_are_hex_bit_rows():
+    # A(3,2,2): vertex 0 = (1,2) is adjacent to 2, 3 and 4
+    rows = json.loads(graphio.to_graphdoc(build_arrangement_graph(3, 2, 2)))["rows"]
+    assert rows == ["1c", "34", "23", "31", "0b", "0e"]
+
+
+def test_graphdoc_metadata_is_checked_before_the_rows():
+    # row 0 has a self-loop, which is never reached
+    doc = ('{"format":"arrgraph-graphdoc","version":2,"metadata":[],'
+           '"vertex_count":2,"labels":[[1],[2]],"rows":["1","0"]}')
     with pytest.raises(ValidationError, match="metadata"):
         graphio.from_graphdoc(doc)
 

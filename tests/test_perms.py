@@ -52,6 +52,19 @@ def test_compose_is_left_to_right():
         assert p.compose(q)(i) == q(p(i))
 
 
+def test_compose_matches_the_map_form():
+    # compose takes an itemgetter, which for fewer than two points returns a
+    # bare item or cannot be made; degree 0 exists only as a trusted tuple
+    rng = random.Random(SEED)
+    for degree in (0, 1, 2, 50):
+        for _ in range(20):
+            p, q = (Permutation._trusted(tuple(rng.sample(range(degree), degree)))
+                    for _ in range(2))
+            composed = p.compose(q).images
+            assert type(composed) is tuple
+            assert composed == tuple(map(q.images.__getitem__, p.images))
+
+
 def test_compose_degree_mismatch():
     with pytest.raises(ValidationError):
         P1(2, 1).compose(P1(2, 1, 3))
