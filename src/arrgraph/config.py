@@ -30,6 +30,8 @@ class Config:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if type(v) is not int:
+                raise ValidationError(f"config field {f.name} must be an int, got {v!r}")
             if f.name != "seed" and v <= 0:
                 raise ValidationError(f"config field {f.name} must be positive, got {v}")
 

@@ -2,10 +2,11 @@
 
 A stabilizer chain keeps each level's orbit as a Schreier vector over one
 shared list of generators and their inverses, not as transversal elements
-(see ``StabilizerChain``). It is built by incremental Schreier-Sims that
-closes each (orbit point, generator) pair of a level once, or, when a base
-and a strong generating set for it are known, from one breadth-first pass
-per level (``StabilizerChain.from_strong_generators``).
+(see ``StabilizerChain``). It is built once and never extended: by
+Schreier-Sims over its whole generator list, which closes each (orbit
+point, generator) pair of a level once, or, when a base and a strong
+generating set for it are known, from one breadth-first pass per level
+(``StabilizerChain.from_strong_generators``).
 Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
@@ -279,7 +280,8 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base and strong generating set of a permutation group.
+    """Base and strong generating set of a permutation group, built once
+    from its whole generator list and never extended.
 
     The chain keeps each generator's images and their inverse once, in
     one list that every level indexes, and each level a Schreier vector in
@@ -288,22 +290,22 @@ class StabilizerChain:
     degree. A sift strips a level by walking its Schreier tree from the
     image of the base point back to the base point.
 
-    Incremental Schreier-Sims (Seress, *Permutation Group Algorithms*,
-    2003, section 4.2) over a flat list of levels. A non-member sifts to a
-    residue h that fixes the base points before some level m and drops out
-    there: it moves that level's base point out of the orbit, or m is one
-    past the last level. h is appended to every level from the one it
-    entered at down to m, and the levels are closed bottom-up. Orbits are
-    only extended, never rebuilt, and each (orbit point, generator) pair
-    gives one Schreier generator, sifted once from the level below. The
-    transversal elements that closing a level traces are kept only until
-    ``add_generator``, or the constructor, returns (see ``_Closing``).
+    Schreier-Sims (Seress, *Permutation Group Algorithms*, 2003, section
+    4.2) over a flat list of levels, taking the generators in order. A
+    non-member sifts to a residue h that fixes the base points before some
+    level m and drops out there: it moves that level's base point out of
+    the orbit, or m is one past the last level. h is appended to every
+    level from the one it entered at down to m, and the levels are closed
+    bottom-up. Orbits are only extended, never rebuilt, and each (orbit
+    point, generator) pair gives one Schreier generator t_x*g*t_y^-1,
+    sifted once from the level below. The transversal elements and the
+    counts of pairs closed that this needs are kept only until the
+    constructor returns.
 
     Deterministic: a new base point is the first point moved by the residue
     that needs it, and an orbit point is reached by the first generator
     that reaches it, so two builds from the same generator list give
-    identical bases, orbits and strong generators, and a chain built from
-    a list equals one extended by ``add_generator`` in the same order.
+    identical bases, orbits and strong generators.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
@@ -318,9 +320,57 @@ class StabilizerChain:
         # images of every generator of the chain, and of its inverse
         self._gens: list[tuple[int, ...]] = []
         self._invs: list[tuple[int, ...]] = []
-        closing = _Closing(self)
-        for g in generators:
-            self._add(g, closing)
+        # per level, while the chain is built: each orbit point's
+        # transversal element and its inverse, and per orbit position the
+        # count of the level's generators applied to that point
+        building: list[tuple[dict, list[int]]] = []
+        for p in generators:
+            if p.degree != degree:
+                raise ValidationError("generators of mixed degree")
+            h, m = self._sift(p.images, 0)
+            first = 0
+            while h != self._identity:
+                # h enters at level `first` and drops out at level m
+                if m == len(self._levels):
+                    point = next(i for i, x in enumerate(h) if i != x)
+                    self._levels.append(_Level(point, degree))
+                    building.append(({point: (self._identity, self._identity)}, [0]))
+                index = len(self._gens)
+                self._gens.append(h)
+                self._invs.append(_inverse(h))
+                for level in self._levels[first:m + 1]:
+                    level.gens.append(index)
+                h, m, first = self._next_residue(m, building)
+
+    def _next_residue(self, m: int, building: list[tuple[dict, list[int]]]
+                      ) -> tuple[tuple[int, ...], int, int]:
+        """Close the levels bottom-up from m: apply each level's generators
+        to its orbit points, pair by pair, until a Schreier generator of
+        some level i sifts from level i + 1 to a non-identity residue.
+        Returns that residue, its drop-out level and i + 1, the level it
+        enters at; or the identity once every level is closed."""
+        for i in range(m, -1, -1):
+            level = self._levels[i]
+            gens, orbit, reached_by = level.gens, level.orbit, level.reached_by
+            elements, applied = building[i]
+            for j, x in enumerate(orbit):  # the orbit grows while it is scanned
+                tx, tx_inv = elements[x]
+                while applied[j] < len(gens):
+                    index = gens[applied[j]]
+                    applied[j] += 1
+                    g = self._gens[index]
+                    tg = _then(tx, g)
+                    y = g[x]
+                    if reached_by[y] is None:
+                        reached_by[y] = index
+                        elements[y] = tg, _then(self._invs[index], tx_inv)
+                        orbit.append(y)
+                        applied.append(0)
+                        continue
+                    h, drop = self._sift(_then(tg, elements[y][1]), i + 1)
+                    if h != self._identity:
+                        return h, drop, i + 1
+        return self._identity, 0, 0
 
     @classmethod
     def from_strong_generators(cls, base: Iterable[int],
@@ -330,14 +380,18 @@ class StabilizerChain:
         a known base (Seress 2003, ch. 4): level i is generated by the
         generators that fix base[:i] pointwise, and its orbit and Schreier
         vector come from one breadth-first pass over them. No Schreier
-        generator is sifted; every (orbit point, generator) pair counts as
-        closed, which holds because the set is strong, so
-        ``add_generator`` extends the chain as usual. Base points whose
-        orbit is trivial get no level.
+        generator is sifted. Base points whose orbit is trivial get no
+        level.
 
-        Raises AssertionError if a generator does not sift to the
-        identity, which a set that is not strong for the base can cause.
+        Raises ValidationError if a base point is not an int in
+        0..degree-1, and AssertionError if a generator does not sift to
+        the identity, which a set that is not strong for the base can
+        cause.
         """
+        base = list(base)
+        for point in base:
+            if type(point) is not int or not 0 <= point < degree:
+                raise ValidationError(f"base point {point!r} is not a point of 0..{degree - 1}")
         strong = [g.images for g in generators]
         if any(len(g) != degree for g in strong):
             raise ValidationError("generators of mixed degree")
@@ -393,37 +447,6 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()
 
-    def add_generator(self, p: Permutation) -> bool:
-        """Extend the group by p. Returns False, changing nothing, when p is
-        already a member."""
-        return self._add(p, _Closing(self))
-
-    def _add(self, p: Permutation, closing: "_Closing") -> bool:
-        if p.degree != self.degree:
-            raise ValidationError("generators of mixed degree")
-        h, m = self._sift(p.images, 0)
-        if h == self._identity:
-            return False
-        first = 0
-        while True:
-            # h enters at level `first` and drops out at level m
-            if m == len(self._levels):
-                point = next(i for i, x in enumerate(h) if i != x)
-                self._levels.append(_Level(point, self.degree))
-            index = len(self._gens)
-            self._gens.append(h)
-            self._invs.append(_inverse(h))
-            for level in self._levels[first:m + 1]:
-                level.gens.append(index)
-            # close the levels bottom-up from m; a residue of a Schreier
-            # generator of level i enters at level i + 1
-            i = m
-            while (found := closing.next_residue(i)) is None:
-                i -= 1
-                if i < 0:
-                    return True
-            (h, m), first = found, i + 1
-
     def _sift(self, images: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
         """Strip images through the levels from i on, each by the walk
         back through its Schreier tree from the image of its base point.
@@ -443,84 +466,3 @@ class StabilizerChain:
                     x = inv[x]
             i += 1
         return images, i
-
-
-class _Closing:
-    """What ``add_generator``, or the constructor for its whole generator
-    list, keeps while it closes the levels, dropped when it returns: per
-    level, the count of the level's generators applied to each orbit
-    point, and the transversal elements traced so far and their inverses.
-    Every level is closed when a generator has been added, so the counts
-    need not outlive the call, and the traced elements spare each Schreier
-    generator the walks to its points. Schreier vectors are only extended,
-    so a traced element stays valid while the chain grows."""
-
-    def __init__(self, chain: StabilizerChain):
-        self.chain = chain
-        # every orbit point of every level has had all the generators the
-        # level has now: the levels are closed between calls. A level that
-        # gets a generator is closed through next_residue, which keeps its
-        # counts from then on
-        self.closed = [len(level.gens) for level in chain._levels]
-        self.applied: dict[int, list[int]] = {}
-        self.traced: dict[int, dict[int, tuple[int, ...]]] = {}
-        self.inverses: dict[int, dict[int, tuple[int, ...]]] = {}
-
-    def _trace(self, memo: dict, i: int, x: int, step) -> tuple[int, ...]:
-        """memo[i][x], made from the element of the point x came from:
-        step(element, generator index) gives the element of its child."""
-        known = memo.get(i)
-        if known is None:
-            known = memo[i] = {self.chain._levels[i].point: self.chain._identity}
-        reached_by, invs = self.chain._levels[i].reached_by, self.chain._invs
-        path = []
-        while x not in known:
-            path.append(x)
-            x = invs[reached_by[x]][x]
-        u = known[x]
-        for y in reversed(path):
-            u = known[y] = step(u, reached_by[y])
-        return u
-
-    def transversal(self, i: int, x: int) -> tuple[int, ...]:
-        """The element of level i that maps its base point to x."""
-        gens = self.chain._gens
-        return self._trace(self.traced, i, x, lambda u, g: _then(u, gens[g]))
-
-    def inverse_transversal(self, i: int, x: int) -> tuple[int, ...]:
-        """The inverse of transversal(i, x)."""
-        invs = self.chain._invs
-        return self._trace(self.inverses, i, x, lambda u, g: _then(invs[g], u))
-
-    def next_residue(self, i: int) -> Optional[tuple[tuple[int, ...], int]]:
-        """Apply level i's generators to its orbit points, pair by pair,
-        until a Schreier generator sifts to a non-identity residue; returns
-        it with its drop-out level, or None once the level is closed."""
-        chain = self.chain
-        level = chain._levels[i]
-        gens, orbit, reached_by = level.gens, level.orbit, level.reached_by
-        applied = self.applied.get(i)
-        if applied is None:
-            closed = self.closed[i] if i < len(self.closed) else 0
-            applied = self.applied[i] = [closed] * len(orbit)
-        for j, x in enumerate(orbit):  # the orbit grows while it is scanned
-            if applied[j] == len(gens):
-                continue
-            tx = self.transversal(i, x)
-            while applied[j] < len(gens):
-                index = gens[applied[j]]
-                applied[j] += 1
-                g = chain._gens[index]
-                tg = _then(tx, g)
-                y = g[x]
-                if reached_by[y] is None:
-                    reached_by[y] = index
-                    self.traced[i][y] = tg
-                    orbit.append(y)
-                    applied.append(0)
-                    continue
-                # trans[x] * g * trans[y]^-1, sifted from level i + 1 on
-                h, m = chain._sift(_then(tg, self.inverse_transversal(i, y)), i + 1)
-                if h != chain._identity:
-                    return h, m
-        return None

@@ -236,9 +236,9 @@ class OrbitPruningSearch(_IRSearch):
     refined by the search's `_refine`, which `reference_refine` checks.
 
     Without the return it finds many repeats and chain members. A repeat
-    is skipped, and only the generators, the non-members the chain of
-    `result()` keeps, are checked with `is_automorphism`: a member is a
-    product of them. `result()` builds its chain by full Schreier-Sims,
+    is skipped, and only the strong generators of the chain of `result()`
+    are checked with `is_automorphism`: they generate the group of every
+    automorphism found. `result()` builds its chain by full Schreier-Sims,
     so its group does not rest on the search's first path."""
 
     def __init__(self, graph, config):
@@ -301,13 +301,13 @@ class OrbitPruningSearch(_IRSearch):
             self.automorphisms.append(images)
 
     def result(self):
-        """The chain by incremental Schreier-Sims over the found
-        automorphisms in the order found, the non-members kept as the
-        generators; independent of the search's base and of its claim that
-        the found automorphisms are a strong generating set."""
-        chain = StabilizerChain([], degree=self.n)
-        generators = [g for g in map(Permutation._trusted, self.automorphisms)
-                      if chain.add_generator(g)]
+        """The chain by Schreier-Sims over the found automorphisms in the
+        order found, its strong generators kept as the generators;
+        independent of the search's base and of its claim that the found
+        automorphisms are a strong generating set."""
+        chain = StabilizerChain(map(Permutation._trusted, self.automorphisms),
+                                degree=self.n)
+        generators = chain.strong_generators()
         if not all(is_automorphism(self.graph, g) for g in generators):
             raise AssertionError("IR search produced a non-automorphism")
         cert_bits, lab = self.best

@@ -11,6 +11,8 @@ import pytest
 
 from arrgraph import graphio, suite
 from arrgraph.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from arrgraph.config import Config
+from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph
 
 
@@ -111,6 +113,23 @@ def test_aut_budget_exit_code(command, capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *command, str(path))
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+@pytest.mark.parametrize("name, value", [("WORKERS", "0"), ("NODE_BUDGET", "ten")])
+def test_bad_environment_exit_code(name, value, capsys, monkeypatch):
+    monkeypatch.setenv("ARRGRAPH_" + name, value)
+    code, out, err = run(capsys, "gen", "arrangement", "--n", "3", "--k", "2",
+                         "--r", "1", "--format", "edgelist")
+    assert code == EXIT_VALIDATION
+    assert out == "" and err.startswith("error: ") and name.lower() in err.lower()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", "2"), ("vertex_guard", None), ("node_budget", 1.5),
+    ("workers", True), ("seed", "x"), ("workers", 0), ("node_budget", -1)])
+def test_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValidationError, match=f"config field {field} must be"):
+        Config(**{field: value})
 
 
 @pytest.mark.parametrize("fixed", ["0", "1"], ids=["anchored", "exploratory"])

@@ -1,5 +1,6 @@
 """Permutation arithmetic, connection sets, and stabilizer chains."""
 
+import gc
 import itertools
 import math
 import random
@@ -313,22 +314,11 @@ def test_chain_deterministic():
     assert c1.strong_generators() == c2.strong_generators()
 
 
-def test_chain_add_generator_is_incremental():
-    rng = random.Random(SEED + 6)
-    for _ in range(20):
-        d = rng.randint(2, 7)
-        gens = [random_perm(rng, d) for _ in range(rng.randint(1, 4))]
-        batch = StabilizerChain(gens, degree=d)
-        chain = StabilizerChain([], degree=d)
-        for g in gens:
-            was_member = chain.contains(g)
-            assert chain.add_generator(g) is not was_member
-            assert not chain.add_generator(g)  # now a member: no change
-        assert chain.base == batch.base
-        assert chain.fundamental_orbits() == batch.fundamental_orbits()
-        assert chain.strong_generators() == batch.strong_generators()
-    with pytest.raises(ValidationError):
-        StabilizerChain([], degree=3).add_generator(cycle(4))
+def test_chain_rejects_generators_of_mixed_degree():
+    with pytest.raises(ValidationError, match="mixed degree"):
+        StabilizerChain([cycle(4)], degree=3)
+    with pytest.raises(ValidationError, match="mixed degree"):
+        StabilizerChain([cycle(3), cycle(4)])
 
 
 # -- chains from a known base and strong generating set ----------------------
@@ -336,7 +326,7 @@ def test_chain_add_generator_is_incremental():
 
 def test_chain_from_strong_generators_random():
     # a Schreier-Sims chain's base and strong generators give the same
-    # chain from orbits alone, and it still extends by add_generator
+    # chain from orbits alone
     rng = random.Random(SEED + 8)
     for closure, gens in _random_groups(rng, 40):
         d = gens[0].degree
@@ -350,9 +340,6 @@ def test_chain_from_strong_generators_random():
                              min(len(closure), 40))
         for p in members + [random_perm(rng, d) for _ in range(20)]:
             assert chain.contains(p) == (p in closure)
-        extra = random_perm(rng, d)
-        assert chain.add_generator(extra) is (extra not in closure)
-        assert chain.order() == StabilizerChain(gens + [extra], degree=d).order()
 
 
 def test_chain_sift_matches_explicit_transversals_random():
@@ -371,18 +358,16 @@ def test_chain_sift_matches_explicit_transversals_random():
 
 
 def test_chain_matches_explicit_transversals_random():
-    # incremental Schreier-Sims over Schreier vectors traces the transversal
-    # elements a chain holding them would store, so it finds the same
-    # residues: the same base, orbits in discovery order, strong generators
-    # and sifts, also when extended one generator at a time
+    # Schreier-Sims over Schreier vectors traces the transversal elements a
+    # chain holding them would store, so it finds the same residues: the
+    # same base, orbits in discovery order, strong generators and sifts,
+    # for every prefix of a generator list and for the list with two more
     rng = random.Random(SEED + 12)
     for closure, gens in _random_groups(rng, 40):
         d = gens[0].degree
         extra = [random_perm(rng, d) for _ in range(2)]
-        chain, oracle = StabilizerChain(gens, degree=d), TransversalChain(gens, d)
-        for g in [None] + extra:
-            if g is not None:
-                assert chain.add_generator(g) == oracle.add_generator(g)
+        for prefix in [gens[:i] for i in range(len(gens) + 1)] + [gens + extra]:
+            chain, oracle = StabilizerChain(prefix, degree=d), TransversalChain(prefix, d)
             assert [level.orbit for level in chain._levels] == [
                 level[2] for level in oracle.levels]
             assert chain.base == [level[0] for level in oracle.levels]
@@ -399,6 +384,14 @@ def test_chain_from_strong_generators_drops_trivial_orbits():
     assert StabilizerChain.from_strong_generators([0, 1, 2], [], 3).order() == 1
     with pytest.raises(ValidationError):
         StabilizerChain.from_strong_generators([0], [cycle(4)], 3)
+
+
+@pytest.mark.parametrize("point", [-1, 3, 5, True, 1.0, "0"])
+def test_chain_from_strong_generators_rejects_bad_base_points(point):
+    # -1 made the sift walk loop forever, 5 raised a bare IndexError, and
+    # True passed as the point 1
+    with pytest.raises(ValidationError, match="base point"):
+        StabilizerChain.from_strong_generators([point], [cycle(3)], 3)
 
 
 def test_chain_from_strong_generators_rejects_a_weak_set():
@@ -443,27 +436,50 @@ def test_chain_deep_schreier_tree():
             assert chain.contains(p) == (p in closure)
 
 
-def test_chain_from_strong_generators_memory():
-    # S_120 from its adjacent transpositions, base 0..118: 119 levels whose
-    # orbits sum to 7259 points. A transversal and its inverse per orbit
-    # point took 14.4 MB here; Schreier vectors over one list of generator
-    # inverses take well under 2 MB
-    gens = [transposition(120, i, i + 1) for i in range(119)]
+def _traced(build):
+    """build() with the memory it allocates traced: its result, the peak
+    of the traced memory and what stays allocated after gc.collect(),
+    both above the memory traced before the call, in bytes."""
     tracing = tracemalloc.is_tracing()
     if tracing:
         tracemalloc.reset_peak()
     else:
         tracemalloc.start()
     try:
+        gc.collect()
         base_memory = tracemalloc.get_traced_memory()[0]
-        chain = StabilizerChain.from_strong_generators(range(119), gens, 120)
+        result = build()
         peak = tracemalloc.get_traced_memory()[1] - base_memory
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base_memory
     finally:
         if not tracing:
             tracemalloc.stop()
+    return result, peak, retained
+
+
+def test_chain_from_strong_generators_memory():
+    # S_120 from its adjacent transpositions, base 0..118: 119 levels whose
+    # orbits sum to 7259 points. A transversal and its inverse per orbit
+    # point took 14.4 MB here; Schreier vectors over one list of generator
+    # inverses take well under 2 MB
+    gens = [transposition(120, i, i + 1) for i in range(119)]
+    chain, peak, _ = _traced(
+        lambda: StabilizerChain.from_strong_generators(range(119), gens, 120))
     assert chain.base == list(range(119))
     assert chain.order() == math.factorial(120)
     assert peak <= 2 * 2**20
+
+
+def test_chain_keeps_no_construction_state():
+    # S_60 from its adjacent transpositions: Schreier-Sims holds a
+    # transversal element and its inverse per orbit point while it builds
+    # (a peak near 2.1 MB), and the built chain only its Schreier vectors
+    # and generators (near 0.11 MB)
+    gens = [transposition(60, i, i + 1) for i in range(59)]
+    chain, _, retained = _traced(lambda: StabilizerChain(gens))
+    assert chain.order() == math.factorial(60)
+    assert retained <= 2**20 // 2
 
 
 # -- validation at the API boundary -------------------------------------------
