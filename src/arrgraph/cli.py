@@ -34,11 +34,11 @@ EXIT_CLAIM_FAILED = 4
 def _parse_connection_kind(spec: str) -> tuple[str, int | None]:
     if spec in ("transpositions", "derangements"):
         return spec, None
-    if spec.startswith("fixed:"):
-        try:
-            return "fixed", int(spec.split(":", 1)[1])
-        except ValueError:
-            pass
+    count = spec.removeprefix("fixed:")
+    # int() would also take signs, spaces, "_" separators and other
+    # scripts' digits, and refuses more than 4300 digits
+    if count != spec and count.isascii() and count.isdigit() and len(count) <= 4300:
+        return "fixed", int(count)
     raise ValidationError(
         f"bad connection set {spec!r}; use transpositions, derangements or fixed:K")
 

@@ -9,6 +9,7 @@ per edge, for other tools."""
 from __future__ import annotations
 
 import json
+from operator import or_
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
@@ -43,32 +44,79 @@ def _check_vertex_guard(vertex_count: int, config: Config) -> None:
 
 
 def from_edgelist(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
+    """Read an edge list: one `u v` pair of 0-based vertex indexes per line,
+    with blank lines and `#` comment lines skipped. A `# vertices N` line
+    gives the vertex count, checked against the vertex guard on that line;
+    without one, the count is one more than the largest index, and an index
+    at the guard or above is rejected as soon as it is read. Bit v of row u
+    is set as the line is read, so no edge is kept, and one transpose adds
+    bit u of row v to every row at the end. Counts and indexes are ASCII
+    decimal only: int() would also take signs, "_" separators and other
+    scripts' digits."""
     vertex_count = None
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
+    rows: list[int] = []
+    for line in _lines(text):
+        parts = line.split()
+        if not (len(parts) == 2 and line.isascii()
+                and parts[0].isdigit() and parts[1].isdigit()):
+            if not parts:
+                continue
+            if not parts[0].startswith("#"):
+                raise ValidationError(f"bad edge list line: {line.strip()!r}")
+            parts = line.strip()[1:].split()
             if parts[:1] == ["vertices"]:
-                try:
-                    vertex_count = int(parts[1])
-                except (IndexError, ValueError):
-                    raise ValidationError(f"bad vertex count line: {line!r}")
-                if vertex_count < 0:
-                    raise ValidationError(f"negative vertex count: {line!r}")
+                vertex_count = _vertex_count(parts[1:], line)
+                _check_vertex_guard(vertex_count, config)
+                rows.extend([0] * (vertex_count - len(rows)))
             continue
         try:
-            u, v = map(int, line.split())
-        except ValueError:
-            raise ValidationError(f"bad edge list line: {line!r}")
-        edges.append((u, v))
-    if vertex_count is None:
-        vertex_count = max((max(u, v) for u, v in edges), default=-1) + 1
-    _check_vertex_guard(vertex_count, config)
-    labels = [(i,) for i in range(vertex_count)]
-    return Graph(labels, edges, {"family": "plain"})
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:  # over the 4300 digits int() takes
+            raise ValidationError(f"bad edge list line: {line.strip()!r}")
+        if vertex_count is None:
+            top = max(u, v)
+            if top >= len(rows):
+                _check_vertex_guard(top + 1, config)
+                rows.extend([0] * (top + 1 - len(rows)))
+        elif u >= vertex_count or v >= vertex_count:
+            raise ValidationError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+    rows = list(map(or_, rows, _transpose(rows)))
+    if vertex_count is not None:
+        # the last `# vertices` line counts, and an edge read before it may
+        # reach past it
+        reach = max(map(int.bit_length, rows), default=0)
+        if reach > vertex_count:
+            raise ValidationError(
+                f"edge to vertex {reach - 1} out of range for {vertex_count} vertices")
+        del rows[vertex_count:]
+    labels = [(i,) for i in range(len(rows))]
+    return Graph._from_adjacency(labels, rows, {"family": "plain"})
+
+
+def _vertex_count(tokens: list[str], line: str) -> int:
+    """The count of a `# vertices N` line, from its tokens after `vertices`.
+    int() refuses more than 4300 digits; such a count is over every guard."""
+    count = tokens[0] if tokens else ""
+    digits = count.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4300):
+        raise ValidationError(f"bad vertex count line: {line.strip()!r}")
+    if digits != count:
+        raise ValidationError(f"negative vertex count: {line.strip()!r}")
+    return int(count)
+
+
+def _lines(text: str, chunk: int = 1 << 16):
+    """The lines of text, as str.splitlines gives them, split a chunk of
+    about 64 KB at a time so that the whole list of lines is never held."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk)
+        end = len(text) if end < 0 else end + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def to_dot(graph: Graph) -> str:

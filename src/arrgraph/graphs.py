@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, lshift, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -157,9 +158,14 @@ def build_arrangement_graph(n: int, k: int, r: int,
         labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
-# A Cayley graph build may make this many compositions for each vertex the
-# vertex guard admits: 10 M under the default guard.
+# A Cayley graph build forms one product s*g per adjacency bit, |S|*n! in
+# all, and may form this many for each vertex the vertex guard admits: 10 M
+# under the default guard.
 CAYLEY_COMPOSITIONS_PER_VERTEX = 200
+
+# Vertices whose rows are built together; even, so that every block of the
+# n! vertices (n >= 2) holds at least two.
+_CAYLEY_BLOCK = 64
 
 
 def build_cayley_graph(n: int, cset: ConnectionSet,
@@ -167,9 +173,19 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
     """Cay(S_n, S): vertices are the n! permutations (ordered by one-line
     form), with an edge from g to s*g for every s in S.
 
-    The build composes every vertex with every element of S, so |S|*n!
-    compositions over CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard
-    raise BudgetError before any is made (Cay(S_8, D) would need 598 M)."""
+    Row g holds one bit for each s*g, so |S|*n! bits over
+    CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard raise BudgetError
+    before any work starts (Cay(S_8, D) would need 598 M).
+
+    The vertex map of a permutation s sends vertex v to the index of
+    s*lab(v), where lab(v) is the one-line form of v; the map of a*b is the
+    map of b followed by that of a. The map of each position swap (p q) is
+    made once from the labels. The elements of S, in lexicographic order,
+    are reached from the identity through a prefix trie (see
+    _vertex_map_steps), each trie node by one swap from its parent, so a
+    node's map is its parent's composed with a swap map. The maps are made
+    for one block of _CAYLEY_BLOCK vertices at a time, and row v of the
+    block is the OR of the bits at the |S| leaf maps' entries for v."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
     check_tuple_count(n, n, config)
@@ -179,19 +195,73 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
         raise BudgetError(f"Cay(S_{n}, {cset.label()}) needs {work} compositions, "
                           f"over the {limit} the vertex guard allows")
     labels = list(itertools.permutations(range(n)))
-    index = {lab: i for i, lab in enumerate(labels)}
-    # s*g in one-line form is i -> g(s(i)), the entries of g at s(0..n-1);
-    # S is inverse-closed and identity-free, so the rows are symmetric and
-    # loop-free. n >= 2 whenever S is non-empty, so each getter returns a tuple.
-    getters = [itemgetter(*s.images) for s in cset.elements]
+    nv = len(labels)
+    metadata = {"family": "cayley", "n": n, "kind": cset.label()}
+    if not cset.elements:
+        return Graph._from_adjacency(labels, [0] * nv, metadata)
+    steps, leaves = _vertex_map_steps(n, cset, labels)
+    ones = itertools.repeat(1)
     adjacency = []
-    for lab in labels:
-        row = 0
-        for image in getters:
-            row |= 1 << index[image(lab)]
-        adjacency.append(row)
-    return Graph._from_adjacency(
-        labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
+    # S is inverse-closed and identity-free, so the rows are symmetric and
+    # loop-free; every block has at least two vertices, so each getter
+    # returns a tuple
+    for lo in range(0, nv, _CAYLEY_BLOCK):
+        maps = [range(lo, min(lo + _CAYLEY_BLOCK, nv))]
+        for parent, swap in steps:
+            maps.append(itemgetter(*maps[parent])(swap))
+        for images in zip(*[maps[leaf] for leaf in leaves]):
+            adjacency.append(reduce(or_, map(lshift, ones, images)))
+    return Graph._from_adjacency(labels, adjacency, metadata)
+
+
+def _vertex_map_steps(n: int, cset: ConnectionSet, labels: Sequence[tuple[int, ...]]
+                      ) -> tuple[list[tuple[int, Sequence[int]]], list[int]]:
+    """The prefix trie of S's one-line forms, as steps from the identity.
+
+    Node 0 is the identity; node i > 0 is the permutation made by the step
+    steps[i-1] = (parent, swap map): the parent's one-line form with the
+    entries at two positions p < q swapped, that is (p q)*parent. The trie
+    reaches an element s of S by fixing its entries in position order:
+    position p gets s[p] by swapping it in from the position q > p that
+    holds it, and needs no step when q = p. Nodes are keyed by their
+    permutation, so elements that share a prefix share its nodes.
+    leaves[j] is the node of the j-th element of S in lexicographic order.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    swaps: dict[tuple[int, int], Sequence[int]] = {}
+
+    def swap_map(p: int, q: int) -> Sequence[int]:
+        """The vertex map of (p q), each made once: an adjacent swap from
+        the labels, as (p q)*lab(v) is lab(v) with entries p and q swapped,
+        and any other as the composition (q-1 q)*(p q-1)*(q-1 q)."""
+        if (p, q) not in swaps:
+            if q == p + 1:
+                images = list(range(n))
+                images[p], images[q] = q, p
+                swaps[p, q] = list(map(index.__getitem__, map(itemgetter(*images), labels)))
+            else:
+                outer = swap_map(q - 1, q)
+                swaps[p, q] = itemgetter(*itemgetter(*outer)(swap_map(p, q - 1)))(outer)
+        return swaps[p, q]
+
+    node_of = {tuple(range(n)): 0}
+    steps: list[tuple[int, Sequence[int]]] = []
+    leaves = []
+    for s in sorted(p.images for p in cset.elements):
+        sigma = list(range(n))
+        node = 0
+        for p in range(n - 1):
+            q = sigma.index(s[p], p)
+            if q == p:
+                continue
+            sigma[p], sigma[q] = sigma[q], sigma[p]
+            key = tuple(sigma)
+            if key not in node_of:
+                steps.append((node, swap_map(p, q)))
+                node_of[key] = len(steps)
+            node = node_of[key]
+        leaves.append(node)
+    return steps, leaves
 
 
 # --------------------------------------------------------------------------

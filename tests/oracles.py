@@ -5,13 +5,15 @@ generating set), automorphism count by trying every bijection, independence
 number by scanning every vertex subset and by take-or-drop branching, the
 IR search with orbit pruning only with its leaf certificates from
 neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
-candidate group of Cay(S_n, F_f) built from S_n itself, minimal block
-systems, common neighbourhoods, the bit matrix transpose bit by bit, and
-the automorphism check by relabeling."""
+candidate group of Cay(S_n, F_f) built from S_n itself, Cay(S_n, S) one
+composed tuple at a time, minimal block systems, common neighbourhoods,
+the bit matrix transpose bit by bit, and the automorphism check by
+relabeling."""
 
 import itertools
 import math
 import zlib
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from arrgraph.actions import ActionOnSets, BlockSystem
@@ -19,8 +21,8 @@ from arrgraph.autsearch import AutResult, SearchStats, _IRSearch, _refine
 from arrgraph.config import DEFAULT_CONFIG, Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import Graph, is_automorphism
-from arrgraph.perms import (Permutation, StabilizerChain, check_tuple_count,
-                            symmetric_group_generators)
+from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
+                            check_tuple_count, symmetric_group_generators)
 
 
 def brute_force_closure(generators: Iterable[Permutation],
@@ -464,6 +466,30 @@ def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
     images = f.images
     image = Graph(graph.labels, ((images[u], images[v]) for u, v in graph.edges()))
     return image.adjacency == graph.adjacency
+
+
+# --------------------------------------------------------------------------
+# Cay(S_n, S) one composed tuple at a time
+
+
+def cayley_by_composition(n: int, cset: ConnectionSet) -> Graph:
+    """Cay(S_n, S) with the neighbour s*g of every vertex g formed as a
+    tuple by one itemgetter per element of S and looked up in a dict of the
+    labels: |S|*n! tuples, hashes and lookups, one row at a time."""
+    labels = list(itertools.permutations(range(n)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    # s*g in one-line form is i -> g(s(i)), the entries of g at s(0..n-1);
+    # S is inverse-closed and identity-free, so the rows are symmetric and
+    # loop-free. n >= 2 whenever S is non-empty, so each getter returns a tuple.
+    getters = [itemgetter(*s.images) for s in cset.elements]
+    adjacency = []
+    for lab in labels:
+        row = 0
+        for image in getters:
+            row |= 1 << index[image(lab)]
+        adjacency.append(row)
+    return Graph._from_adjacency(
+        labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
 # --------------------------------------------------------------------------

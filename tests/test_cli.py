@@ -40,6 +40,23 @@ def test_gen_cayley_counts(capsys, tmp_path):
     assert "24 vertices, 108 edges" in out
 
 
+@pytest.mark.parametrize("spec", ["fixed:1_0", "fixed:+2", "fixed: 2", "fixed:\u0662",
+                                  "fixed:", "fixed:2 ", "fixed:" + "9" * 5000])
+def test_gen_cayley_fixed_count_is_ascii_decimal(spec, capsys):
+    # int() takes each of the first four (\u0662 is the Arabic-Indic two)
+    code, _, err = run(capsys, "gen", "cayley", "--n", "4", "--set", spec)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: bad connection set") and "fixed:K" in err
+
+
+def test_gen_cayley_fixed_count(capsys, tmp_path):
+    out_path = str(tmp_path / "g.json")
+    code, out, _ = run(capsys, "gen", "cayley", "--n", "4", "--set", "fixed:02", "-o", out_path)
+    assert code == EXIT_OK
+    assert "24 vertices, 72 edges" in out
+    assert graphio.load_file(out_path).metadata["kind"] == "fixed:2"
+
+
 def test_gen_edgeless(capsys, tmp_path):
     out_path = str(tmp_path / "g.json")
     code, out, _ = run(capsys, "gen", "arrangement", "--n", "4", "--k", "4",

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,67 @@ def test_edgelist_isolated_vertices_survive():
 def test_edgelist_rejects_garbage():
     with pytest.raises(ValidationError):
         graphio.from_edgelist("0 1\nnot an edge\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # int() takes the first four
+    ("0 1_0\n", "bad edge list line"),
+    ("+3 1\n", "bad edge list line"),
+    ("0 \u0663\n", "bad edge list line"),  # the Arabic-Indic three
+    ("# vertices 1_0\n", "bad vertex count line"),
+    ("-1 0\n", "bad edge list line"),
+    ("0 " + "9" * 5000 + "\n", "bad edge list line"),
+    ("# vertices " + "9" * 5000 + "\n", "bad vertex count line"),
+    ("# vertices\n", "bad vertex count line"),
+    ("# vertices -3\n", "negative vertex count"),
+    ("0 1 2\n", "bad edge list line"),
+    ("1\n", "bad edge list line"),
+    ("0 0\n", "self-loop at vertex 0"),
+    ("# vertices 2\n0 2\n", r"edge \(0,2\) out of range"),
+    ("0 7\n# vertices 5\n", "edge to vertex 7 out of range for 5 vertices"),
+    ("# vertices 5\n0 4\n# vertices 3\n", "edge to vertex 4 out of range for 3 vertices"),
+], ids=["underscore", "plus", "arabic-indic", "count-underscore", "minus", "long-index",
+        "long-count", "no-count", "negative-count", "three-tokens", "one-token", "loop",
+        "out-of-range", "count-after-edges", "smaller-count-later"])
+def test_edgelist_rejects(text, message):
+    with pytest.raises(ValidationError, match=message):
+        graphio.from_edgelist(text)
+
+
+def test_edgelist_vertex_count_line():
+    # without the line the count is one past the largest index; with
+    # several, the last counts, and it may follow the edges
+    for text, count in [("2 0\n\n1 3\n", 4), ("0 1\n# vertices 6\n", 6),
+                        ("# vertices 5\n# vertices 3\n0 1\n", 3),
+                        ("#vertices 4\n# a comment\n0\t1\r\n", 4), ("", 0)]:
+        g = graphio.from_edgelist(text)
+        assert g.vertex_count == count and g.labels == tuple((i,) for i in range(count))
+    assert sorted(graphio.from_edgelist("2 0\n1 3\n2 0\n0 2\n").edges()) == [(0, 2), (1, 3)]
+
+
+def test_edgelist_guard_is_checked_on_the_count_line():
+    # the guard fires before the bad line after it is read
+    with pytest.raises(ValidationError, match="over the guard"):
+        graphio.from_edgelist("# vertices 50001\nnot an edge\n")
+    # without a count line, at the first index over it
+    with pytest.raises(ValidationError, match="50001 vertices, over the guard"):
+        graphio.from_edgelist("0 1\n0 50000\nnot an edge\n")
+
+
+def test_edgelist_keeps_no_edge_list():
+    # 95 400 edges in 734 KB of text: the rows take 80 KB, a list of the
+    # edges as tuples about 10 MB
+    g = build_cayley_graph(6, connection_set(6, "derangements"))
+    text = graphio.to_edgelist(g)
+    assert g.edge_count() == 95400
+    tracemalloc.start()
+    try:
+        h = graphio.from_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.adjacency == g.adjacency
+    assert peak < 2 * 2**20, peak
 
 
 def test_vertex_guard_applies_to_loaded_graphs():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from arrgraph import graphs
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
@@ -13,10 +14,11 @@ from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple, is_automorphism,
                              value_relabelings, vertex_permutation)
-from arrgraph.perms import (Permutation, StabilizerChain, connection_set,
+from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import (differing_coordinates, is_automorphism_by_relabeling, rank_tuple,
-                     transpose_bit_by_bit, tuple_count, unrank_tuple)
+from oracles import (cayley_by_composition, differing_coordinates,
+                     is_automorphism_by_relabeling, rank_tuple, transpose_bit_by_bit,
+                     tuple_count, unrank_tuple)
 
 SEED = 20240811
 
@@ -214,20 +216,6 @@ def composed_cayley(n, cset):
     return Graph(labels, edges, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
-def mapped_tuple_cayley_rows(n, cset):
-    """Oracle: the rows of Cay(S_n, S), each neighbour s*g formed as the
-    tuple i -> g(s(i)) by mapping g's entries over s."""
-    labels = list(itertools.permutations(range(n)))
-    index = {lab: i for i, lab in enumerate(labels)}
-    rows = []
-    for lab in labels:
-        row = 0
-        for s in cset.elements:
-            row |= 1 << index[tuple(map(lab.__getitem__, s.images))]
-        rows.append(row)
-    return rows
-
-
 def assert_same_graph(built, oracle):
     assert built.vertex_count == oracle.vertex_count
     assert built.labels == oracle.labels
@@ -254,9 +242,9 @@ def test_arrangement_matches_pair_scan(n, k, r):
     assert_symmetric_loop_free(g)
 
 
-CAYLEY_ORACLE_CASES = [(n, kind, None) for n in range(2, 6)
+CAYLEY_ORACLE_CASES = [(n, kind, None) for n in range(2, 7)
                        for kind in ("transpositions", "derangements")] + [
-                      (n, "fixed", f) for n in range(2, 6) for f in range(n - 1)]
+                      (n, "fixed", f) for n in range(2, 7) for f in range(n - 1)]
 
 
 @pytest.mark.parametrize("n,kind,fixed", CAYLEY_ORACLE_CASES,
@@ -265,15 +253,38 @@ CAYLEY_ORACLE_CASES = [(n, kind, None) for n in range(2, 6)
 def test_cayley_matches_composition(n, kind, fixed):
     cset = connection_set(n, kind, fixed)
     g = build_cayley_graph(n, cset)
-    assert_same_graph(g, composed_cayley(n, cset))
-    assert g.adjacency == mapped_tuple_cayley_rows(n, cset)
+    assert_same_graph(g, cayley_by_composition(n, cset))
+    if n <= 5:  # one Permutation.compose per bit adds seconds at n = 6
+        assert_same_graph(g, composed_cayley(n, cset))
     assert_symmetric_loop_free(g)
 
 
+def test_cayley_random_subsets_match_composition():
+    # inverse-closed subsets of F_f, made directly: each keeps some elements
+    # of F_f with their inverses, so the trie has gaps a full F_f lacks
+    rng = random.Random(SEED)
+    for n in range(2, 6):
+        for f in range(n - 1):
+            elements = sorted(connection_set(n, "fixed", f).elements, key=lambda p: p.images)
+            for _ in range(4):
+                chosen = rng.sample(elements, rng.randint(1, len(elements)))
+                cset = ConnectionSet(n, "fixed", f,
+                                     frozenset(chosen + [p.inverse() for p in chosen]))
+                assert_same_graph(build_cayley_graph(n, cset), cayley_by_composition(n, cset))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cayley_empty_set_is_edgeless(n):
+    cset = ConnectionSet(n, "transpositions", None, frozenset())
+    g = build_cayley_graph(n, cset)
+    assert g.vertex_count == math.factorial(n) and g.edge_count() == 0
+    assert_same_graph(g, cayley_by_composition(n, cset))
+
+
 def test_cayley_composition_guard():
-    # the |S| * n! compositions of the build are bounded by 200 per vertex
-    # of the vertex guard before any is made: D(6) = 265 derangements times
-    # 720 vertices is 190800 = 200 * 954
+    # the |S| * n! products s*g of the build are bounded by 200 per vertex
+    # of the vertex guard before any is formed: D(6) = 265 derangements
+    # times 720 vertices is 190800 = 200 * 954
     assert CAYLEY_COMPOSITIONS_PER_VERTEX == 200
     cset = connection_set(6, "derangements")
     assert build_cayley_graph(6, cset, Config(vertex_guard=954)).vertex_count == 720
@@ -281,6 +292,18 @@ def test_cayley_composition_guard():
         build_cayley_graph(6, cset, Config(vertex_guard=953))
     # the search budget does not bound the build
     assert build_cayley_graph(6, cset, Config(node_budget=1)).vertex_count == 720
+
+
+def test_cayley_s8_derangements_over_budget_before_building(monkeypatch):
+    # D(8) = 14833 derangements times 40320 vertices is 598 M products,
+    # over the 10 M of the default guard: no vertex map is made
+    cset = connection_set(8, "derangements")
+
+    def no_maps(*args):
+        raise AssertionError("vertex maps made before the composition guard")
+    monkeypatch.setattr(graphs, "_vertex_map_steps", no_maps)
+    with pytest.raises(BudgetError, match="598066560 compositions, over the 10000000"):
+        build_cayley_graph(8, cset)
 
 
 def test_arrangement_7_7_7_is_derangement_regular():
