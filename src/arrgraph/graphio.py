@@ -13,7 +13,7 @@ from operator import or_
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .graphs import Graph, _transpose
+from .graphs import Graph, _bits, _transpose
 
 FORMAT_EDGELIST = "edgelist"
 FORMAT_DOT = "dot"
@@ -32,9 +32,16 @@ def _label_str(label: tuple[int, ...]) -> str:
 
 def to_edgelist(graph: Graph) -> str:
     """One `u v` pair per line, 0-based vertex indexes."""
-    lines = [f"{u} {v}" for u, v in graph.edges()]
-    header = f"# vertices {graph.vertex_count}"
-    return "\n".join([header] + lines) + "\n"
+    return "".join([f"# vertices {graph.vertex_count}\n", *_edge_lines(graph, "", " ", "\n")])
+
+
+def _edge_lines(graph: Graph, pre: str, mid: str, post: str):
+    """One string per row u: the lines pre + u + mid + v + post of its edges u < v."""
+    for u, row in enumerate(graph.adjacency):
+        later = [str(v) for v in _bits(row & -(2 << u))]  # the bits above u
+        if later:
+            head = f"{pre}{u}{mid}"
+            yield head + (post + head).join(later) + post
 
 
 def _check_vertex_guard(vertex_count: int, config: Config) -> None:
@@ -120,13 +127,8 @@ def _lines(text: str, chunk: int = 1 << 16):
 
 
 def to_dot(graph: Graph) -> str:
-    lines = ["graph G {"]
-    for v in range(graph.vertex_count):
-        lines.append(f'  {v} [label="{_label_str(graph.labels[v])}"];')
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = (f'  {v} [label="{_label_str(lab)}"];\n' for v, lab in enumerate(graph.labels))
+    return "".join(["graph G {\n", *labels, *_edge_lines(graph, "  ", " -- ", ";\n"), "}\n"])
 
 
 def to_graphdoc(graph: Graph) -> str:

@@ -269,13 +269,6 @@ def _vertex_map_steps(n: int, cset: ConnectionSet, labels: Sequence[tuple[int, .
 # form of the permutation Permutation(t), mapping i to t[i].
 
 
-def apply_value_permutation(g: Permutation, t: Sequence[int]) -> tuple[int, ...]:
-    """Relabel values: entry i becomes g(entry i). The map P(g)."""
-    if any(x >= g.degree for x in t):
-        raise ValidationError("tuple entries exceed permutation degree")
-    return tuple(g(x) for x in t)
-
-
 def apply_position_permutation(h: Permutation, t: Sequence[int]) -> tuple[int, ...]:
     """Permute positions: entry j of the result is entry h^-1(j). The map Q(h)."""
     if h.degree != len(t):

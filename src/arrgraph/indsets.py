@@ -1,80 +1,69 @@
 """Maximum independent sets of A(n,k,k) and the families that attain them.
 
-The search works on the complement graph: a maximum independent set is a
-maximum clique of the complement. One branch and bound with a greedy
-coloring bound (Tomita-Kameda) serves both modes: size_only prunes every
-branch that cannot beat the best clique so far, enumerate_all keeps the
-branches that can tie it and collects every maximum clique. The node budget
-bounds both.
+A maximum independent set is a maximum clique of the complement, found by
+one branch and bound with a greedy coloring bound (Tomita-Kameda) under the
+node budget: size_only prunes every branch that cannot beat the best clique
+so far, enumerate_all keeps those that can tie it and collects every
+maximum clique. Each node colors its candidates one bitmask class at a time
+(San Segundo et al.'s BBMC), drops the classes whose color cannot reach the
+bound, and branches over the rest from the highest color and vertex down.
+Open nodes live on an explicit stack, so the set size is not limited by
+Python's recursion limit.
 
-Each node colors its candidates one class at a time, each class a bitmask
-(San Segundo et al.'s BBMC). Classes whose color cannot reach the bound are
-dropped whole; the node branches over the rest from the highest color down
-and within a class from the highest vertex down. Open nodes live on an
-explicit stack, so the depth of the search (the size of the independent
-set) is not limited by Python's recursion limit.
+A node whose m color classes are single vertices has a clique of candidates
+and closes in one step: it records the clique current + candidates and
+counts the m nodes that the branching would open down to that leaf (a leaf,
+m = 0, counts as none). A vertex of color c has a neighbour in every lower
+class, so the branch on it that opens such a node leaves it exactly the
+c - 1 candidates the bound asked for: the clique beats the best (or ties
+it with enumerate_all), and each sibling on the path back up is one color
+short and fails the bound. The root passed no bound, so its clique closes
+it only if it passes one; otherwise the root's own bound ends the search
+there. Node counts, budgets and the cliques found, in order, are those of
+the node-by-node search.
 
-A node whose color classes are single vertices, m of them, has a clique
-of candidates, and it closes in one step: it records the clique current +
-candidates and counts the m nodes, with m, m - 1, ..., 1 candidates, that
-the branching would open on the path down to that leaf. A leaf is the case
-m = 0 and counts as no node. A vertex of color c has a neighbour in every
-lower class, so the branch on it that opens such a node leaves it exactly
-c - 1 candidates, as many as the bound that branch passed asks for (at the
-root, any clique beats the empty best): the clique beats the best one so
-far, or ties it with enumerate_all. Each sibling on the path back up is
-one color short of that clique and fails the bound in both modes. So the
-node count, the budget at which the search stops, and the cliques found
-and their order are those of the node-by-node search; a root whose
-candidates are a clique never opens a second branch, either way. On
-A(6,6,2) the first descent meets a 300-vertex clique of candidates 60
-levels down, and on A(7,7,2) a 2160-vertex one 360 levels down.
+size_only starts from a seed, the min-degree greedy independent set of the
+searched graph (take the lowest vertex of least degree left, drop it and
+its neighbours; Halldorsson & Radhakrishnan, Algorithmica 1997), as MCS
+starts from a heuristic clique (Batsyn et al., J. Comb. Optim. 2014). It is
+the best clique before the root opens, and size_only records only strictly
+larger ones; a branch is cut only when it holds no clique larger than the
+best, seed or found, so the result is still maximum. When the seed reaches
+the root's coloring bound the search ends after one node (A(6,5,1),
+A(6,6,2), Cay(S6,T): 360 unseeded), as it does on an edgeless graph, whose
+closed root ties the seed. enumerate_all keeps ties, which a seed would
+repeat, so it is not seeded.
 
-size_only adds one rule at the root: it skips a vertex in the orbit of a
-root vertex it has already branched on, under automorphisms of the graph.
-The root takes its vertices v1, v2, ... in turn and drops each from its
-candidates once taken, so the branch on vi searches the cliques through vi
-that avoid v1..vi-1. Once vi is taken, every clique through one of v1..vi
-is no larger than the best clique so far: it was searched, or the coloring
-bound cut it as unable to beat the best, or it passes through a skipped
-vertex. A vertex w = g(vj), for an automorphism g and a branched vj, is such
-a skipped vertex, because g^-1 maps a clique through w onto one of the same
-size through vj. So w's branch could not beat the best clique, and
-size_only, which keeps only a strictly larger one, would leave its result
-as it was: skipping the branch changes neither the size nor the clique
-returned. enumerate_all keeps ties, which such a branch can hold, so it
-never skips.
+size_only also skips, at the root, a vertex in the orbit of a root vertex
+already branched on, under automorphisms of the graph. Once the root has
+taken v1..vi, dropping each from its candidates, every clique through one
+of them was searched, or cut as unable to beat the best, or passes through
+a skipped vertex w = g(vj), and g^-1 maps it onto a clique of the same size
+through vj. So a skipped branch cannot beat the best, and size_only, which
+keeps only strictly larger cliques, returns the same one. enumerate_all
+keeps ties, which such a branch can hold, so it never skips.
 
-Both modes search the vertices in the order of the orbits of the lifted
-n-cycle c, the value relabeling t -> c(t), when every orbit is a clique of
-the graph, and in index order otherwise. A clique of the graph is an
-independent set of the complement, so a cover of the V vertices by m
-cliques bounds alpha by m: an independent set meets each clique at most
-once (the clique-coclique bound, alpha * omega <= V on vertex-transitive
-graphs; Godsil & Meagher, Erdos-Ko-Rado Theorems: Algebraic Approaches,
-2016, ch. 2). On A(n,k,k) two tuples of one orbit differ in every
-position, so the V/n orbits are n-cliques, and V/n = (n-1)!/(n-k)! is alpha
-itself. With each orbit contiguous, the greedy coloring takes the orbits as
-its classes, so the root's bound is alpha and the first root branch that
-reaches alpha closes the search (size_only). The gate checks the cliques,
-not the graph's name: it accepts A(n,k,k) and Cay(S_n, D), where
-g^-1 c^j g is a derangement, and declines A(n,k,r) with r < k, Cay(S_n,
-F_f) with f > 0 and edge lists, whose orbits are not cliques; reordering
-those would gain no bound and can slow the search: A(6,5,1) size_only
-passed 2 M nodes in 104 s in orbit order, against 0.05 s in index order.
-Any order is exact, and the sets found are mapped back to the graph's
-indexes.
+Both modes take the vertices orbit by orbit under the lifted n-cycle c, the
+value relabeling t -> c(t), when every orbit is a clique of the graph, and
+in index order otherwise. A cover of the vertices by m cliques bounds alpha
+by m, as an independent set meets each clique at most once (Godsil &
+Meagher, Erdos-Ko-Rado Theorems: Algebraic Approaches, 2016, ch. 2). On
+A(n,k,k) two tuples of one orbit differ in every position, so the orbits
+are n-cliques, and their number (n-1)!/(n-k)! is alpha; the greedy coloring
+takes the contiguous orbits as its classes, so the root's bound is alpha.
+The gate checks the cliques, not the graph's name: it accepts A(n,k,k) and
+Cay(S_n, D) and declines A(n,k,r) with r < k, Cay(S_n, F_f) with f > 0 and
+edge lists, where reordering gains no bound and can slow the search
+(unseeded A(6,5,1): 104 s in orbit order, 0.05 s in index order). The sets
+found are mapped back to the graph's indexes.
 
-The automorphisms are the value relabelings of the tuple labels by the
-generators of S_n, (0 1) and c (graphs.value_relabelings), each kept only
-if is_automorphism passes; a map f that does not carry row 0 onto row
-f(0) is rejected before that. The lift of c is the one the order used;
-(0 1) is lifted only when the root prunes, and the maps are moved to the
-searched order. They act transitively on A(n,k,r) and on Cay(S_n, S), so
-there the root keeps a single branch. Plain graphs, labelled (i,), get
-maps that are almost never automorphisms, and nothing is skipped. The
-orbits are computed when the root is about to open its second branch, so
-a search that ends after one root branch pays nothing for them.
+The automorphisms are the value relabelings f of the tuple labels by (0 1)
+and c (graphs.value_relabelings) that carry row 0 onto row f(0) and pass
+is_automorphism, moved to the searched order; (0 1) is lifted only when the
+root prunes, and the orbits are computed only when it is about to open a
+second branch. They act transitively on A(n,k,r) and Cay(S_n, S), so the
+root keeps one branch there; on plain graphs, labelled (i,), they are
+almost never automorphisms.
 """
 
 from __future__ import annotations
@@ -84,7 +73,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, _mask, _transpose, is_automorphism, value_relabelings
+from .graphs import Graph, _bits, _mask, _transpose, is_automorphism, value_relabelings
 from .perms import Permutation, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
@@ -125,9 +114,8 @@ def _complement(adj: Sequence[int]) -> list[int]:
 
 def _value_degree(graph: Graph) -> int:
     """n when the values of graph's labels are 0..n-1 for some n <= V, so
-    that S_n acts on them; else 0. Labels that use n values and that S_n
-    maps onto themselves number at least n, so with more values than
-    vertices (or a negative one) nothing is lifted."""
+    that S_n acts on them (labels closed under S_n number at least n);
+    else 0."""
     values = set(itertools.chain.from_iterable(graph.labels))
     if not values or min(values) < 0 or max(values) >= graph.vertex_count:
         return 0
@@ -135,9 +123,8 @@ def _value_degree(graph: Graph) -> int:
 
 
 def _value_symmetries(graph: Graph, lift: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """Images of the maps of lift that are automorphisms of graph, and so of
-    its complement. A map f that does not carry row 0 onto row f(0) is
-    rejected at once; each other map is checked whole by is_automorphism."""
+    """Images of the maps f of lift that are automorphisms of graph (and its
+    complement): f must carry row 0 onto row f(0), then pass is_automorphism."""
     row0 = list(graph.neighbors(0))
     return [f.images for f in lift
             if _mask(f.images[u] for u in row0) == graph.adjacency[f.images[0]]
@@ -147,10 +134,8 @@ def _value_symmetries(graph: Graph, lift: Sequence[Permutation]) -> list[tuple[i
 def _clique_cover_order(graph: Graph, lift: Sequence[Permutation]) -> Optional[list[int]]:
     """The vertices orbit by orbit under the last vertex permutation of
     lift, the lifted n-cycle; None if lift is empty or some orbit is not a
-    clique of graph. The orbits are taken from the one of the last vertex
-    down, each from its largest vertex on: of the orders tried, this one
-    made the cheapest descents on A(8,4,4), 17 ms against 24 ms from vertex
-    0 up, at the same 210 nodes."""
+    clique of graph. The orbits are taken from the last vertex's down, each
+    from its largest vertex on: on A(8,4,4), 17 ms against 24 ms from 0 up."""
     if not lift:
         return None
     adj = graph.adjacency
@@ -175,29 +160,19 @@ def _clique_cover_order(graph: Graph, lift: Sequence[Permutation]) -> Optional[l
 
 
 def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
-                 symmetries: Optional[Callable[[], list[tuple[int, ...]]]] = None
-                 ) -> list[list[int]]:
+                 symmetries: Optional[Callable[[], list[tuple[int, ...]]]] = None,
+                 seed: Sequence[int] = ()) -> list[list[int]]:
     """Maximum cliques of the graph with bitmask adjacency adj, by branch and
     bound with a greedy coloring bound (Tomita & Kameda, J. Global Optim.
     2007) kept as bitmask color classes (San Segundo et al., Comput. Oper.
-    Res. 2011). Returns one maximum clique, or with enumerate_all every one
-    of them; each clique is sorted. More than node_budget search nodes raise
-    BudgetError.
-
-    A color class takes the lowest candidates not adjacent to the class so
-    far. The color of a vertex bounds the clique it can still reach, so a
-    node ends at the first vertex whose color cannot beat the best clique
-    (or, with enumerate_all, tie it). A node whose candidates are a clique,
-    one vertex per class, closes in one step with the node count and the
-    clique of the path below it; a leaf is such a node with no candidates
-    (the module docstring has the argument).
-
-    Without enumerate_all, symmetries may give automorphisms of the graph
-    as image tuples; it is called at most once, when the root is about to
-    open its second branch, and the root then skips every vertex in the
-    orbit of one it branched on (the module docstring has the argument)."""
-    best = 0
-    found: list[list[int]] = []
+    Res. 2011): one maximum clique, or with enumerate_all every one, each
+    sorted. More than node_budget nodes raise BudgetError. Without
+    enumerate_all the search starts from the seed clique, and symmetries,
+    called at most once, when the root is about to open its second branch,
+    may give automorphisms as image tuples, whose orbits the root then
+    skips (the module docstring has the arguments)."""
+    best = len(seed)
+    found = [sorted(seed)] if seed else []
     nodes = 0
     keep_ties = 0 if enumerate_all else 1
     # outside[v]: the vertices a color class may still take once it has v
@@ -226,11 +201,11 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 rest ^= members
                 classes.append(members)
             m = len(classes)
-            closed = m == candidates.bit_count()
             # candidates that are a clique, one vertex per class, stand for
-            # the m nodes of the path down to the leaf current + candidates
-            # (none at a leaf), which beats the best clique or ties it with
-            # enumerate_all (module docstring)
+            # the m nodes of the path down to the leaf current + candidates,
+            # which beats the best clique (or ties it with enumerate_all)
+            # unless it is the root's (module docstring)
+            closed = m == candidates.bit_count() and len(current) + m >= best + keep_ties
             nodes += m if closed else 1
             if nodes > node_budget:
                 raise BudgetError(f"clique search exceeded node budget {node_budget}")
@@ -279,10 +254,38 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
         candidates = frame[0] & adj[v]
 
 
-def is_independent(graph: Graph, vertices) -> bool:
-    """No two of the vertices are adjacent."""
-    m = _mask(vertices)
-    return not any(row & m for v, row in enumerate(graph.adjacency) if m >> v & 1)
+def _min_degree_independent_set(adj: Sequence[int]) -> list[int]:
+    """A maximal independent set of the graph with bitmask rows adj, by the
+    min-degree greedy. The degrees are bit-planes, as in autsearch._refine
+    (plane j holds bit j of every degree), and each dropped vertex's row is
+    subtracted from them."""
+    planes: list[int] = []
+    for carry in adj:
+        for j, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[j] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    left = (1 << len(adj)) - 1
+    chosen = []
+    while left:
+        least = left
+        for plane in reversed(planes):
+            least = least & ~plane or least
+        v = (least & -least).bit_length() - 1
+        chosen.append(v)
+        dropped = (adj[v] | 1 << v) & left
+        left ^= dropped
+        for u in _bits(dropped):
+            borrow = adj[u] & left
+            for j, plane in enumerate(planes):
+                if not borrow:
+                    break
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+    return chosen
 
 
 def is_maximal_independent(graph: Graph, vertices) -> bool:
@@ -305,17 +308,17 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
     """Exact independence number; in enumerate_all mode also the complete,
     deterministically sorted list of maximum independent sets. Both modes
     run the same search, bounded by config.node_budget, in the order of the
-    lifted n-cycle's orbits when each is a clique (the module docstring has
-    the bound); size_only also skips the root branches that the graph's
-    value relabelings make redundant."""
+    lifted n-cycle's orbits when each is a clique; size_only starts from the
+    min-degree greedy independent set and skips the root branches that the
+    graph's value relabelings make redundant (the module docstring has all
+    three)."""
     if graph.vertex_count < 1:
         raise ValidationError("need at least one vertex")
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValidationError(f"unknown mode {mode!r}")
     n = _value_degree(graph)
     generators = symmetric_group_generators(n)
-    # the lifted n-cycle orders the search; the root lifts the other
-    # generator only if it prunes
+    # the lifted n-cycle orders the search; (0 1) is lifted only to prune
     lift = value_relabelings(graph, n, generators[-1:])
     order = _clique_cover_order(graph, lift)
     adj = graph.adjacency
@@ -334,8 +337,9 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
             place[v] = i
         return [tuple(place[images[v]] for v in order) for images in found]
 
+    seed = () if mode == ENUMERATE_ALL else _min_degree_independent_set(adj)
     sets = _max_cliques(_complement(adj), graph.vertex_count,
-                        mode == ENUMERATE_ALL, config.node_budget, symmetries)
+                        mode == ENUMERATE_ALL, config.node_budget, symmetries, seed)
     if order is not None:
         sets = [sorted(map(order.__getitem__, s)) for s in sets]
     for s in sets:

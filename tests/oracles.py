@@ -2,13 +2,14 @@
 generating set, stabilizer chains with a transversal element held per
 orbit point (incremental Schreier-Sims, and the sift of a strong
 generating set), automorphism count by trying every bijection, independence
-number by scanning every vertex subset and by take-or-drop branching, the
+number by scanning every vertex subset and by take-or-drop branching,
+independence pair by pair, the min-degree greedy with integer degrees, the
 IR search with orbit pruning only with its leaf certificates from
 neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
-candidate group of Cay(S_n, F_f) built from S_n itself, Cay(S_n, S) one
-composed tuple at a time, minimal block systems, common neighbourhoods,
-the bit matrix transpose bit by bit, and the automorphism check by
-relabeling."""
+candidate group of Cay(S_n, F_f) built from S_n itself, value relabelings
+of tuples, Cay(S_n, S) one composed tuple at a time, minimal block
+systems, common neighbourhoods, the bit matrix transpose bit by bit, and
+the automorphism check by relabeling."""
 
 import itertools
 import math
@@ -151,6 +152,30 @@ def brute_force_automorphism_count(graph: Graph, limit: int = 8) -> int:
     return sum(1 for images in itertools.permutations(range(graph.vertex_count))
                if all(frozenset((images[u], images[v])) in edge_set
                       for u, v in edges))
+
+
+def is_independent(graph: Graph, vertices) -> bool:
+    """No two of the vertices are adjacent, pair by pair."""
+    return not any(graph.adjacency[u] >> v & 1 for u, v in itertools.combinations(vertices, 2))
+
+
+def min_degree_independent_set(adj: Sequence[int]) -> list[int]:
+    """The min-degree greedy with integer degrees: take the lowest vertex of
+    least degree among those left, drop it and its neighbours, and lower
+    the degree of each vertex left once per dropped neighbour."""
+    neighbours = [{u for u in range(len(adj)) if row >> u & 1} for row in adj]
+    degree = [len(nb) for nb in neighbours]
+    left = set(range(len(adj)))
+    chosen = []
+    while left:
+        v = min(left, key=lambda u: (degree[u], u))
+        chosen.append(v)
+        dropped = {v} | (neighbours[v] & left)
+        left -= dropped
+        for u in dropped:
+            for w in neighbours[u] & left:
+                degree[w] -= 1
+    return chosen
 
 
 def independence_number_oracle(graph: Graph) -> int:
@@ -419,6 +444,13 @@ def unrank_tuple(idx: int, n: int, k: int) -> tuple[int, ...]:
         q, idx = divmod(idx, block)
         out.append(avail.pop(q))
     return tuple(out)
+
+
+def apply_value_permutation(g: Permutation, t: Sequence[int]) -> tuple[int, ...]:
+    """Relabel values: entry i becomes g(entry i). The map P(g)."""
+    if any(x >= g.degree for x in t):
+        raise ValidationError("tuple entries exceed permutation degree")
+    return tuple(g(x) for x in t)
 
 
 def differing_coordinates(s: Sequence[int], t: Sequence[int]) -> int:

@@ -11,16 +11,15 @@ from arrgraph.actions import (BlockSystem, block_violation, column_partition,
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, FamilyError, ValidationError
-from arrgraph.graphs import (apply_position_permutation, apply_value_permutation,
-                             build_arrangement_graph, build_cayley_graph,
-                             candidate_aut_generators, is_automorphism,
-                             vertex_permutation)
+from arrgraph.graphs import (apply_position_permutation, build_arrangement_graph,
+                             build_cayley_graph, candidate_aut_generators,
+                             is_automorphism, vertex_permutation)
 from arrgraph.indsets import delta_family
 from arrgraph.perms import (Permutation, StabilizerChain, connection_set,
                             symmetric_group_generators, transposition)
 from arrgraph.suite import Context, test_conjecture as conjecture_probe
-from oracles import (brute_force_closure, conjecture_candidate_group,
-                     minimal_block_system)
+from oracles import (apply_value_permutation, brute_force_closure,
+                     conjecture_candidate_group, minimal_block_system)
 
 
 def omega(n, k):

@@ -94,6 +94,29 @@ def test_edgelist_keeps_no_edge_list():
     assert peak < 2 * 2**20, peak
 
 
+def test_writers_build_one_string_per_row():
+    # the 734 KB edge list of Cay(S6,D) peaks at about twice its size; a
+    # string per edge took about ten times it. The text is that of the
+    # edges listed one by one
+    g = build_cayley_graph(6, connection_set(6, "derangements"))
+    tracemalloc.start()
+    try:
+        text = graphio.to_edgelist(g)
+        edgelist_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dot = graphio.to_dot(g)
+        dot_peak = tracemalloc.get_traced_memory()[1] - len(text)
+    finally:
+        tracemalloc.stop()
+    assert text == "".join(["# vertices 720\n"] + [f"{u} {v}\n" for u, v in g.edges()])
+    assert dot == "".join(["graph G {\n"]
+                          + [f'  {v} [label="[{",".join(str(x + 1) for x in lab)}]"];\n'
+                             for v, lab in enumerate(g.labels)]
+                          + [f"  {u} -- {v};\n" for u, v in g.edges()] + ["}\n"])
+    assert edgelist_peak < 3 * len(text), (edgelist_peak, len(text))
+    assert dot_peak < 3 * len(dot), (dot_peak, len(dot))
+
+
 def test_vertex_guard_applies_to_loaded_graphs():
     doc = ('{"format":"arrgraph-graphdoc","version":2,"metadata":{},'
            '"vertex_count":50001,"labels":[],"rows":[]}')

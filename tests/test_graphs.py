@@ -10,13 +10,12 @@ from arrgraph import graphs
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
-                             apply_position_permutation, apply_value_permutation,
-                             build_arrangement_graph, build_cayley_graph,
-                             candidate_aut_generators, invert_tuple, is_automorphism,
-                             value_relabelings, vertex_permutation)
+                             apply_position_permutation, build_arrangement_graph,
+                             build_cayley_graph, candidate_aut_generators, invert_tuple,
+                             is_automorphism, value_relabelings, vertex_permutation)
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import (cayley_by_composition, differing_coordinates,
+from oracles import (apply_value_permutation, cayley_by_composition, differing_coordinates,
                      is_automorphism_by_relabeling, rank_tuple, transpose_bit_by_bit,
                      tuple_count, unrank_tuple)
 

@@ -13,12 +13,11 @@ from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
 from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              is_automorphism, value_relabelings)
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
-                              is_independent, is_maximal_independent,
-                              max_independent_sets)
+                              is_maximal_independent, max_independent_sets)
 from arrgraph.perms import connection_set, orbits, symmetric_group_generators
 from arrgraph.suite import verify_prop_2_1
 from oracles import (differing_coordinates, independence_number_by_branching,
-                     independence_number_oracle)
+                     independence_number_oracle, is_independent, min_degree_independent_set)
 
 SEED = 20240811
 
@@ -100,10 +99,13 @@ def test_mis_size_only():
 
 
 def test_mis_guard_and_mode_validation():
+    # size_only ends A(4,2,2) at its root, whose coloring bound the seed
+    # reaches; the seeded search of A(5,5,3) opens about 2170 nodes
+    with pytest.raises(BudgetError):
+        max_independent_sets(build_arrangement_graph(5, 5, 3), SIZE_ONLY, Config(node_budget=2))
     g = build_arrangement_graph(4, 2, 2)
-    for mode in (SIZE_ONLY, ENUMERATE_ALL):
-        with pytest.raises(BudgetError):
-            max_independent_sets(g, mode, Config(node_budget=2))
+    with pytest.raises(BudgetError):
+        max_independent_sets(g, ENUMERATE_ALL, Config(node_budget=2))
     with pytest.raises(ValidationError):
         max_independent_sets(g, "approximate")
 
@@ -171,12 +173,13 @@ def test_oracle_equivalence_random_graphs():
             assert sets == all_maximum_independent_sets(g)
 
 
-def tuple_colored_cliques(adj, nv, enumerate_all):
+def tuple_colored_cliques(adj, nv, enumerate_all, seed=()):
     """Oracle: the clique search with the coloring as a list of (vertex,
-    color) pairs and one recursive call per node. Returns the cliques and
-    the node count."""
-    best = 0
-    found = []
+    color) pairs and one recursive call per node, starting from the seed
+    clique as the best one (size_only only). Returns the cliques and the
+    node count."""
+    best = len(seed)
+    found = [sorted(seed)] if seed else []
     nodes = 0
 
     def color_order(p_mask):
@@ -216,12 +219,12 @@ def tuple_colored_cliques(adj, nv, enumerate_all):
     return found, nodes
 
 
-def cliques_within_exact_budget(adj, nv, enumerate_all, nodes):
+def cliques_within_exact_budget(adj, nv, enumerate_all, nodes, seed=()):
     """The cliques found with a node budget of `nodes`, after checking that
     one node less raises: the search takes exactly `nodes` nodes."""
-    result = indsets._max_cliques(adj, nv, enumerate_all, nodes)
+    result = indsets._max_cliques(adj, nv, enumerate_all, nodes, None, seed)
     with pytest.raises(BudgetError):
-        indsets._max_cliques(adj, nv, enumerate_all, nodes - 1)
+        indsets._max_cliques(adj, nv, enumerate_all, nodes - 1, None, seed)
     return result
 
 
@@ -256,18 +259,39 @@ def test_clique_search_matches_tuple_coloring():
         for enumerate_all in (False, True):
             expected, nodes = tuple_colored_cliques(adj, len(adj), enumerate_all)
             assert cliques_within_exact_budget(adj, len(adj), enumerate_all, nodes) == expected, trial
+        # size_only from the greedy clique, and from half of it, which is no
+        # maximal clique: the search returns the seed unless it beats it
+        greedy = min_degree_independent_set(indsets._complement(adj))
+        for seed in (greedy, greedy[:len(greedy) // 2]):
+            expected, nodes = tuple_colored_cliques(adj, len(adj), False, seed)
+            assert cliques_within_exact_budget(adj, len(adj), False, nodes, seed) == expected, trial
 
 
-# (n, k, r): search nodes without symmetries, then with the root rule that
-# max_independent_sets applies, and the one maximum independent set that
-# size_only returns either way; the first count and the set were recorded
-# from the search with (vertex, color) tuples
+def test_greedy_matches_integer_degrees():
+    # the bit-plane degrees pick the vertices that integer degrees pick, and
+    # the set is a maximal independent set
+    rng = random.Random(SEED + 5)
+    for _ in range(200):
+        nv = rng.randint(1, 40)
+        density = rng.choice([0.05, 0.2, 0.5, 0.8, 0.95])
+        g = Graph([(i,) for i in range(nv)], [(u, v) for u, v in itertools.combinations(
+            range(nv), 2) if rng.random() < density])
+        chosen = indsets._min_degree_independent_set(g.adjacency)
+        assert chosen == min_degree_independent_set(g.adjacency)
+        assert is_maximal_independent(g, chosen)
+
+
+# (n, k, r): search nodes without symmetries, then with the root rule, then
+# with the root rule from the min-degree greedy seed, as max_independent_sets
+# searches, and the one maximum independent set that the unseeded size_only
+# returns either way; the first count and the set were recorded from the
+# search with (vertex, color) tuples
 PINNED_SIZE_ONLY = {
-    (5, 5, 3): (22623, 2210, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92, 93,
-                              112, 113, 118, 119]),
-    (6, 3, 2): (27805, 1787, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
-    (5, 4, 3): (6332, 378, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
-    (5, 5, 4): (1569, 121, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
+    (5, 5, 3): (22623, 2210, 2173, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92,
+                                    93, 112, 113, 118, 119]),
+    (6, 3, 2): (27805, 1787, 1745, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
+    (5, 4, 3): (6332, 378, 378, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
+    (5, 5, 4): (1569, 121, 101, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
 }
 
 
@@ -294,15 +318,57 @@ def value_symmetries(g):
 
 @pytest.mark.parametrize("nkr", list(PINNED_SIZE_ONLY), ids=lambda nkr: "A(%d,%d,%d)" % nkr)
 def test_size_only_search_pinned(nkr):
-    nodes, pruned, clique = PINNED_SIZE_ONLY[nkr]
+    nodes, pruned, seeded, clique = PINNED_SIZE_ONLY[nkr]
     g = build_arrangement_graph(*nkr)
     adj = indsets._complement(g.adjacency)
     assert cliques_within_exact_budget(adj, g.vertex_count, False, nodes) == [clique]
     assert indsets._max_cliques(adj, g.vertex_count, False, pruned,
                                 value_symmetries(g)) == [clique]
-    assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=pruned)) == (len(clique), None)
     with pytest.raises(BudgetError):
-        max_independent_sets(g, SIZE_ONLY, Config(node_budget=pruned - 1))
+        indsets._max_cliques(adj, g.vertex_count, False, pruned - 1, value_symmetries(g))
+    assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=seeded)) == (len(clique), None)
+    with pytest.raises(BudgetError):
+        max_independent_sets(g, SIZE_ONLY, Config(node_budget=seeded - 1))
+
+
+@pytest.mark.parametrize("params,alpha", [((6, 5, 1), 360), ((6, 6, 2), 360), ((6, 3, 1), 30),
+                                          ("transpositions", 360)],
+                         ids=["A(6,5,1)", "A(6,6,2)", "A(6,3,1)", "Cay(S6,T)"])
+def test_seed_ends_the_search_at_the_root(params, alpha):
+    # the greedy set reaches the root's coloring bound: one node, where the
+    # unseeded search takes a 360-node descent (2611 nodes on A(6,3,1))
+    g = (build_cayley_graph(6, connection_set(6, params)) if isinstance(params, str)
+         else build_arrangement_graph(*params))
+    assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=1)) == (alpha, None)
+
+
+# size_only independence numbers of every A(n,k,r) and Cay(S_n, S) with
+# n <= 6, as the unseeded search gave them. A(6,4,r) for r = 1, 2, A(6,5,r)
+# for r = 2, 3, 4, A(6,6,r) for r = 3, 4 and their twins Cay(S6,F_f) for
+# f = 2, 3 finish in neither search within minutes, and are left out
+UNSEEDED_ALPHA = {
+    **dict(zip([(n, k, r) for n in range(1, 6) for k in range(1, n + 1) for r in range(1, k + 1)],
+               [1, 1, 2, 1, 1, 3, 2, 6, 3, 2, 1, 4, 3, 12, 6, 6, 24, 12, 8, 6,
+                1, 5, 4, 20, 9, 12, 60, 24, 12, 24, 120, 60, 20, 13, 24])),
+    (6, 1, 1): 1, (6, 2, 1): 6, (6, 2, 2): 5, (6, 3, 1): 30, (6, 3, 2): 12, (6, 3, 3): 20,
+    (6, 4, 3): 24, (6, 4, 4): 60, (6, 5, 1): 360, (6, 5, 5): 120, (6, 6, 1): 720,
+    (6, 6, 2): 360, (6, 6, 5): 48, (6, 6, 6): 120,
+    **{(n, "transpositions", None): math.factorial(n) // 2 for n in range(2, 7)},
+    # D is F_0, and alpha is (n-1)! for both
+    **{(n, kind, fixed): math.factorial(n - 1) for n in range(2, 7)
+       for kind, fixed in [("derangements", None), ("fixed", 0)]},
+    (3, "fixed", 1): 3, (4, "fixed", 1): 8, (4, "fixed", 2): 12, (5, "fixed", 1): 13,
+    (5, "fixed", 2): 20, (5, "fixed", 3): 60, (6, "fixed", 1): 48, (6, "fixed", 4): 360,
+}
+
+
+def test_seed_keeps_every_alpha_up_to_n6():
+    found = {}
+    for key in UNSEEDED_ALPHA:
+        g = (build_cayley_graph(key[0], connection_set(*key)) if isinstance(key[1], str)
+             else build_arrangement_graph(*key))
+        found[key] = max_independent_sets(g, SIZE_ONLY)[0]
+    assert found == UNSEEDED_ALPHA
 
 
 # -- the root rule of size_only -------------------------------------------------
@@ -452,9 +518,11 @@ def test_enumerate_all_search_pinned(n, k, nodes):
 
 
 def test_deep_clique_needs_no_recursion():
-    # 1100 isolated vertices: one clique of the complement, 1100 levels deep
+    # 1100 isolated vertices: one clique of the complement, 1100 levels deep;
+    # size_only's seed holds all of them, which the closed root only ties,
+    # so the root ends the search as one node
     g = Graph([(i,) for i in range(1100)], [])
-    assert max_independent_sets(g, SIZE_ONLY) == (1100, None)
+    assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=1)) == (1100, None)
     assert max_independent_sets(g, ENUMERATE_ALL) == (1100, [list(range(1100))])
 
 
@@ -618,7 +686,7 @@ def test_cover_order_with_root_pruning(n, k, monkeypatch):
     asked = []
     search = indsets._max_cliques
 
-    def checked_search(adj, nv, enumerate_all, node_budget, symmetries):
+    def checked_search(adj, nv, enumerate_all, node_budget, symmetries, seed):
         def moved():
             images = symmetries()
             asked.append(images)
@@ -626,7 +694,7 @@ def test_cover_order_with_root_pruning(n, k, monkeypatch):
             for f in images:
                 assert all(_mask_image(f, adj[v]) == adj[f[v]] for v in range(nv))
             return images
-        return search(adj, nv, enumerate_all, node_budget, moved)
+        return search(adj, nv, enumerate_all, node_budget, moved, seed)
 
     monkeypatch.setattr(indsets, "_max_cliques", checked_search)
     size, _ = max_independent_sets(g, SIZE_ONLY)
