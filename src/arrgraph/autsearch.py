@@ -229,9 +229,6 @@ class _IRSearch:
         self.best: Optional[tuple[bytes, list[int]]] = None
 
     def run(self) -> None:
-        if self.n == 0:
-            self.best = (b"", [])
-            return
         self._node(_refine(self.adj, [(1 << self.n) - 1]), [])
 
     def result(self) -> AutResult:

@@ -4,7 +4,9 @@ A graphdoc (version 2) holds the metadata, the 1-based tuple labels and the
 adjacency as one lowercase hex string per vertex: row v has ceil(V/4)
 digits, and bit u of it is set when u and v are adjacent. Re-exporting an
 imported document gives the same bytes. Edge lists and DOT keep one line
-per edge, for other tools."""
+per edge, for other tools. A loaded graphdoc's labels, metadata and rows
+are checked by the Graph constructor (see Graph.__init__); an edge list,
+line by line as it is read."""
 
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ def to_graphdoc(graph: Graph) -> str:
     row v as ceil(V/4) lowercase hex digits with bit u for vertex u.
     Canonical serialization (sorted keys, fixed separators) so re-export of
     an imported document is byte-identical."""
-    width = _row_width(graph.vertex_count)
+    width = (graph.vertex_count + 3) // 4
     doc = {
         "format": _GRAPHDOC_MAGIC,
         "version": _GRAPHDOC_VERSION,
@@ -148,15 +150,11 @@ def to_graphdoc(graph: Graph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _row_width(vertex_count: int) -> int:
-    return (vertex_count + 3) // 4
-
-
 def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
-    """Read a version-2 graphdoc, checked once here: the format marker, the
+    """Read a version-2 graphdoc. Checked here: the format marker, the
     version (an older one is rejected with a hint to regenerate the file),
-    vertex_count against the vertex guard before any row is parsed, the
-    labels, the metadata, then the rows (see _rows)."""
+    vertex_count against the vertex guard before any row is parsed, then
+    the labels' count and the rows' format; the rest by Graph()."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -175,23 +173,19 @@ def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     if not (type(nv) is int and nv >= 0):
         raise ValidationError(f"graph document vertex_count {nv!r} is not an integer >= 0")
     _check_vertex_guard(nv, config)
-    labels = [tuple(x - 1 for x in _int_list(lab, "label"))
-              for lab in _list(doc.get("labels"), "labels")]
+    labels = doc.get("labels")
+    if not isinstance(labels, list):
+        raise ValidationError("graph document labels missing or not a list")
+    labels = [tuple(x - 1 for x in _int_list(lab, "label")) for lab in labels]
     if len(labels) != nv:
         raise ValidationError("label count does not match vertex_count")
-    if len(set(labels)) != nv:
-        raise ValidationError("vertex labels are not pairwise distinct")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValidationError("graph document metadata is not an object")
-    return Graph._from_adjacency(labels, _rows(doc.get("rows"), nv), metadata)
+    return Graph(labels, _rows(doc.get("rows"), nv), doc.get("metadata", {}))
 
 
 def _rows(value, nv: int) -> list[int]:
-    """The adjacency of a graphdoc's rows, once they are nv strings of
-    ceil(nv/4) lowercase hex digits making a symmetric, loop-free matrix
-    with no bit at nv or above."""
-    width = _row_width(nv)
+    """The ints of a graphdoc's rows, once they are nv strings of
+    ceil(nv/4) lowercase hex digits."""
+    width = (nv + 3) // 4
     if not (type(value) is list and len(value) == nv
             and all(type(s) is str and len(s) == width for s in value)):
         raise ValidationError(
@@ -201,22 +195,7 @@ def _rows(value, nv: int) -> list[int]:
     joined = "".join(value)
     if not joined.isascii() or joined.encode().translate(None, _HEX_DIGITS):
         raise ValidationError("graph document rows hold a character other than 0-9a-f")
-    rows = [int(s, 16) for s in value]
-    # _transpose drops the padding rows at nv and above, so it cannot see
-    # such bits: they are checked first
-    if any(row >> nv for row in rows):
-        raise ValidationError(f"graph document row has a bit at {nv} or above")
-    if any(row >> v & 1 for v, row in enumerate(rows)):
-        raise ValidationError("graph document row has a self-loop")
-    if _transpose(rows) != rows:
-        raise ValidationError("graph document rows are not symmetric")
-    return rows
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"graph document {what} missing or not a list")
-    return value
+    return [int(s, 16) for s in value]
 
 
 def _int_list(value, what: str) -> list[int]:

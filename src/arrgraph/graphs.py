@@ -18,45 +18,55 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .perms import (ConnectionSet, Permutation, check_tuple_count,
+from .perms import (ConnectionSet, Permutation, _require_ints, check_tuple_count,
                     symmetric_group_generators)
 
 
 class Graph:
-    """Immutable undirected graph with packed bit-vector adjacency.
-
-    labels[v] is the k-tuple label of vertex v (0-based entries).
-    metadata records the construction parameters.
-    """
+    """Immutable undirected graph with packed bit-vector adjacency: bit u of
+    adjacency[v] is set when u and v are adjacent. labels[v] is the tuple
+    label of vertex v (0-based entries); metadata records the construction
+    parameters."""
 
     __slots__ = ("vertex_count", "labels", "adjacency", "metadata", "__weakref__")
 
-    def __init__(self, labels: Sequence[tuple[int, ...]],
-                 edges: Iterable[tuple[int, int]],
+    def __init__(self, labels: Sequence[Sequence[int]], adjacency: Sequence[int],
                  metadata: Optional[dict] = None):
-        labels = tuple(tuple(l) for l in labels)
+        """Checks, in order: labels are distinct sequences of exact ints;
+        metadata is a dict or None; rows are V exact ints, below bit V, loop-free, symmetric."""
+        try:
+            labels = tuple(map(tuple, labels))
+            if not all(type(x) is int for lab in labels for x in lab):
+                raise TypeError
+        except TypeError:
+            raise ValidationError("vertex labels are not sequences of integers") from None
         nv = len(labels)
         if len(set(labels)) != nv:
             raise ValidationError("vertex labels are not pairwise distinct")
-        adjacency = [0] * nv
-        for u, v in edges:
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise ValidationError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
+        if not (metadata is None or isinstance(metadata, dict)):
+            raise ValidationError("graph metadata is not a dict")
+        rows = list(adjacency) if isinstance(adjacency, (list, tuple)) else None
+        if rows is None or len(rows) != nv or not all(type(row) is int for row in rows):
+            raise ValidationError(f"adjacency is not {nv} integer rows, one per label")
+        for v, row in enumerate(rows):
+            # -1 for a negative row; _transpose cannot see bits at nv or above
+            if row >> nv:
+                raise ValidationError(f"adjacency row {v} has a bit at {nv} or above")
+            if row >> v & 1:
+                raise ValidationError(f"adjacency row {v} has a self-loop")
+        if _transpose(rows) != rows:
+            raise ValidationError("adjacency rows are not symmetric")
         self.vertex_count = nv
         self.labels = labels
-        self.adjacency = adjacency
+        self.adjacency = rows
         self.metadata = dict(metadata or {})
 
     @classmethod
     def _from_adjacency(cls, labels: Sequence[tuple[int, ...]],
                         adjacency: list[int], metadata: dict) -> "Graph":
-        """Wrap distinct tuple labels and a bitmask adjacency that is already
-        symmetric and loop-free, without checking or listing edges.
-        Internal only: outside input goes through the validating constructor."""
+        """Wrap labels and rows that are valid by construction (those of the
+        builders, relabeled and from_edgelist) unchecked, as
+        Permutation._trusted does; outside input goes through Graph()."""
         g = object.__new__(cls)
         g.vertex_count = len(labels)
         g.labels = tuple(labels)
@@ -118,9 +128,10 @@ def build_arrangement_graph(n: int, k: int, r: int,
     tuple t the k masks at[j][t[j]] are summed bit-sliced, with ripple
     carry, and the row of t is one AND over the planes that selects the
     count k - r. No edge list is formed."""
+    check_tuple_count(n, k, config)
+    _require_ints(r=r)
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
-    check_tuple_count(n, k, config)
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
     nv = len(labels)
     full = (1 << nv) - 1

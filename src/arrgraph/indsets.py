@@ -74,7 +74,7 @@ from typing import Callable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
 from .graphs import Graph, _bits, _mask, _transpose, is_automorphism, value_relabelings
-from .perms import Permutation, orbits, symmetric_group_generators
+from .perms import Permutation, _require_ints, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
@@ -87,6 +87,7 @@ def delta_set(n: int, k: int, i: int, j: int) -> frozenset[int]:
 
     The entries of a tuple are distinct, so entry j being i already keeps i
     out of every other position."""
+    _require_ints(n=n, k=k, i=i, j=j)
     if not (0 <= i < n and 0 <= j < k and k <= n):
         raise ValidationError(f"delta set parameters out of range: n={n} k={k} i={i} j={j}")
     return frozenset(v for v, t in enumerate(itertools.permutations(range(n), k))
@@ -97,6 +98,7 @@ def delta_family(n: int, k: int) -> list[tuple[tuple[int, int], frozenset[int]]]
     """All delta sets in (i, j)-lexicographic order, from one pass over the
     tuples: vertex v joins the set (i, j) for each entry i at position j of
     its tuple."""
+    _require_ints(n=n, k=k)
     if not 0 <= k <= n:
         raise ValidationError(f"delta family parameters out of range: n={n} k={k}")
     members: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]

@@ -173,6 +173,7 @@ def _kind_fixed_points(n: int, kind: str, fixed_points: Optional[int]) -> int:
         raise ValidationError(f"unknown connection set kind {kind!r}")
     if fixed_points is None:
         raise ValidationError("kind 'fixed' requires a fixed-point count")
+    _require_ints(f=fixed_points)
     if not 0 <= fixed_points <= n - 2:
         raise ValidationError(
             f"fixed-point count must satisfy 0 <= f <= n-2, got {fixed_points} for n={n}")
@@ -213,11 +214,18 @@ class ConnectionSet:
         return self.kind
 
 
+def _require_ints(**values) -> None:
+    """ValidationError unless each value is an exact int, not a bool."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an int, got {value!r}")
+
+
 def check_tuple_count(n: int, k: int, config: Config = DEFAULT_CONFIG) -> None:
-    """ValidationError if there are more k-tuples of distinct values in
-    0..n-1 than the vertex guard; k = n counts the elements of S_n. The
-    product n(n-1)...(n-k+1) is not formed past the guard, so huge n and k
-    fail at once."""
+    """ValidationError unless n and k are ints and the k-tuples of distinct
+    values in 0..n-1 (the elements of S_n when k = n) are within the vertex
+    guard. n(n-1)...(n-k+1) is not formed past the guard."""
+    _require_ints(n=n, k=k)
     size = 1
     for i in range(n - k + 1, n + 1):
         size *= i
@@ -233,10 +241,10 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
     """All permutations of S_n of the requested kind, once S_n passes the
     vertex guard. "transpositions" and "derangements" coincide with
     fixed-point counts n-2 and 0 respectively."""
+    check_tuple_count(n, n, config)
     if n < 2:
         raise ValidationError(f"connection sets need n >= 2, got {n}")
     want = _kind_fixed_points(n, kind, fixed_points)
-    check_tuple_count(n, n, config)
     elems = frozenset(
         Permutation(imgs)
         for imgs in itertools.permutations(range(n))

@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                      candidate_aut_generators, is_automorphism)
 from .indsets import ENUMERATE_ALL, delta_family, max_independent_sets
-from .perms import Permutation, connection_set
+from .perms import Permutation, _require_ints, connection_set
 
 CASE_RKLTN = "r=k<n"
 CASE_RKN = "r=k=n"
@@ -211,9 +211,12 @@ def _require(claim: str, n: int, k: int, k_max: int) -> None:
 
 
 def _claim(check):
-    """The claim `check`, timed, with a fresh context when called without one."""
+    """The claim `check` on exact-int arguments, timed, with a fresh context
+    when called without one."""
+    names = check.__code__.co_varnames[:check.__code__.co_argcount]
     @functools.wraps(check)
     def claim(*args, ctx: Optional[Context] = None) -> ClaimReport:
+        _require_ints(**dict(zip(names, args)))
         t0 = time.perf_counter()
         report = check(*args, ctx=ctx or Context())
         report.wall_time = time.perf_counter() - t0

@@ -1,11 +1,12 @@
 import pytest
 
-from arrgraph.graphs import Graph, build_arrangement_graph, build_cayley_graph
+from arrgraph.graphs import build_arrangement_graph, build_cayley_graph
 from arrgraph.perms import connection_set
+from oracles import graph_from_edges
 
 
 def _plain(n, edges):
-    return Graph([(i,) for i in range(n)], edges)
+    return graph_from_edges([(i,) for i in range(n)], edges)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ IR search with orbit pruning only with its leaf certificates from
 neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
 candidate group of Cay(S_n, F_f) built from S_n itself, value relabelings
 of tuples, Cay(S_n, S) one composed tuple at a time, minimal block
-systems, common neighbourhoods, the bit matrix transpose bit by bit, and
-the automorphism check by relabeling."""
+systems, common neighbourhoods, the bit matrix transpose bit by bit, the
+automorphism check by relabeling, and graphs given by their edges."""
 
 import itertools
 import math
@@ -481,7 +481,20 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# Adjacency under a vertex map, edge by edge, and the transpose bit by bit
+# Graphs given by their edges, adjacency under a vertex map, edge by edge,
+# and the transpose bit by bit
+
+
+def graph_from_edges(labels: Sequence[Sequence[int]], edges: Iterable[tuple[int, int]],
+                     metadata: Optional[dict] = None) -> Graph:
+    """The graph on the labels whose edges are the given vertex pairs: both
+    bits of each edge are set in a row per label, and the rows go through
+    the validating constructor."""
+    rows = [0] * len(labels)
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(labels, rows, metadata)
 
 
 def transpose_bit_by_bit(rows: Sequence[int]) -> list[int]:
@@ -496,7 +509,7 @@ def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
     from the images of the edges under f, one edge at a time, has the
     graph's own adjacency."""
     images = f.images
-    image = Graph(graph.labels, ((images[u], images[v]) for u, v in graph.edges()))
+    image = graph_from_edges(graph.labels, ((images[u], images[v]) for u, v in graph.edges()))
     return image.adjacency == graph.adjacency
 
 

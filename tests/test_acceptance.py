@@ -23,7 +23,7 @@ from arrgraph.suite import (Context, test_conjecture as conjecture_probe,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
 from oracles import (apply_value_permutation, brute_force_closure, common_neighborhood,
-                     independence_number_oracle)
+                     graph_from_edges, independence_number_oracle)
 
 SEED = 20240811
 
@@ -156,16 +156,16 @@ def test_criterion_8_conjecture_harness(ctx):
 
 
 def _acceptance_corpus():
-    from arrgraph.graphs import Graph, build_cayley_graph
+    from arrgraph.graphs import build_cayley_graph
     from arrgraph.perms import connection_set
     return {
-        "K4": Graph([(i,) for i in range(4)],
-                    [(i, j) for i in range(4) for j in range(i + 1, 4)]),
-        "C4": Graph([(i,) for i in range(4)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
-        "petersen": Graph([(i,) for i in range(10)],
-                          [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-                           (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-                           (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]),
+        "K4": graph_from_edges([(i,) for i in range(4)],
+                               [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+        "C4": graph_from_edges([(i,) for i in range(4)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        "petersen": graph_from_edges([(i,) for i in range(10)],
+                                     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                      (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+                                      (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]),
         "A(4,2,1)": build_arrangement_graph(4, 2, 1),
         "A(4,2,2)": build_arrangement_graph(4, 2, 2),
         "A(3,3,3)": build_arrangement_graph(3, 3, 3),

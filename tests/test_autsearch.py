@@ -10,11 +10,11 @@ from arrgraph.autsearch import (SearchStats, _IRSearch, _refine, automorphism_gr
                                 are_isomorphic, equitable_refinement)
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
+from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
 from arrgraph.perms import Permutation, StabilizerChain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
-                     common_neighborhood, leaf_certificate_by_neighbours,
+                     common_neighborhood, graph_from_edges, leaf_certificate_by_neighbours,
                      orbit_pruning_automorphism_group, rank_tuple,
                      reference_refine)
 
@@ -48,7 +48,7 @@ def test_refinement_regular_graph_unchanged():
 
 
 def test_refinement_path_of_three():
-    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     cells = equitable_refinement(p3, unit_partition(p3))
     assert sorted(map(sorted, cells)) == [[0, 2], [1]]
 
@@ -83,20 +83,20 @@ def test_refinement_rejects_non_partition():
 def test_refinement_rejects_vertices_that_are_not_ints(cells):
     # a vertex must be an int, not a float, str or bool equal to one, and
     # the partition and each cell must be iterable
-    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     with pytest.raises(ValidationError):
         equitable_refinement(p3, cells)
 
 
 def test_refinement_drops_empty_cells():
-    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     assert equitable_refinement(p3, [[], [2, 0], [], [1], []]) == [[0, 2], [1]]
 
 
 def test_refinement_reads_a_one_pass_partition_once():
     # a generator of cells, or a cell that is an iterator, is read once by
     # the check and not found empty by the refinement after it
-    p3 = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     assert equitable_refinement(p3, (c for c in [[0, 1, 2]])) == [[0, 2], [1]]
     assert equitable_refinement(p3, [iter([0, 1, 2])]) == [[0, 2], [1]]
 
@@ -395,8 +395,8 @@ def _random_graph(rng, max_vertices=40):
         edges = [(u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < p]
     order = list(range(nv))
     rng.shuffle(order)
-    return Graph([(i,) for i in range(nv)],
-                 [(order[u], order[v]) for u, v in edges])
+    return graph_from_edges([(i,) for i in range(nv)],
+                            [(order[u], order[v]) for u, v in edges])
 
 
 def _random_ordered_partition(rng, nv):
@@ -506,7 +506,7 @@ def test_generators_rebuild_the_chain(corpus):
 
 
 def test_aut_isolated_vertices():
-    g = Graph([(i,) for i in range(60)], [])
+    g = graph_from_edges([(i,) for i in range(60)], [])
     result = automorphism_group(g)
     assert result.order == math.factorial(60)
     assert len(result.chain.base) == 59

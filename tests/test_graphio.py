@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from arrgraph import graphio
+from arrgraph import graphio, graphs
 from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph, build_cayley_graph
@@ -180,6 +180,30 @@ def test_graphdoc_metadata_is_checked_before_the_rows():
            '"vertex_count":2,"labels":[[1],[2]],"rows":["1","0"]}')
     with pytest.raises(ValidationError, match="metadata"):
         graphio.from_graphdoc(doc)
+
+
+def test_graphdoc_load_makes_one_transpose(monkeypatch):
+    # the rows are checked once, by the constructor; graphio's own binding
+    # of _transpose is counted too
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return transpose(rows)
+
+    transpose = graphs._transpose
+    monkeypatch.setattr(graphs, "_transpose", counted)
+    monkeypatch.setattr(graphio, "_transpose", counted)
+    g = build_arrangement_graph(5, 4, 4)
+    assert graphio.from_graphdoc(graphio.to_graphdoc(g)).adjacency == g.adjacency
+    assert calls == [120]
+
+
+def test_graphdoc_labels_are_checked_by_the_constructor():
+    doc = json.loads(graphio.to_graphdoc(build_arrangement_graph(3, 2, 2)))
+    doc["labels"][5] = doc["labels"][0]
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        graphio.from_graphdoc(json.dumps(doc))
 
 
 def test_dot_output():

@@ -16,8 +16,8 @@ from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
 from oracles import (apply_value_permutation, cayley_by_composition, differing_coordinates,
-                     is_automorphism_by_relabeling, rank_tuple, transpose_bit_by_bit,
-                     tuple_count, unrank_tuple)
+                     graph_from_edges, is_automorphism_by_relabeling, rank_tuple,
+                     transpose_bit_by_bit, tuple_count, unrank_tuple)
 
 SEED = 20240811
 
@@ -148,7 +148,7 @@ def test_candidate_generators_need_labels_closed_under_s_n():
     # half the labels of A(4,2,2): some value relabeling maps a label outside
     g = build_arrangement_graph(4, 2, 2)
     with pytest.raises(ValidationError, match="not closed under S_4"):
-        candidate_aut_generators(4, 2, Graph(g.labels[:6], []))
+        candidate_aut_generators(4, 2, graph_from_edges(g.labels[:6], []))
 
 
 def test_cayley_s3_transpositions():
@@ -197,7 +197,7 @@ def pair_scan_arrangement(n, k, r):
         for v in range(u + 1, nv)
         if differing_coordinates(labels[u], labels[v]) == r
     ]
-    return Graph(labels, edges, {"family": "arrangement", "n": n, "k": k, "r": r})
+    return graph_from_edges(labels, edges, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
 def composed_cayley(n, cset):
@@ -212,7 +212,7 @@ def composed_cayley(n, cset):
             j = index[s.compose(g).images]
             if i < j:
                 edges.append((i, j))
-    return Graph(labels, edges, {"family": "cayley", "n": n, "kind": cset.label()})
+    return graph_from_edges(labels, edges, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
 def assert_same_graph(built, oracle):
@@ -327,13 +327,46 @@ def test_adjacency_constructor_not_exported():
 # -- Graph basics -------------------------------------------------------------
 
 
+_PATH3 = [(0,), (1,), (2,)]  # the path 0 - 1 - 2 has rows 0b010, 0b101, 0b010
+
+
+def test_graph_from_rows():
+    g = Graph(_PATH3, [2, 5, 2], {"family": "plain"})
+    assert g.labels == ((0,), (1,), (2,)) and g.adjacency == [2, 5, 2]
+    assert list(g.edges()) == [(0, 1), (1, 2)] and g.metadata == {"family": "plain"}
+    # any sequences of ints label the vertices, and are stored as tuples
+    h = Graph([[0, 1], range(2, 4)], (0, 0))
+    assert h.labels == ((0, 1), (2, 3)) and h.adjacency == [0, 0] and h.metadata == {}
+    assert Graph([], []).vertex_count == 0
+
+
 def test_graph_rejects_malformed():
-    with pytest.raises(ValidationError):
-        Graph([(0,), (0,)], [])  # duplicate labels
-    with pytest.raises(ValidationError):
-        Graph([(0,), (1,)], [(0, 2)])  # edge out of range
-    with pytest.raises(ValidationError):
-        Graph([(0,), (1,)], [(1, 1)])  # self-loop
+    # in bit rows, an edge to a vertex out of range is a bit at V or above,
+    # and a self-loop a bit on the diagonal
+    cases = [
+        ([(0,), (0,), (2,)], [2, 5, 2], None, "pairwise distinct"),
+        ([(0,), 1, (2,)], [2, 5, 2], None, "sequences of integers"),
+        ([(0,), ("1",), (2,)], [2, 5, 2], None, "sequences of integers"),
+        ([(0,), (True,), (2,)], [2, 5, 2], None, "sequences of integers"),
+        (_PATH3, [2, 5, 2], [("family", "plain")], "metadata is not a dict"),
+        (_PATH3, [2, 5, 2 | 8], None, "row 2 has a bit at 3"),
+        (_PATH3, [2, 5, -6], None, "row 2 has a bit at 3"),  # -6 >> 3 is -1
+        (_PATH3, [2, 5, True], None, "3 integer rows"),
+        (_PATH3, [2, 5, 2.0], None, "3 integer rows"),
+        (_PATH3, [2, 5], None, "3 integer rows"),
+        (_PATH3, [2, 5, 2, 0], None, "3 integer rows"),
+        (_PATH3, (row for row in [2, 5, 2]), None, "3 integer rows"),
+        (_PATH3, [2, 5, 2 | 4], None, "row 2 has a self-loop"),
+        (_PATH3, [2, 5, 3], None, "not symmetric"),  # bit 0 of row 2 alone
+    ]
+    for labels, rows, metadata, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            Graph(labels, rows, metadata)
+    # the checks run in order: labels, metadata, rows
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        Graph([(0,), (0,)], [1], [])
+    with pytest.raises(ValidationError, match="metadata"):
+        Graph(_PATH3, [1], [])
 
 
 def test_relabeled_preserves_structure():
@@ -353,16 +386,17 @@ def test_relabeled_preserves_structure():
 
 
 def test_relabeled_matches_validated_construction():
+    # the oracle is built edge by edge, each edge moved by p
     rng = random.Random(SEED + 3)
     for g in [build_arrangement_graph(4, 3, 2), build_arrangement_graph(3, 3, 1),
               build_cayley_graph(4, connection_set(4, "fixed", 1)),
-              Graph([(0,)], []), Graph([(0,), (1,)], [(0, 1)])]:
+              graph_from_edges([(0,)], []), graph_from_edges([(0,), (1,)], [(0, 1)])]:
         imgs = list(range(g.vertex_count))
         rng.shuffle(imgs)
         p = Permutation(imgs)
         inv = p.inverse()
-        oracle = Graph([g.labels[inv(i)] for i in range(g.vertex_count)],
-                       [(p(u), p(v)) for u, v in g.edges()], g.metadata)
+        oracle = graph_from_edges([g.labels[inv(i)] for i in range(g.vertex_count)],
+                                  [(p(u), p(v)) for u, v in g.edges()], g.metadata)
         assert_same_graph(g.relabeled(p), oracle)
 
 
@@ -498,7 +532,7 @@ def test_value_relabelings_match_vertex_permutation():
 
 def test_value_relabelings_leave_out_maps_off_the_labels():
     # the transposition (0 1) maps (1, 2) to (0, 2), which is no label
-    g = Graph([(0, 1), (1, 2), (2, 0)], [])
+    g = graph_from_edges([(0, 1), (1, 2), (2, 0)], [])
     got = value_relabelings(g, 3)
     assert got == [Permutation((1, 2, 0))]  # the 3-cycle, rotating the labels
     assert value_relabelings(g, 1) == []  # S_1 has no generators
@@ -541,18 +575,19 @@ def test_is_automorphism_degree_mismatch():
         is_automorphism(g, Permutation.identity(11))
     for nv in (0, 1):  # also where there are no rows to compare
         with pytest.raises(ValidationError):
-            is_automorphism(Graph([(v,) for v in range(nv)], []), Permutation.identity(2))
+            is_automorphism(graph_from_edges([(v,) for v in range(nv)], []),
+                            Permutation.identity(2))
 
 
 def test_is_automorphism_tiny_graphs():
     # the transpose pads nothing at V <= 1, and only V = 3 pads here
-    assert is_automorphism(Graph([], []), Permutation._trusted(()))
-    assert is_automorphism(Graph([(0,)], []), Permutation.identity(1))
+    assert is_automorphism(graph_from_edges([], []), Permutation._trusted(()))
+    assert is_automorphism(graph_from_edges([(0,)], []), Permutation.identity(1))
     for edges in ([], [(0, 1)]):
-        g = Graph([(0,), (1,)], edges)
+        g = graph_from_edges([(0,), (1,)], edges)
         for images in ((0, 1), (1, 0)):
             assert is_automorphism(g, Permutation(images))
-    path = Graph([(0,), (1,), (2,)], [(0, 1), (1, 2)])
+    path = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
     assert is_automorphism(path, Permutation((2, 1, 0)))
     assert not is_automorphism(path, Permutation((1, 0, 2)))
 
@@ -574,7 +609,7 @@ def test_is_automorphism_matches_relabeling_oracle():
                 while (min(u, v), max(u, v)) not in edges:
                     edges.add((min(u, v), max(u, v)))
                     u, v = sigma[u], sigma[v]
-        g = Graph([(v,) for v in range(nv)], sorted(edges))
+        g = graph_from_edges([(v,) for v in range(nv)], sorted(edges))
         f = Permutation(sigma)
         maps = [f, f.compose(f), f.compose(transposition(nv, 0, nv - 1)),
                 Permutation(rng.sample(range(nv), nv))]
