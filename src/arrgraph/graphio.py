@@ -4,9 +4,9 @@ A graphdoc (version 2) holds the metadata, the 1-based tuple labels and the
 adjacency as one lowercase hex string per vertex: row v has ceil(V/4)
 digits, and bit u of it is set when u and v are adjacent. Re-exporting an
 imported document gives the same bytes. Edge lists and DOT keep one line
-per edge, for other tools. A loaded graphdoc's labels, metadata and rows
-are checked by the Graph constructor (see Graph.__init__); an edge list,
-line by line as it is read."""
+per edge, for other tools. A loaded graphdoc's format is checked here, and
+its distinct labels and row contents by the Graph constructor (see
+Graph.__init__); an edge list, line by line as it is read."""
 
 from __future__ import annotations
 
@@ -48,8 +48,7 @@ def _edge_lines(graph: Graph, pre: str, mid: str, post: str):
 
 def _check_vertex_guard(vertex_count: int, config: Config) -> None:
     if vertex_count > config.vertex_guard:
-        raise ValidationError(
-            f"{vertex_count} vertices, over the guard {config.vertex_guard}")
+        raise ValidationError(f"{vertex_count} vertices, over the guard {config.vertex_guard}")
 
 
 def from_edgelist(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
@@ -153,8 +152,8 @@ def to_graphdoc(graph: Graph) -> str:
 def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     """Read a version-2 graphdoc. Checked here: the format marker, the
     version (an older one is rejected with a hint to regenerate the file),
-    vertex_count against the vertex guard before any row is parsed, then
-    the labels' count and the rows' format; the rest by Graph()."""
+    vertex_count against the guard before any row is parsed, the labels'
+    count, the metadata, then the rows' format; the rest by Graph()."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -179,7 +178,10 @@ def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     labels = [tuple(x - 1 for x in _int_list(lab, "label")) for lab in labels]
     if len(labels) != nv:
         raise ValidationError("label count does not match vertex_count")
-    return Graph(labels, _rows(doc.get("rows"), nv), doc.get("metadata", {}))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("graph document metadata is not an object")
+    return Graph(labels, _rows(doc.get("rows"), nv), metadata)
 
 
 def _rows(value, nv: int) -> list[int]:
@@ -188,8 +190,7 @@ def _rows(value, nv: int) -> list[int]:
     width = (nv + 3) // 4
     if not (type(value) is list and len(value) == nv
             and all(type(s) is str and len(s) == width for s in value)):
-        raise ValidationError(
-            f"graph document rows are not {nv} strings of {width} hex digits")
+        raise ValidationError(f"graph document rows are not {nv} strings of {width} hex digits")
     # int(s, 16) alone would also take "0x", "_", signs, whitespace and
     # uppercase, so every character is checked at once
     joined = "".join(value)
@@ -199,27 +200,23 @@ def _rows(value, nv: int) -> list[int]:
 
 
 def _int_list(value, what: str) -> list[int]:
-    if not (isinstance(value, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+    if not (isinstance(value, list) and all(type(x) is int for x in value)):
         raise ValidationError(f"graph document {what} {value!r} is not a list of integers")
     return value
 
 
 def dump(graph: Graph, fmt: str) -> str:
-    if fmt == FORMAT_EDGELIST:
-        return to_edgelist(graph)
-    if fmt == FORMAT_DOT:
-        return to_dot(graph)
-    if fmt == FORMAT_GRAPHDOC:
-        return to_graphdoc(graph)
-    raise ValidationError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    writer = {FORMAT_EDGELIST: to_edgelist, FORMAT_DOT: to_dot,
+              FORMAT_GRAPHDOC: to_graphdoc}.get(fmt)
+    if writer is None:
+        raise ValidationError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    return writer(graph)
 
 
 def load(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
     """Read a graphdoc or, as a fallback, an edge list. A vertex count over
     the vertex guard is rejected before any vertex is allocated."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return from_graphdoc(text, config)
     return from_edgelist(text, config)
 

@@ -128,10 +128,10 @@ def build_arrangement_graph(n: int, k: int, r: int,
     tuple t the k masks at[j][t[j]] are summed bit-sliced, with ripple
     carry, and the row of t is one AND over the planes that selects the
     count k - r. No edge list is formed."""
-    check_tuple_count(n, k, config)
-    _require_ints(r=r)
+    _require_ints(n=n, k=k, r=r)
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
+    check_tuple_count(n, k, config)
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
     nv = len(labels)
     full = (1 << nv) - 1

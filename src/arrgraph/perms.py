@@ -222,10 +222,12 @@ def _require_ints(**values) -> None:
 
 
 def check_tuple_count(n: int, k: int, config: Config = DEFAULT_CONFIG) -> None:
-    """ValidationError unless n and k are ints and the k-tuples of distinct
-    values in 0..n-1 (the elements of S_n when k = n) are within the vertex
-    guard. n(n-1)...(n-k+1) is not formed past the guard."""
+    """ValidationError unless n and k are ints, 0 <= k <= n, and the k-tuples
+    of distinct values in 0..n-1 (S_n when k = n) are within the vertex guard.
+    n(n-1)...(n-k+1) is not formed past the guard, so huge n, k fail at once."""
     _require_ints(n=n, k=k)
+    if not 0 <= k <= n:
+        raise ValidationError(f"need 0 <= k <= n, got k={k} n={n}")
     size = 1
     for i in range(n - k + 1, n + 1):
         size *= i
@@ -241,10 +243,11 @@ def connection_set(n: int, kind: str, fixed_points: Optional[int] = None,
     """All permutations of S_n of the requested kind, once S_n passes the
     vertex guard. "transpositions" and "derangements" coincide with
     fixed-point counts n-2 and 0 respectively."""
-    check_tuple_count(n, n, config)
+    _require_ints(n=n)
     if n < 2:
         raise ValidationError(f"connection sets need n >= 2, got {n}")
     want = _kind_fixed_points(n, kind, fixed_points)
+    check_tuple_count(n, n, config)
     elems = frozenset(
         Permutation(imgs)
         for imgs in itertools.permutations(range(n))

@@ -166,6 +166,11 @@ def test_graphdoc_rejects_non_documents():
         graphio.from_graphdoc("{}")
     with pytest.raises(ValidationError):
         graphio.from_graphdoc("not json")
+    # null metadata is rejected, before the rows' format is looked at
+    doc = ('{"format":"arrgraph-graphdoc","version":2,"metadata":null,'
+           '"vertex_count":2,"labels":[[1],[2]],"rows":["zz","0"]}')
+    with pytest.raises(ValidationError, match="metadata is not an object"):
+        graphio.from_graphdoc(doc)
 
 
 def test_graphdoc_rows_are_hex_bit_rows():

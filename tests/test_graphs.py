@@ -131,6 +131,14 @@ def test_arrangement_rejects_bad_parameters():
             build_arrangement_graph(n, k, r)
 
 
+def test_k_over_n_fails_at_once():
+    # n(n-1)...(n-k+1) reaches 0 when k > n and then never passes the guard,
+    # so the range is checked before the product is formed
+    for k in (10**12 + 1, 10**12 + 3):
+        with pytest.raises(ValidationError, match="r <= k <= n"):
+            build_arrangement_graph(10**12, k, 1)
+
+
 def test_vertex_guard(monkeypatch):
     small = Config(vertex_guard=100)
     with pytest.raises(ValidationError):

@@ -171,6 +171,9 @@ def test_symmetric_group_vertex_guard():
     for n in (6, 10**9):  # n! is never formed past the guard
         with pytest.raises(ValidationError, match="over the vertex guard"):
             check_tuple_count(n, n, small)
+    for k in (10**12 + 1, -1):  # k out of range is caught before the product
+        with pytest.raises(ValidationError, match="0 <= k <= n"):
+            check_tuple_count(10**12, k)
     with pytest.raises(ValidationError, match="over the vertex guard"):
         connection_set(6, "fixed", 1, small)
 
