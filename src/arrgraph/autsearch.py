@@ -9,16 +9,12 @@ automorphism, and the lexicographically smallest relabeled matrix over all
 leaves is the canonical form.
 
 A leaf's certificate is that matrix, row by row, each row in ceil(V/8)
-little-endian bytes (McKay & Piperno, 2014). It is made from the adjacency
-rows alone, with no neighbour lists: the rows of the leaf's vertices, in
-labelling order, are transposed by ``graphs._transpose``, and the rows of
-the transpose, again in labelling order, are the relabeled matrix's rows,
-as the adjacency is symmetric. A leaf holds one transposed copy of V²/8
-bytes while its certificate is made.
+little-endian bytes (McKay & Piperno, 2014), made from the adjacency rows
+by ``graphs._relabel_rows``.
 
 Every cell of the search is a vertex bit mask, from the root partition to
-the leaf. ``_refine`` sums a splitter's neighbour counts into bit-planes
-and cuts a cell that splits by those planes with big-int ANDs, with no
+the leaf. ``_refine`` cuts a cell by a splitter's neighbour counts, as
+bit-planes (``graphs._count_planes``), with big-int ANDs and no
 per-vertex grouping. The search is fully deterministic: target cell =
 first cell of smallest ``bit_count()`` above 1, branching on its set bits
 in ascending vertex index; a child puts ``1 << v`` before the rest of the
@@ -73,7 +69,7 @@ from typing import Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _bits, _mask, _transpose, is_automorphism
+from .graphs import Graph, _bits, _count_planes, _mask, _relabel_rows, is_automorphism
 from .perms import Permutation, StabilizerChain, orbits
 
 OrderedPartition = list[list[int]]
@@ -114,8 +110,8 @@ def _refine(adj: list[int], cells: list[int],
     given) until stable.
 
     For each splitter the counts of all vertices are added up at once as
-    bit-planes (plane j holds bit j of every count), so a cell is stable when
-    every plane masks it to nothing or to the whole cell. A cell that splits
+    bit-planes (_count_planes), so a cell is stable when every plane masks
+    it to nothing or to the whole cell. A cell that splits
     is cut by the planes alone: the fragment of count c is the cell ANDed,
     for every plane j, with plane j or its complement by bit j of c. A split
     cell is replaced in place by its fragments in ascending count, and all
@@ -132,21 +128,7 @@ def _refine(adj: list[int], cells: list[int],
     while qi < len(queue) and open_cells:
         splitter = queue[qi]
         qi += 1
-        planes: list[int] = []
-        rest = splitter
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            carry = adj[low.bit_length() - 1]
-            j = 0
-            while carry:
-                if j == len(planes):
-                    planes.append(carry)
-                    break
-                plane = planes[j]
-                planes[j] = plane ^ carry
-                carry &= plane
-                j += 1
+        planes = _count_planes(adj, splitter)
         splits = set()
         for i, m in open_cells:
             for plane in planes:
@@ -301,12 +283,10 @@ class _IRSearch:
     # -- leaves
 
     def _leaf_cert(self, lab: list[int]) -> bytes:
-        # adjacency matrix of the relabeled graph, row-major bits: row i
-        # has bit j set iff lab[i] and lab[j] are adjacent
-        adj = self.adj
-        cols = _transpose([adj[v] for v in lab])
+        # row i has bit j set iff lab[i] and lab[j] are adjacent
         nbytes = (self.n + 7) // 8
-        return b"".join(cols[v].to_bytes(nbytes, "little") for v in lab)
+        return b"".join(row.to_bytes(nbytes, "little")
+                        for row in _relabel_rows(self.adj, lab))
 
     def _leaf(self, lab: list[int], prefix: list[int]) -> int:
         self.leaves += 1

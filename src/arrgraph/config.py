@@ -37,11 +37,8 @@ class Config:
                 raise ValidationError(f"config field {f.name} must be positive, got {v}")
 
     @classmethod
-    def from_env(cls, **overrides) -> "Config":
-        """Build a Config from ARRGRAPH_* environment variables.
-
-        Explicit keyword overrides win over the environment.
-        """
+    def from_env(cls) -> "Config":
+        """Build a Config from ARRGRAPH_* environment variables."""
         kwargs = {}
         for f in fields(cls):
             env = os.environ.get(ENV_PREFIX + f.name.upper())
@@ -52,7 +49,6 @@ class Config:
                     raise ValidationError(
                         f"environment variable {ENV_PREFIX + f.name.upper()}={env!r} is not an integer"
                     )
-        kwargs.update(overrides)
         return cls(**kwargs)
 
 

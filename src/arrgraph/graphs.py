@@ -90,19 +90,12 @@ class Graph:
                     yield (u, v)
 
     def relabeled(self, perm: Permutation) -> "Graph":
-        """The graph with vertex v moved to index perm(v) (labels follow).
-
-        Row x of the result is row perm^-1(x) of self with its vertices
-        moved by perm: the rows are reordered by perm^-1, the matrix is
-        transposed, and the rows of the transpose are reordered by perm^-1
-        again, which reorders the columns because the adjacency is
-        symmetric."""
+        """The graph with vertex v moved to index perm(v) (labels follow)."""
         if perm.degree != self.vertex_count:
             raise ValidationError("relabeling permutation of wrong degree")
         pre = perm.inverse().images
-        cols = _transpose([self.adjacency[x] for x in pre])
         return Graph._from_adjacency([self.labels[x] for x in pre],
-                                     [cols[x] for x in pre], self.metadata)
+                                     _relabel_rows(self.adjacency, pre), self.metadata)
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
@@ -125,9 +118,9 @@ def build_arrangement_graph(n: int, k: int, r: int,
 
     Two tuples differ in r coordinates when they agree in k - r. The
     vertices with value x at position j form the mask at[j][x]. For each
-    tuple t the k masks at[j][t[j]] are summed bit-sliced, with ripple
-    carry, and the row of t is one AND over the planes that selects the
-    count k - r. No edge list is formed."""
+    tuple t the k masks at[j][t[j]] are summed into bit-planes
+    (_count_planes), and the row of t is one AND over the planes that
+    selects the count k - r. No edge list is formed."""
     _require_ints(n=n, k=k, r=r)
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
@@ -147,20 +140,14 @@ def build_arrangement_graph(n: int, k: int, r: int,
                 digits[v] = 49  # "1"
             masks.append(int(digits[::-1], 2))
         at.append(masks)
-    width = k.bit_length()
+    positions = (1 << k) - 1
     agree = k - r
     adjacency = []
     for t in labels:
-        # planes[p]: bit p of every vertex's agreement count with t
-        planes = [0] * width
-        for j, x in enumerate(t):
-            carry = at[j][x]
-            for p in range(width):
-                plane = planes[p]
-                planes[p] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
+        # planes[p]: bit p of every vertex's agreement count with t. t
+        # agrees with itself in k positions, so there are k.bit_length()
+        # planes, enough for every bit of k - r
+        planes = _count_planes(list(map(list.__getitem__, at, t)), positions)
         row = full
         for p, plane in enumerate(planes):
             row &= plane if agree >> p & 1 else ~plane
@@ -341,7 +328,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The transpose of a square bit matrix given as V rows of V bits: bit
-    r of row c of the result is bit c of row r. The package's one row map.
+    r of row c of the result is bit c of row r.
 
     The matrix is padded with zero rows to a power of two 2^s and
     transposed in s stages of masked block swaps (Warren, *Hacker's
@@ -374,23 +361,55 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return a
 
 
+def _relabel_rows(rows: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The rows of a symmetric bit matrix relabeled so that vertex order[i]
+    sits at i: bit j of row i of the result is bit order[j] of row
+    order[i]. The package's one row map.
+
+    The rows are reordered by order and transposed (_transpose); as the
+    matrix is symmetric, reordering the rows of the transpose by order
+    again reorders the columns. One transposed copy of V^2/8 bytes is held
+    beyond the input."""
+    cols = _transpose([rows[v] for v in order])
+    return [cols[v] for v in order]
+
+
+def _count_planes(rows: Sequence[int], vertices: int) -> list[int]:
+    """The bit-sliced column sums of the rows rows[v], for each v in the
+    bit mask vertices: bit u of plane j is bit j of the number of those
+    rows with bit u set. The package's one bit-plane counter.
+
+    Each row is added with ripple carry: it is XORed into plane 0, and the
+    bits it had in common with plane 0 carry into plane 1, and so on. A
+    carry past the highest plane becomes a new plane, so the last plane is
+    never empty and the planes are as many as the largest sum has bits
+    (none for no rows); a lower plane may be empty."""
+    planes: list[int] = []
+    while vertices:
+        v = vertices.bit_length() - 1
+        vertices ^= 1 << v
+        carry = rows[v]
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    return planes
+
+
 def is_automorphism(graph: Graph, f: Permutation) -> bool:
     """True iff f preserves adjacency and non-adjacency: for all u and v,
-    f(u) and f(v) are adjacent exactly when u and v are.
-
-    The rows are reordered to adj[f(0)], ..., adj[f(V-1)] and transposed;
-    as the adjacency is symmetric, row v of the transpose is then the row
-    of f(v) pulled back through f, and reordering the transpose by f once
-    more gives the matrix to compare with the graph's. The whole map is
-    made before the comparison, so there is no early exit for a
-    non-automorphism, and one transposed copy of V^2/8 bytes is held
-    beyond the graph."""
+    f(u) and f(v) are adjacent exactly when u and v are, that is, iff the
+    rows relabeled so that f(v) sits at v are the graph's own. The whole
+    map is made before the comparison, so a non-automorphism does not exit
+    early."""
     if f.degree != graph.vertex_count:
         raise ValidationError("vertex permutation of wrong degree")
-    adj = graph.adjacency
-    images = f.images
-    cols = _transpose([adj[x] for x in images])
-    return [cols[x] for x in images] == adj
+    return _relabel_rows(graph.adjacency, f.images) == graph.adjacency
 
 
 def candidate_aut_generators(n: int, k: int, graph: Graph) -> list[Permutation]:

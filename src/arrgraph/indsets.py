@@ -54,16 +54,17 @@ takes the contiguous orbits as its classes, so the root's bound is alpha.
 The gate checks the cliques, not the graph's name: it accepts A(n,k,k) and
 Cay(S_n, D) and declines A(n,k,r) with r < k, Cay(S_n, F_f) with f > 0 and
 edge lists, where reordering gains no bound and can slow the search
-(unseeded A(6,5,1): 104 s in orbit order, 0.05 s in index order). The sets
-found are mapped back to the graph's indexes.
+(unseeded A(6,5,1): 104 s in orbit order, 0.05 s in index order). The
+search runs on the graph relabeled into that order, and the sets found are
+mapped back to the graph's indexes.
 
-The automorphisms are the value relabelings f of the tuple labels by (0 1)
-and c (graphs.value_relabelings) that carry row 0 onto row f(0) and pass
-is_automorphism, moved to the searched order; (0 1) is lifted only when the
-root prunes, and the orbits are computed only when it is about to open a
-second branch. They act transitively on A(n,k,r) and Cay(S_n, S), so the
-root keeps one branch there; on plain graphs, labelled (i,), they are
-almost never automorphisms.
+The automorphisms are the value relabelings f of the searched graph's
+tuple labels by (0 1) and c (graphs.value_relabelings) that carry row 0
+onto row f(0) and pass is_automorphism; they are lifted and the orbits
+computed only when the root is about to open a second branch. They act
+transitively on A(n,k,r) and Cay(S_n, S), so the root keeps one branch
+there; on plain graphs, labelled (i,), they are almost never
+automorphisms.
 """
 
 from __future__ import annotations
@@ -73,34 +74,36 @@ from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, _bits, _mask, _transpose, is_automorphism, value_relabelings
-from .perms import Permutation, _require_ints, orbits, symmetric_group_generators
+from .graphs import Graph, _bits, _count_planes, _mask, is_automorphism, value_relabelings
+from .perms import (Permutation, _require_ints, check_tuple_count, orbits,
+                    symmetric_group_generators)
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
 
 
-def delta_set(n: int, k: int, i: int, j: int) -> frozenset[int]:
+def delta_set(n: int, k: int, i: int, j: int,
+              config: Config = DEFAULT_CONFIG) -> frozenset[int]:
     """Vertex indexes of A(n,k,*) whose tuples have entry j equal to i and
     avoid i in every other position. i and j are 0-based here; 1-based only
-    in serialized labels.
+    in serialized labels. n and k pass check_tuple_count first.
 
     The entries of a tuple are distinct, so entry j being i already keeps i
     out of every other position."""
-    _require_ints(n=n, k=k, i=i, j=j)
-    if not (0 <= i < n and 0 <= j < k and k <= n):
+    check_tuple_count(n, k, config)
+    _require_ints(i=i, j=j)
+    if not (0 <= i < n and 0 <= j < k):
         raise ValidationError(f"delta set parameters out of range: n={n} k={k} i={i} j={j}")
     return frozenset(v for v, t in enumerate(itertools.permutations(range(n), k))
                      if t[j] == i)
 
 
-def delta_family(n: int, k: int) -> list[tuple[tuple[int, int], frozenset[int]]]:
+def delta_family(n: int, k: int, config: Config = DEFAULT_CONFIG
+                 ) -> list[tuple[tuple[int, int], frozenset[int]]]:
     """All delta sets in (i, j)-lexicographic order, from one pass over the
-    tuples: vertex v joins the set (i, j) for each entry i at position j of
-    its tuple."""
-    _require_ints(n=n, k=k)
-    if not 0 <= k <= n:
-        raise ValidationError(f"delta family parameters out of range: n={n} k={k}")
+    tuples, once n and k pass check_tuple_count: vertex v joins the set
+    (i, j) for each entry i at position j of its tuple."""
+    check_tuple_count(n, k, config)
     members: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
     for v, t in enumerate(itertools.permutations(range(n), k)):
         for j, i in enumerate(t):
@@ -258,19 +261,10 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
 
 def _min_degree_independent_set(adj: Sequence[int]) -> list[int]:
     """A maximal independent set of the graph with bitmask rows adj, by the
-    min-degree greedy. The degrees are bit-planes, as in autsearch._refine
-    (plane j holds bit j of every degree), and each dropped vertex's row is
-    subtracted from them."""
-    planes: list[int] = []
-    for carry in adj:
-        for j, plane in enumerate(planes):
-            if not carry:
-                break
-            planes[j] = plane ^ carry
-            carry &= plane
-        if carry:
-            planes.append(carry)
+    min-degree greedy. The degrees are bit-planes (_count_planes), and each
+    dropped vertex's row is subtracted from them with ripple borrow."""
     left = (1 << len(adj)) - 1
+    planes = _count_planes(adj, left)
     chosen = []
     while left:
         least = left
@@ -321,23 +315,15 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
     n = _value_degree(graph)
     generators = symmetric_group_generators(n)
     # the lifted n-cycle orders the search; (0 1) is lifted only to prune
-    lift = value_relabelings(graph, n, generators[-1:])
-    order = _clique_cover_order(graph, lift)
-    adj = graph.adjacency
+    order = _clique_cover_order(graph, value_relabelings(graph, n, generators[-1:]))
+    searched = graph
     if order is not None:
-        # row i of the searched graph is the row of order[i], its vertices
-        # moved to their places in order
-        cols = _transpose([adj[v] for v in order])
-        adj = [cols[v] for v in order]
+        # vertex order[i] of graph is vertex i of the searched graph
+        searched = graph.relabeled(Permutation._trusted(tuple(order)).inverse())
+    adj = searched.adjacency
 
     def symmetries() -> list[tuple[int, ...]]:
-        found = _value_symmetries(graph, value_relabelings(graph, n, generators[:-1]) + lift)
-        if order is None:
-            return found
-        place = [0] * len(order)
-        for i, v in enumerate(order):
-            place[v] = i
-        return [tuple(place[images[v]] for v in order) for images in found]
+        return _value_symmetries(searched, value_relabelings(searched, n, generators))
 
     seed = () if mode == ENUMERATE_ALL else _min_degree_independent_set(adj)
     sets = _max_cliques(_complement(adj), graph.vertex_count,

@@ -43,7 +43,7 @@ class Permutation:
             raise ValidationError("permutation degree must be >= 1")
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if type(x) is not int or not 0 <= x < n or seen[x]:
                 raise ValidationError(f"{images} is not a permutation of 0..{n - 1}")
             seen[x] = True
         object.__setattr__(self, "images", images)

@@ -9,6 +9,7 @@ carry no expectation: their verdict is the experiment's output.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -174,7 +175,8 @@ class Context:
         n*k, not the vertex count."""
         def lift():
             generators = candidate_aut_generators(n, k, self.arrangement(n, k, r))
-            return generators, induce_action(generators, [s for _, s in delta_family(n, k)])
+            family = [s for _, s in delta_family(n, k, self.config)]
+            return generators, induce_action(generators, family)
 
         return self._once(("cand", n, k), lift)
 
@@ -183,7 +185,8 @@ class Context:
         copy labels it, in family order."""
         def induce():
             search = self.group(n, k, k)
-            family = [frozenset(map(search.shuffle, s)) for _, s in delta_family(n, k)]
+            family = [frozenset(map(search.shuffle, s))
+                      for _, s in delta_family(n, k, self.config)]
             return induce_action(search.aut.generators, family)
 
         return self._once(("action", n, k), induce)
@@ -211,14 +214,21 @@ def _require(claim: str, n: int, k: int, k_max: int) -> None:
 
 
 def _claim(check):
-    """The claim `check` on exact-int arguments, timed, with a fresh context
-    when called without one."""
-    names = check.__code__.co_varnames[:check.__code__.co_argcount]
+    """The claim `check` on exact-int arguments, given by position or by
+    name, timed, with a fresh context when called without one. Missing,
+    extra or unknown arguments raise ValidationError."""
+    signature = inspect.signature(check)
+
     @functools.wraps(check)
-    def claim(*args, ctx: Optional[Context] = None) -> ClaimReport:
-        _require_ints(**dict(zip(names, args)))
+    def claim(*args, ctx: Optional[Context] = None, **kwargs) -> ClaimReport:
+        try:
+            params = signature.bind(*args, ctx=ctx, **kwargs).arguments
+        except TypeError as exc:
+            raise ValidationError(f"{check.__name__}: {exc}") from None
+        del params["ctx"]
+        _require_ints(**params)
         t0 = time.perf_counter()
-        report = check(*args, ctx=ctx or Context())
+        report = check(**params, ctx=ctx or Context())
         report.wall_time = time.perf_counter() - t0
         return report
 
@@ -266,7 +276,7 @@ def verify_prop_2_1(n: int, k: int, *, ctx: Context) -> ClaimReport:
     _require("prop2.1", n, k, n)
     claim_id = f"prop2.1/n={n}/k={k}"
     graph = ctx.arrangement(n, k, k)
-    family = sorted(sorted(s) for _, s in delta_family(n, k))
+    family = sorted(sorted(s) for _, s in delta_family(n, k, ctx.config))
     size, sets = max_independent_sets(graph, ENUMERATE_ALL, ctx.config)
     expected = {"size": math.factorial(n - 1) // math.factorial(n - k), "count": n * k}
     computed = {"size": size, "count": len(sets)}

@@ -9,7 +9,8 @@ neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
 candidate group of Cay(S_n, F_f) built from S_n itself, value relabelings
 of tuples, Cay(S_n, S) one composed tuple at a time, minimal block
 systems, common neighbourhoods, the bit matrix transpose bit by bit, the
-automorphism check by relabeling, and graphs given by their edges."""
+row map edge by edge, the automorphism check by relabeling, and graphs
+given by their edges."""
 
 import itertools
 import math
@@ -482,7 +483,7 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
 
 # --------------------------------------------------------------------------
 # Graphs given by their edges, adjacency under a vertex map, edge by edge,
-# and the transpose bit by bit
+# the row map edge by edge, and the transpose bit by bit
 
 
 def graph_from_edges(labels: Sequence[Sequence[int]], edges: Iterable[tuple[int, int]],
@@ -502,6 +503,19 @@ def transpose_bit_by_bit(rows: Sequence[int]) -> list[int]:
     of row c of the result is bit c of row r, read and set one at a time."""
     nv = len(rows)
     return [sum((rows[r] >> c & 1) << r for r in range(nv)) for c in range(nv)]
+
+
+def relabel_rows_by_edges(rows: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The rows of a symmetric bit matrix with vertex order[i] moved to i,
+    one edge at a time: each bit v of row u is set at bit place[v] of row
+    place[u], where order[place[x]] = x."""
+    place = {x: i for i, x in enumerate(order)}
+    out = [0] * len(rows)
+    for u, row in enumerate(rows):
+        for v in range(len(rows)):
+            if row >> v & 1:
+                out[place[u]] |= 1 << place[v]
+    return out
 
 
 def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:

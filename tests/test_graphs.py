@@ -9,15 +9,17 @@ import pytest
 from arrgraph import graphs
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _transpose,
-                             apply_position_permutation, build_arrangement_graph,
-                             build_cayley_graph, candidate_aut_generators, invert_tuple,
+from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _count_planes,
+                             _relabel_rows, _transpose, apply_position_permutation,
+                             build_arrangement_graph, build_cayley_graph,
+                             candidate_aut_generators, invert_tuple,
                              is_automorphism, value_relabelings, vertex_permutation)
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
 from oracles import (apply_value_permutation, cayley_by_composition, differing_coordinates,
                      graph_from_edges, is_automorphism_by_relabeling, rank_tuple,
-                     transpose_bit_by_bit, tuple_count, unrank_tuple)
+                     relabel_rows_by_edges, transpose_bit_by_bit, tuple_count,
+                     unrank_tuple)
 
 SEED = 20240811
 
@@ -525,6 +527,57 @@ def test_transpose_leaves_its_input():
     rows = [0b011, 0b100, 0b110]
     assert _transpose(rows) == [0b001, 0b101, 0b110]
     assert rows == [0b011, 0b100, 0b110]
+
+
+def _random_symmetric_rows(rng, nv):
+    """The rows of a random loop-free symmetric bit matrix on nv vertices,
+    of a random density."""
+    p = rng.random()
+    rows = [0] * nv
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+@pytest.mark.parametrize("nv", [0, 1, 2, 3, 7, 8, 9, 17, 32, 40])
+def test_count_planes_match_integer_counts(nv):
+    rng = random.Random(SEED + nv)
+    full = (1 << nv) - 1
+    for _ in range(6):
+        rows = _random_symmetric_rows(rng, nv)
+        for vertices in (0, full, rng.getrandbits(nv) if nv else 0):
+            planes = _count_planes(rows, vertices)
+            counts = [sum(rows[v] >> u & 1 for v in range(nv) if vertices >> v & 1)
+                      for u in range(nv)]
+            assert [sum((plane >> u & 1) << j for j, plane in enumerate(planes))
+                    for u in range(nv)] == counts
+            # as many planes as the largest count has bits, the last nonempty
+            assert len(planes) == max(counts, default=0).bit_length()
+            assert not planes or planes[-1]
+
+
+def test_count_planes_sum_any_rows():
+    # any rows, not only a symmetric matrix's: the builder sums k masks.
+    # Column sums 2, 3, 2, 0, then 1, 2, 2, 0 over rows 0 and 2
+    assert _count_planes([0b0110, 0b0011, 0b0111], 0b111) == [0b0010, 0b0111]
+    assert _count_planes([0b0110, 0b0011, 0b0111], 0b101) == [0b0001, 0b0110]
+    assert _count_planes([0, 0], 0b11) == []
+
+
+@pytest.mark.parametrize("nv", [0, 1, 2, 3, 7, 8, 9, 17, 32, 40])
+def test_relabel_rows_matches_edge_oracle(nv):
+    rng = random.Random(SEED + nv)
+    for _ in range(6):
+        rows = _random_symmetric_rows(rng, nv)
+        order = list(range(nv))
+        assert _relabel_rows(rows, order) == rows
+        rng.shuffle(order)
+        before = list(rows)
+        assert _relabel_rows(rows, order) == relabel_rows_by_edges(rows, order)
+        assert rows == before
 
 
 # -- value relabelings ----------------------------------------------------------

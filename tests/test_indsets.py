@@ -64,6 +64,23 @@ def test_delta_set_range_checks():
             delta_set(4, 2, i, j)
 
 
+def test_delta_sets_pass_the_vertex_guard():
+    # 8! = 40320 tuples, over a guard of 1000; under the default guard,
+    # n = 10^4, k = 3 (10^12 tuples) fails before any tuple is formed
+    guard = Config(vertex_guard=1000)
+    for call in (lambda config: delta_set(8, 8, 0, 0, config),
+                 lambda config: delta_family(8, 8, config)):
+        with pytest.raises(ValidationError, match="over the vertex guard"):
+            call(guard)
+        assert call(Config())
+    with pytest.raises(ValidationError, match="over the vertex guard"):
+        delta_set(10**4, 3, 0, 0)
+    with pytest.raises(ValidationError, match="over the vertex guard"):
+        delta_family(10**4, 3)
+    with pytest.raises(ValidationError, match="0 <= k <= n"):
+        delta_family(3, 4)
+
+
 def test_delta_family_order():
     fam = delta_family(3, 2)
     assert [ij for ij, _ in fam] == [(i, j) for i in range(3) for j in range(2)]
@@ -746,7 +763,7 @@ def test_characterization_detects_a_wrong_family(monkeypatch):
     # even though the size and the count of the sets found are right
     family = delta_family(4, 2)
     monkeypatch.setattr(suite, "delta_family",
-                        lambda n, k: family[:-1] + [(family[-1][0], frozenset({0}))])
+                        lambda n, k, config: family[:-1] + [(family[-1][0], frozenset({0}))])
     expected = {"size": 3, "count": 8}
     assert prop_2_1_fields(4, 2) == (
         False, expected, expected, {"sets_match_family": False})

@@ -94,7 +94,8 @@ def test_inverse_is_involution_random():
 
 
 def test_not_a_permutation_rejected():
-    for bad in ([0, 0, 1], [1, 2, 3], [0, 2], []):
+    # a bool is an int to isinstance; [True, False] was once accepted
+    for bad in ([0, 0, 1], [1, 2, 3], [0, 2], [], [True, False], [1.0, 0], ["0"]):
         with pytest.raises(ValidationError):
             Permutation(bad)
 

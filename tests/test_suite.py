@@ -53,6 +53,28 @@ def test_parameters_are_exact_ints(function, args):
         function(*args)
 
 
+def _record(report):
+    """A claim report as the suite writes it, without its wall time."""
+    record = report.to_json_obj()
+    del record["wall_time"]
+    return record
+
+
+def test_claims_take_arguments_by_name():
+    by_position = _record(verify_theorem_1_2(4, 4, 4))
+    assert _record(verify_theorem_1_2(n=4, k=4, r=4)) == by_position
+    assert _record(verify_theorem_1_2(4, r=4, k=4, ctx=Context())) == by_position
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((4, 4), {}), ((4, 4, 4, 4), {}), ((4, 4), {"m": 4}), ((4, 4, 4), {"n": 4}),
+    ((), {"n": 4, "k": 4}), ((4, 4), {"r": 4.0}),
+], ids=["too-few", "too-many", "unknown-name", "twice", "keyword-too-few", "keyword-float"])
+def test_bad_claim_calls_fail_validation(args, kwargs):
+    with pytest.raises(ValidationError):
+        verify_theorem_1_2(*args, **kwargs)
+
+
 def test_theorem_1_2_examples():
     assert verify_theorem_1_2(5, 3, 3).passed
     assert verify_theorem_1_2(5, 3, 3).expected == 720
