@@ -19,6 +19,8 @@ per-vertex grouping. The search is fully deterministic: target cell =
 first cell of smallest ``bit_count()`` above 1, branching on its set bits
 in ascending vertex index; a child puts ``1 << v`` before the rest of the
 target, and a leaf's labelling is each singleton's ``bit_length() - 1``.
+Each node is a generator of its children's nodes, walked on one explicit
+stack by ``graphs._depth_first``, so only the node budget bounds the depth.
 
 Two rules prune the tree, and both only skip leaves that have an equal leaf
 earlier in that order:
@@ -33,8 +35,8 @@ earlier in that order:
   this leaf's path, so it fixes their common prefix of length d pointwise
   and maps the first path's subtree at depth d + 1 onto the current one.
   Every leaf left below depth d + 1 is then the image of an earlier leaf
-  with the same certificate, and the search backs up to the depth-d node
-  at once. γ also joins the orbit pruning there.
+  with the same certificate, and the leaf returns d, which backs the walk
+  up to the depth-d node at once. γ also joins the orbit pruning there.
 
 The first leaf of the smallest certificate therefore is never skipped, so
 the canonical form and labeling are those of the unpruned tree.
@@ -65,11 +67,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _bits, _count_planes, _mask, _relabel_rows, is_automorphism
+from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, _relabel_rows,
+                     is_automorphism)
 from .perms import Permutation, StabilizerChain, orbits
 
 OrderedPartition = list[list[int]]
@@ -211,7 +214,7 @@ class _IRSearch:
         self.best: Optional[tuple[bytes, list[int]]] = None
 
     def run(self) -> None:
-        self._node(_refine(self.adj, [(1 << self.n) - 1]), [])
+        _depth_first(self._node(_refine(self.adj, [(1 << self.n) - 1]), []))
 
     def result(self) -> AutResult:
         cert_bits, lab = self.best
@@ -233,12 +236,10 @@ class _IRSearch:
 
     # -- search tree
 
-    def _node(self, cells: list[int], prefix: list[int]) -> int:
-        """Search the subtree below the node reached by individualizing
-        prefix. Returns the depth the search backs up to: the node's own
-        depth once its subtree is done, or a smaller one when a leaf below
-        matched the first leaf."""
-        depth = len(prefix)
+    def _node(self, cells: list[int], prefix: list[int]) -> Generator:
+        """The node reached by individualizing prefix, for
+        graphs._depth_first: it yields its children's nodes, and a leaf
+        returns the depth the search backs up to (_leaf)."""
         self.nodes += 1
         if self.nodes > self.config.node_budget:
             raise BudgetError(
@@ -275,10 +276,7 @@ class _IRSearch:
             opened.add(orbit[v])
             child = cells[:target] + [1 << v, m ^ (1 << v)] + cells[target + 1:]
             # cells is equitable, so only the new singleton can split anything
-            back = self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
-            if back < depth:
-                return back
-        return depth
+            yield self._node(_refine(self.adj, child, [1 << v]), prefix + [v])
 
     # -- leaves
 
@@ -324,12 +322,7 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
     if graph.vertex_count < 1:
         raise ValidationError("automorphism search needs at least one vertex")
     search = _IRSearch(graph, config)
-    try:
-        search.run()
-    except RecursionError:
-        # the search recurses once per level of the tree
-        raise BudgetError(
-            "IR search deeper than the interpreter's recursion limit") from None
+    search.run()
     return search.result()
 
 

@@ -17,7 +17,7 @@ import sys
 
 from . import graphio
 from .autsearch import automorphism_group
-from .config import Config
+from .config import Config, decimal
 from .errors import BudgetError, ValidationError
 from .graphs import build_arrangement_graph, build_cayley_graph
 from .indsets import ENUMERATE_ALL, SIZE_ONLY, max_independent_sets
@@ -35,10 +35,11 @@ def _parse_connection_kind(spec: str) -> tuple[str, int | None]:
     if spec in ("transpositions", "derangements"):
         return spec, None
     count = spec.removeprefix("fixed:")
-    # int() would also take signs, spaces, "_" separators and other
-    # scripts' digits, and refuses more than 4300 digits
-    if count != spec and count.isascii() and count.isdigit() and len(count) <= 4300:
-        return "fixed", int(count)
+    if count != spec:
+        try:
+            return "fixed", decimal(count)  # connection_set checks its range
+        except ValidationError:
+            pass
     raise ValidationError(
         f"bad connection set {spec!r}; use transpositions, derangements or fixed:K")
 
@@ -136,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="construct a graph and write it to a file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
     p_arr = gen_sub.add_parser("arrangement")
-    p_arr.add_argument("--n", type=int, required=True)
-    p_arr.add_argument("--k", type=int, required=True)
-    p_arr.add_argument("--r", type=int, required=True)
+    p_arr.add_argument("--n", type=decimal, required=True)
+    p_arr.add_argument("--k", type=decimal, required=True)
+    p_arr.add_argument("--r", type=decimal, required=True)
     p_cay = gen_sub.add_parser("cayley")
-    p_cay.add_argument("--n", type=int, required=True)
+    p_cay.add_argument("--n", type=decimal, required=True)
     p_cay.add_argument("--set", required=True,
                        help="transpositions | derangements | fixed:K")
     for p in (p_arr, p_cay):
@@ -161,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate all maximum independent sets")
 
     p_blocks = sub.add_parser("blocks", help="block systems of A(n,k,k)")
-    p_blocks.add_argument("--n", type=int, required=True)
-    p_blocks.add_argument("--k", type=int, required=True)
+    p_blocks.add_argument("--n", type=decimal, required=True)
+    p_blocks.add_argument("--k", type=decimal, required=True)
 
     p_verify = sub.add_parser("verify", help="run the full claim suite")
-    p_verify.add_argument("--n-max", type=int, default=5,
+    p_verify.add_argument("--n-max", type=decimal, default=5,
                           help="largest n of the suite, 3 to 6 (default 5)")
     p_verify.add_argument("--report", default=None,
                           help="path for the JSONL claim report")
@@ -173,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="path for the plain-text summary table")
 
     p_conj = sub.add_parser("conjecture", help="probe the conjectured group")
-    p_conj.add_argument("--n", type=int, required=True)
-    p_conj.add_argument("--k", type=int, required=True,
+    p_conj.add_argument("--n", type=decimal, required=True)
+    p_conj.add_argument("--k", type=decimal, required=True,
                         help="number of fixed points of the connection set")
     return parser
 

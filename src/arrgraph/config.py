@@ -14,6 +14,16 @@ from .errors import ValidationError
 ENV_PREFIX = "ARRGRAPH_"
 
 
+def decimal(text: str) -> int:
+    """The int that text writes in at most 4300 ASCII decimal digits after an
+    optional "-", where int() would also take "+", spaces, "_" and other
+    scripts' digits: the package's one parser of integers given by users."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4300):
+        raise ValidationError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Config:
     # Max nodes of each search tree: the individualization-refinement
@@ -44,11 +54,10 @@ class Config:
             env = os.environ.get(ENV_PREFIX + f.name.upper())
             if env is not None:
                 try:
-                    kwargs[f.name] = int(env)
-                except ValueError:
+                    kwargs[f.name] = decimal(env)
+                except ValidationError as exc:
                     raise ValidationError(
-                        f"environment variable {ENV_PREFIX + f.name.upper()}={env!r} is not an integer"
-                    )
+                        f"environment variable {ENV_PREFIX + f.name.upper()}: {exc}") from None
         return cls(**kwargs)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from operator import or_
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, decimal
 from .errors import ValidationError
 from .graphs import Graph, _bits, _transpose
 
@@ -106,14 +106,14 @@ def from_edgelist(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
 
 def _vertex_count(tokens: list[str], line: str) -> int:
     """The count of a `# vertices N` line, from its tokens after `vertices`.
-    int() refuses more than 4300 digits; such a count is over every guard."""
-    count = tokens[0] if tokens else ""
-    digits = count.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4300):
-        raise ValidationError(f"bad vertex count line: {line.strip()!r}")
-    if digits != count:
+    A count of over 4300 digits, which decimal refuses, is over every guard."""
+    try:
+        count = decimal(tokens[0] if tokens else "")
+    except ValidationError:
+        raise ValidationError(f"bad vertex count line: {line.strip()!r}") from None
+    if count < 0:
         raise ValidationError(f"negative vertex count: {line.strip()!r}")
-    return int(count)
+    return count
 
 
 def _lines(text: str, chunk: int = 1 << 16):

@@ -14,7 +14,7 @@ import itertools
 import math
 from functools import reduce
 from operator import itemgetter, lshift, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
@@ -399,6 +399,25 @@ def _count_planes(rows: Sequence[int], vertices: int) -> list[int]:
             carry &= plane
             j += 1
     return planes
+
+
+def _depth_first(root: Generator) -> None:
+    """Walk a search tree depth first on one explicit stack, so that no
+    recursion limit bounds its depth: the package's one tree walk.
+
+    A node is a generator that yields its children's generators one at a
+    time; each child's subtree is walked before the node is resumed. A node
+    that returns an int d backs the walk up to depth d (the root's is 0):
+    every open node deeper than d is dropped unfinished, and the node at
+    depth d goes on with its next child."""
+    stack = [root]
+    while stack:
+        try:
+            stack.append(next(stack[-1]))
+        except StopIteration as done:
+            stack.pop()
+            if done.value is not None:
+                del stack[done.value + 1:]
 
 
 def is_automorphism(graph: Graph, f: Permutation) -> bool:

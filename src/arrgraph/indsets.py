@@ -7,8 +7,8 @@ so far, enumerate_all keeps those that can tie it and collects every
 maximum clique. Each node colors its candidates one bitmask class at a time
 (San Segundo et al.'s BBMC), drops the classes whose color cannot reach the
 bound, and branches over the rest from the highest color and vertex down.
-Open nodes live on an explicit stack, so the set size is not limited by
-Python's recursion limit.
+Each node is a generator of its children, walked on one explicit stack by
+graphs._depth_first, so the set size is not limited by the recursion limit.
 
 A node whose m color classes are single vertices has a clique of candidates
 and closes in one step: it records the clique current + candidates and
@@ -70,11 +70,12 @@ automorphisms.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import Graph, _bits, _count_planes, _mask, is_automorphism, value_relabelings
+from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, is_automorphism,
+                     value_relabelings)
 from .perms import (Permutation, _require_ints, check_tuple_count, orbits,
                     symmetric_group_generators)
 
@@ -183,80 +184,62 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
     # outside[v]: the vertices a color class may still take once it has v
     outside = [~(row | 1 << v) for v, row in enumerate(adj)]
     current: list[int] = []
-    # one frame per open node: [candidates not yet branched on, the kept
-    # classes below the one in use, the untried vertices of the class in
-    # use, its color]
-    stack: list[list] = []
-    candidates: Optional[int] = (1 << nv) - 1  # a node to open (0: a leaf), or None
-    prune_root = symmetries is not None and not enumerate_all
-    first_root = -1  # the root's first branch vertex
-    orbit: Optional[list[int]] = None
-    opened: set[int] = set()  # the orbits of the root's branch vertices
-    while True:
-        if candidates is not None:
-            classes = []
-            rest = candidates
-            while rest:
-                avail = rest
-                members = 0
-                while avail:
-                    low = avail & -avail
-                    members |= low
-                    avail &= outside[low.bit_length() - 1]
-                rest ^= members
-                classes.append(members)
-            m = len(classes)
-            # candidates that are a clique, one vertex per class, stand for
-            # the m nodes of the path down to the leaf current + candidates,
-            # which beats the best clique (or ties it with enumerate_all)
-            # unless it is the root's (module docstring)
-            closed = m == candidates.bit_count() and len(current) + m >= best + keep_ties
-            nodes += m if closed else 1
-            if nodes > node_budget:
-                raise BudgetError(f"clique search exceeded node budget {node_budget}")
-            if closed:
-                clique = sorted(current + [c.bit_length() - 1 for c in classes])
-                if len(clique) > best:
-                    best = len(clique)
-                    found = [clique]
-                else:
-                    found.append(clique)
-                if not stack:
-                    return found
-                current.pop()
-                candidates = None
-                continue
-            # a vertex of color c extends the clique to at most
-            # len(current) + c vertices, so lower classes never pass the bound
-            lowest = max(best - len(current) + keep_ties, 1)
-            stack.append([candidates, classes[lowest - 1:], 0, m + 1])
-        frame = stack[-1]
-        if not frame[2] and frame[1]:
-            frame[2] = frame[1].pop()
-            frame[3] -= 1
-        # best may have grown since the node opened
-        if not frame[2] or frame[3] < best - len(current) + keep_ties:
-            stack.pop()
-            if not stack:
-                return found
-            current.pop()
-            candidates = None
-            continue
-        v = frame[2].bit_length() - 1
-        frame[2] ^= 1 << v
-        frame[0] ^= 1 << v
-        if prune_root and len(stack) == 1:
-            if first_root < 0:
-                first_root = v
+
+    def node(candidates: int, prune: bool) -> Generator:
+        nonlocal best, found, nodes
+        classes = []
+        rest = candidates
+        while rest:
+            avail = rest
+            members = 0
+            while avail:
+                low = avail & -avail
+                members |= low
+                avail &= outside[low.bit_length() - 1]
+            rest ^= members
+            classes.append(members)
+        m = len(classes)
+        # candidates that are a clique, one vertex per class, stand for the
+        # m nodes of the path down to the leaf current + candidates, which
+        # beats the best clique (or ties it with enumerate_all) unless it is
+        # the root's (module docstring)
+        closed = m == candidates.bit_count() and len(current) + m >= best + keep_ties
+        nodes += m if closed else 1
+        if nodes > node_budget:
+            raise BudgetError(f"clique search exceeded node budget {node_budget}")
+        if closed:
+            clique = sorted(current + [c.bit_length() - 1 for c in classes])
+            if len(clique) > best:
+                best = len(clique)
+                found = [clique]
             else:
-                if orbit is None:
-                    orbit = orbits(symmetries(), nv)
-                    opened.add(orbit[first_root])
-                if orbit[v] in opened:
-                    continue
-                opened.add(orbit[v])
-        current.append(v)
-        candidates = frame[0] & adj[v]
+                found.append(clique)
+            return
+        orbit: Optional[list[int]] = None
+        opened: set[int] = set()  # the root's branch vertices, then their orbits
+        for color in range(m, 0, -1):
+            members = classes[color - 1]
+            while members:
+                # v of color c extends the clique to at most len(current) + c
+                # vertices; best may have grown, and lower colors fail too
+                if len(current) + color < best + keep_ties:
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                candidates ^= 1 << v
+                if prune:
+                    if opened and orbit is None:
+                        orbit = orbits(symmetries(), nv)
+                        opened = {orbit[u] for u in opened}
+                    if orbit is not None and orbit[v] in opened:
+                        continue
+                    opened.add(v if orbit is None else orbit[v])
+                current.append(v)
+                yield node(candidates & adj[v], False)
+                current.pop()
+
+    _depth_first(node((1 << nv) - 1, symmetries is not None and not enumerate_all))
+    return found
 
 
 def _min_degree_independent_set(adj: Sequence[int]) -> list[int]:

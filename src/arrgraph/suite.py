@@ -36,13 +36,13 @@ CASE_R2KN = "r=2,k=n"
 @dataclass
 class ClaimReport:
     claim_id: str
-    params: dict
     expected: Optional[object]
     computed: Optional[object]
     passed: Optional[bool]  # None = exploratory / record-only
     exploratory: bool = False
     wall_time: float = 0.0
     details: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # the claim's arguments, set by _claim
 
     def to_json_obj(self) -> dict:
         return {
@@ -215,8 +215,9 @@ def _require(claim: str, n: int, k: int, k_max: int) -> None:
 
 def _claim(check):
     """The claim `check` on exact-int arguments, given by position or by
-    name, timed, with a fresh context when called without one. Missing,
-    extra or unknown arguments raise ValidationError."""
+    name, timed, with a fresh context when called without one, and with
+    those arguments as its report's params. Missing, extra or unknown
+    arguments raise ValidationError."""
     signature = inspect.signature(check)
 
     @functools.wraps(check)
@@ -230,6 +231,7 @@ def _claim(check):
         t0 = time.perf_counter()
         report = check(**params, ctx=ctx or Context())
         report.wall_time = time.perf_counter() - t0
+        report.params = params
         return report
 
     return claim
@@ -259,7 +261,6 @@ def verify_theorem_1_2(n: int, k: int, r: int, *, ctx: Context) -> ClaimReport:
     contained = all(search.contains(g) for g in candidates)
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "k": k, "r": r},
         expected=expected,
         computed=aut.order,
         passed=(aut.order == expected and contained and cand_order == expected),
@@ -282,7 +283,6 @@ def verify_prop_2_1(n: int, k: int, *, ctx: Context) -> ClaimReport:
     computed = {"size": size, "count": len(sets)}
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "k": k},
         expected=expected,
         computed=computed,
         passed=computed == expected and sets == family,
@@ -300,7 +300,6 @@ def verify_prop_2_2(n: int, k: int, *, ctx: Context) -> ClaimReport:
     kernel = kernel_order(search.aut.order, ctx.action(n, k))
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "k": k},
         expected=1,
         computed=kernel,
         passed=(kernel == 1),
@@ -341,7 +340,6 @@ def verify_blocks(n: int, k: int, *, ctx: Context) -> ClaimReport:
                 "image": _labels(image, k), "overlaps": _labels(overlaps, k)}
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "k": k},
         expected={"sigma": True, "sigma_prime": True},
         computed={"sigma": sigma_ok, "sigma_prime": sigma_prime_ok},
         passed=sigma_ok and sigma_prime_ok,
@@ -360,7 +358,6 @@ def verify_lemma_2_5(n: int, k: int, *, ctx: Context) -> ClaimReport:
     computed = {"quotient": quotient_order, "kernel": kernel_order}
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "k": k},
         expected=expected,
         computed=computed,
         passed=(computed == expected),
@@ -389,7 +386,6 @@ def verify_prop_2_6(n: int, *, ctx: Context) -> ClaimReport:
     passed = all(v["certificates_equal"] and v["psi_witness"] for v in results.values())
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n},
         expected={"transpositions": True, "derangements": True},
         computed={kind: v["certificates_equal"] for kind, v in results.items()},
         passed=passed,
@@ -408,7 +404,6 @@ def verify_section3_iso(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
     iso = arr.aut.certificate == cay.aut.certificate
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "fixed": fixed},
         expected=True,
         computed=iso,
         passed=iso,
@@ -456,7 +451,6 @@ def test_conjecture(n: int, fixed: int, *, ctx: Context) -> ClaimReport:
         passed = None
     return ClaimReport(
         claim_id=claim_id,
-        params={"n": n, "fixed": fixed},
         expected=(expected_candidate if anchored else None),
         computed=aut.order,
         passed=passed,

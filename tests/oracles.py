@@ -277,6 +277,10 @@ class OrbitPruningSearch(_IRSearch):
     def _leaf_cert(self, lab):
         return leaf_certificate_by_neighbours(self.neighbours, lab)
 
+    def run(self):
+        # recursive, so the reference does not rest on the search's tree walk
+        self._node(_refine(self.adj, [(1 << self.n) - 1]), [])
+
     def _node(self, cells, prefix):
         self.nodes += 1
         if self.nodes > self.config.node_budget:

@@ -1,8 +1,10 @@
 """Equitable refinement, the IR search, certificates, and isomorphism."""
 
 import hashlib
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -511,6 +513,20 @@ def test_aut_isolated_vertices():
     assert result.order == math.factorial(60)
     assert len(result.chain.base) == 59
     assert result.chain.contains(shuffled_permutation(60, random.Random(SEED + 7)))
+
+
+def test_aut_deeper_than_recursion_limit():
+    # 80 isolated vertices: the search tree is 79 levels deep, and the
+    # interpreter may nest only 40 more frames than the test's own
+    g = graph_from_edges([(i,) for i in range(80)], [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        result = automorphism_group(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.order == math.factorial(80)
+    assert result.stats == SearchStats(nodes=3240, leaves=80, found=79)
 
 
 def test_aut_edgeless_a441():

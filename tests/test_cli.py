@@ -11,7 +11,7 @@ import pytest
 
 from arrgraph import graphio, suite
 from arrgraph.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
-from arrgraph.config import Config
+from arrgraph.config import Config, decimal
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph
 
@@ -40,13 +40,41 @@ def test_gen_cayley_counts(capsys, tmp_path):
     assert "24 vertices, 108 edges" in out
 
 
-@pytest.mark.parametrize("spec", ["fixed:1_0", "fixed:+2", "fixed: 2", "fixed:\u0662",
-                                  "fixed:", "fixed:2 ", "fixed:" + "9" * 5000])
+# int() takes each of the first four (\u0662 is the Arabic-Indic two)
+NOT_ASCII_DECIMAL = ["1_0", "+2", " 2", "\u0662", "", "2 ", "9" * 5000]
+NOT_ASCII_DECIMAL_IDS = ["underscore", "plus", "space", "arabic-indic", "empty",
+                         "trailing-space", "5000-digits"]
+
+
+@pytest.mark.parametrize("spec", ["fixed:" + s for s in NOT_ASCII_DECIMAL])
 def test_gen_cayley_fixed_count_is_ascii_decimal(spec, capsys):
-    # int() takes each of the first four (\u0662 is the Arabic-Indic two)
     code, _, err = run(capsys, "gen", "cayley", "--n", "4", "--set", spec)
     assert code == EXIT_VALIDATION
     assert err.startswith("error: bad connection set") and "fixed:K" in err
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
+@pytest.mark.parametrize("flag", ["--n", "--k", "--r", "--n-max"])
+def test_integer_flags_are_ascii_decimal(flag, value, capsys):
+    args = {"--n": "10", "--k": "2", "--r": "1", flag: value}
+    argv = (["verify", flag, value] if flag == "--n-max"
+            else ["gen", "arrangement", *itertools.chain(*args.items())])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"argument {flag}: invalid decimal value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMAL, ids=NOT_ASCII_DECIMAL_IDS)
+def test_environment_integers_are_ascii_decimal(value, capsys, monkeypatch):
+    monkeypatch.setenv("ARRGRAPH_WORKERS", value)
+    code, out, err = run(capsys, "gen", "arrangement", "--n", "10", "--k", "2", "--r", "1")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: environment variable ARRGRAPH_WORKERS: not an ASCII decimal")
+
+
+def test_decimal_takes_ascii_digits_and_a_minus():
+    assert [decimal(s) for s in ("007", "-12", "0", "9" * 4300)] == [7, -12, 0, int("9" * 4300)]
 
 
 def test_gen_cayley_fixed_count(capsys, tmp_path):
@@ -167,13 +195,15 @@ def test_gen_cayley_over_composition_budget(capsys, tmp_path):
     assert "598066560 compositions" in err and not path.exists()
 
 
-def test_aut_deeper_than_recursion_limit(capsys, tmp_path):
-    # 1100 isolated vertices: the search tree is 1099 levels deep
+def test_aut_deep_search_over_node_budget(capsys, tmp_path, monkeypatch):
+    # 1100 isolated vertices: the search tree is 1099 levels deep, which
+    # only the node budget bounds
     path = tmp_path / "isolated.txt"
     path.write_text("# vertices 1100\n")
+    monkeypatch.setenv("ARRGRAPH_NODE_BUDGET", "1000")
     code, _, err = run(capsys, "aut", str(path))
     assert code == EXIT_BUDGET
-    assert "recursion limit" in err
+    assert "node budget" in err
 
 
 def test_mis_command(capsys, tmp_path):

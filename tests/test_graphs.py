@@ -10,7 +10,7 @@ from arrgraph import graphs
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _count_planes,
-                             _relabel_rows, _transpose, apply_position_permutation,
+                             _depth_first, _relabel_rows, _transpose, apply_position_permutation,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple,
                              is_automorphism, value_relabelings, vertex_permutation)
@@ -691,3 +691,36 @@ def test_candidate_generators_orders():
         assert len(gens) == count
         assert all(is_automorphism(g, f) for f in gens)
         assert StabilizerChain(gens, degree=g.vertex_count).order() == order
+
+
+def _tree_node(visited, name, children=(), back=None):
+    visited.append(name)
+    for child in children:
+        yield _tree_node(visited, *child)
+    return back
+
+
+def test_depth_first_order_and_back_up():
+    # c, at depth 3, backs up to depth 1: b is dropped before f, and a goes
+    # on with e; g, at depth 2, backs up to the root, which goes on with h
+    tree = ("r", [("a", [("b", [("c", [], 1), ("f",)]), ("e",)]),
+                  ("d", [("g", [], 0), ("i",)]), ("h",)])
+    visited = []
+    _depth_first(_tree_node(visited, *tree))
+    assert visited == ["r", "a", "b", "c", "e", "d", "g", "h"]
+    visited = []
+    _depth_first(_tree_node(visited, "r", [("a", [("b",)], 0), ("c",)]))
+    assert visited == ["r", "a", "b", "c"]  # a node returning its own depth
+
+
+def test_depth_first_chain_deeper_than_recursion_limit():
+    depths = []
+
+    def chain(depth):
+        depths.append(depth)
+        if depth < 100_000:
+            yield chain(depth + 1)
+        return 0
+
+    _depth_first(chain(0))
+    assert depths == list(range(100_001))

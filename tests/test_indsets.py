@@ -1,8 +1,10 @@
 """Delta families and exact maximum-independent-set search."""
 
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -543,6 +545,21 @@ def test_deep_clique_needs_no_recursion():
     g = graph_from_edges([(i,) for i in range(1100)], [])
     assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=1)) == (1100, None)
     assert max_independent_sets(g, ENUMERATE_ALL) == (1100, [list(range(1100))])
+
+
+def test_clique_search_deeper_than_recursion_limit():
+    # the complement of 60 disjoint edges {2i, 2i+1}: below the root each
+    # node's color classes are the pairs left, so the unseeded search
+    # descends 60 levels to its one clique, the odd vertices, while the
+    # interpreter may nest only 40 more frames than the test's own
+    adj = [((1 << 120) - 1) & ~(3 << (v & ~1)) for v in range(120)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        cliques = cliques_within_exact_budget(adj, 120, False, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [list(range(1, 120, 2))]
 
 
 # -- the clique-cover order ----------------------------------------------------
