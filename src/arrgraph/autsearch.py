@@ -1,5 +1,40 @@
 """Graph automorphism groups, canonical certificates, and isomorphism.
 
+A graph is first split until every part is prime (McKay & Piperno 2014;
+Junttila & Kaski, bliss, 2007): a disconnected part into its components,
+a connected one into the components of its complement (co-components),
+each by bitset BFS, until a part is connected and co-connected, or one
+vertex. ``_split_tree`` walks this on an explicit stack. Each component or
+co-component is a module: every vertex outside it is adjacent to all of it
+or to none of it. A prime graph is searched whole. Otherwise each prime
+part is searched on its own rows, under one node budget for all parts,
+and the parts are joined bottom-up (``_search_parts``):
+
+- the children of a split part are sorted by (vertex count, canonical
+  rows), and its canonical labeling is theirs joined in that order. Its
+  canonical rows are the children's on the diagonal, with every edge
+  between two co-components; they depend only on the children's
+  isomorphism classes and the kind of split, so isomorphic graphs get the
+  same. The certificate is these rows in the leaf certificate's format:
+  the graph relabeled by its canonical labeling, as for a prime graph;
+- the generators are the children's, lifted to the graph, and one swap
+  of each two neighbouring isomorphic children through their canonical
+  labelings, an automorphism since siblings are modules;
+- the base is the children's bases in order, and the first vertex of
+  each child that has an empty base (it is rigid) and a later isomorphic
+  sibling.
+
+These generators are strong for that base. An automorphism that fixes a
+base point of a child maps the child onto itself, and then fixes all of
+it once it fixes the child's base. So the automorphisms that fix the base
+points of the children before a child C, and some of C's, are the
+stabilizer of those points of C in Aut(C) times the group of the later
+children, and are generated by C's generators that fix those points (by
+induction, and by the search for a prime part) and by the later
+children's generators and swaps: exactly the generators that fix those
+base points. The chain's order must be the product, over each class of m
+isomorphic children C, of m!·|Aut(C)|^m, or the search raises.
+
 Individualization-refinement search: refine an ordered partition to its
 coarsest equitable refinement, branch on the vertices of the first smallest
 non-singleton cell, and prune branches equivalent under automorphisms
@@ -54,19 +89,21 @@ generating set needs at that level. After the whole first path the
 partition is discrete, so only the identity fixes every base point, and
 the group's order is the product of the orbit lengths.
 
-Each automorphism found is checked once with ``is_automorphism`` and
-appended to the list that orbit pruning reads. The search keeps no chain:
-after the search, the stabilizer chain is built once from that list and the
-first path's base with ``StabilizerChain.from_strong_generators``, from one
-breadth-first pass per level that records each orbit point's Schreier
-vector entry, with no Schreier generator sifted, and every automorphism
-found is a generator.
+Each automorphism found is appended to the list that orbit pruning
+reads. The search keeps no chain: after the search, each generator is
+checked once with ``is_automorphism`` on the input graph, and the
+stabilizer chain is built once from the generators and the base with
+``StabilizerChain.from_strong_generators``, from one breadth-first pass
+per level that records each orbit point's Schreier vector entry, with no
+Schreier generator sifted.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -180,9 +217,11 @@ class AutResult:
     """Automorphism generators, exact group order, and a canonical
     certificate (equal certificates iff isomorphic graphs).
 
-    generators are the automorphisms the search found, in the order found;
-    chain is the stabilizer chain built once from them, with its base taken
-    from the search's first path; stats counts the search's work."""
+    generators are the automorphisms the search found, in the order found,
+    and for a graph that is not prime those of its parts, lifted, and the
+    swaps of isomorphic parts; chain is the stabilizer chain built once from
+    them, with its base taken from the search's first path or paths; stats
+    counts the search's work, summed over the parts."""
 
     generators: list[Permutation]
     chain: StabilizerChain
@@ -196,17 +235,26 @@ class AutResult:
         return self.certificate.hex()
 
 
+def _row_bytes(rows: list[int]) -> bytes:
+    """A certificate's bytes: V rows of V bits, each in ceil(V/8)
+    little-endian bytes."""
+    nbytes = (len(rows) + 7) // 8
+    return b"".join(row.to_bytes(nbytes, "little") for row in rows)
+
+
 class _IRSearch:
-    def __init__(self, graph: Graph, config: Config):
+    def __init__(self, graph: Graph, config: Config, nodes: int = 0):
+        """nodes: the nodes already charged to config.node_budget by the
+        searches of earlier parts of the same graph."""
         self.graph = graph
         self.adj = graph.adjacency
         self.n = graph.vertex_count
         self.config = config
-        self.nodes = 0
+        self.nodes = nodes
         self.leaves = 0
-        # images of every automorphism found, each checked, in the order
-        # found: orbit pruning reads them, and result() builds the chain
-        # from them; they are a strong generating set for first_prefix
+        # images of every automorphism found, in the order found: orbit
+        # pruning reads them, and they are a strong generating set for
+        # first_prefix
         self.automorphisms: list[tuple[int, ...]] = []
         self.first: Optional[tuple[bytes, list[int]]] = None
         # the vertices individualized on the way to the first leaf
@@ -215,24 +263,6 @@ class _IRSearch:
 
     def run(self) -> None:
         _depth_first(self._node(_refine(self.adj, [(1 << self.n) - 1]), []))
-
-    def result(self) -> AutResult:
-        cert_bits, lab = self.best
-        pos = [0] * self.n
-        for i, v in enumerate(lab):
-            pos[v] = i
-        generators = [Permutation._trusted(g) for g in self.automorphisms]
-        chain = StabilizerChain.from_strong_generators(
-            self.first_prefix, generators, self.n)
-        return AutResult(
-            generators=generators,
-            chain=chain,
-            order=chain.order(),
-            certificate=zlib.compress(cert_bits, 6),
-            canonical_labeling=Permutation._trusted(tuple(pos)),
-            stats=SearchStats(nodes=self.nodes, leaves=self.leaves,
-                              found=len(generators)),
-        )
 
     # -- search tree
 
@@ -282,9 +312,7 @@ class _IRSearch:
 
     def _leaf_cert(self, lab: list[int]) -> bytes:
         # row i has bit j set iff lab[i] and lab[j] are adjacent
-        nbytes = (self.n + 7) // 8
-        return b"".join(row.to_bytes(nbytes, "little")
-                        for row in _relabel_rows(self.adj, lab))
+        return _row_bytes(_relabel_rows(self.adj, lab))
 
     def _leaf(self, lab: list[int], prefix: list[int]) -> int:
         self.leaves += 1
@@ -311,19 +339,157 @@ class _IRSearch:
         imgs = [0] * self.n
         for a, b in zip(lab1, lab2):
             imgs[a] = b
-        images = tuple(imgs)
-        if not is_automorphism(self.graph, Permutation._trusted(images)):
+        self.automorphisms.append(tuple(imgs))
+
+
+def _split(adj: list[int], part: int, co: bool) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on the
+    mask part, or of its complement if co, each by bitset BFS from the
+    lowest vertex not yet reached."""
+    pieces = []
+    rest = part
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            rows = map(adj.__getitem__, _bits(frontier))
+            # a complement neighbour of the frontier is not adjacent to all of it
+            reach = ~reduce(and_, rows, part) if co else reduce(or_, rows, 0)
+            frontier = reach & part & ~seen
+            seen |= frontier
+        pieces.append(seen)
+        rest ^= seen
+    return pieces
+
+
+def _split_tree(adj: list[int], n: int) -> list[tuple[int, Optional[bool], int]]:
+    """The parts of the vertex set, in preorder, as (mask, co, parent
+    index): a part of two or more vertices that is disconnected is split
+    into its components (co False), one that is connected but not
+    co-connected into its co-components (co True), and a prime part, which
+    is neither or one vertex, has co None. Walked on an explicit stack."""
+    tree: list[tuple[int, Optional[bool], int]] = []
+    stack = [((1 << n) - 1, -1)]
+    while stack:
+        mask, parent = stack.pop()
+        co = None
+        if mask & (mask - 1):
+            for kind in (False, True):
+                pieces = _split(adj, mask, kind)
+                if len(pieces) > 1:
+                    co = kind
+                    stack += [(p, len(tree)) for p in reversed(pieces)]
+                    break
+        tree.append((mask, co, parent))
+    return tree
+
+
+def _aut_result(graph: Graph, lab: list[int], cert_bits: bytes,
+                automorphisms: list[tuple[int, ...]], base: list[int],
+                nodes: int, leaves: int) -> AutResult:
+    """The result of a search, after checking each automorphism once on the
+    graph: lab[i] is the vertex at canonical position i, and the
+    automorphisms are a strong generating set for base."""
+    generators = [Permutation._trusted(g) for g in automorphisms]
+    for g in generators:
+        if not is_automorphism(graph, g):
             raise AssertionError("IR search produced a non-automorphism")
-        self.automorphisms.append(images)
+    chain = StabilizerChain.from_strong_generators(base, generators, graph.vertex_count)
+    return AutResult(
+        generators=generators,
+        chain=chain,
+        order=chain.order(),
+        certificate=zlib.compress(cert_bits, 6),
+        canonical_labeling=Permutation._trusted(tuple(lab)).inverse(),
+        stats=SearchStats(nodes=nodes, leaves=leaves, found=len(generators)),
+    )
+
+
+def _search_parts(graph: Graph, tree: list[tuple[int, Optional[bool], int]],
+                  config: Config) -> AutResult:
+    """Search each prime part of the split tree, and join the parts' results
+    bottom-up (see the module docstring)."""
+    n = graph.vertex_count
+    order = [v for mask, co, _ in tree if co is None for v in _bits(mask)]
+    # the prime parts are consecutive ranges of these rows
+    rows = _relabel_rows(graph.adjacency, order)
+    # per tree entry, its children's (vertex count, canonical rows, canonical
+    # labeling, base, group order), added last child first
+    joined: list[list] = [[] for _ in tree]
+    automorphisms: list[tuple[int, ...]] = []
+    nodes = leaves = 0
+    end = n  # the prime parts are met from the last range back
+    for index, (mask, co, parent) in reversed(list(enumerate(tree))):
+        size = mask.bit_count()
+        if co is None:
+            end -= size
+            verts = order[end:end + size]
+            part = Graph._from_adjacency(
+                [graph.labels[v] for v in verts],
+                [row >> end & ((1 << size) - 1) for row in rows[end:end + size]], {})
+            search = _IRSearch(part, config, nodes)
+            search.run()
+            nodes, leaves = search.nodes, leaves + search.leaves
+            lab = search.best[1]
+            for g in search.automorphisms:
+                images = list(range(n))
+                for v, x in zip(verts, g):
+                    images[v] = verts[x]
+                automorphisms.append(tuple(images))
+            group = StabilizerChain.from_strong_generators(
+                search.first_prefix, map(Permutation._trusted, search.automorphisms),
+                size).order()
+            done = (size, _relabel_rows(part.adjacency, lab), [verts[x] for x in lab],
+                    [verts[x] for x in search.first_prefix], group)
+        else:
+            children = sorted(reversed(joined[index]), key=lambda c: c[:2])
+            full = (1 << size) - 1
+            canon: list[int] = []
+            lab, base, group, offset, run = [], [], 1, 0, 1
+            for i, (s, part_rows, part_lab, part_base, part_group) in enumerate(children):
+                # in a co-split a vertex is adjacent to every other piece
+                out = full ^ ((1 << s) - 1) << offset if co else 0
+                canon += [row << offset | out for row in part_rows]
+                lab += part_lab
+                base += part_base
+                group *= part_group
+                offset += s
+                if i + 1 < len(children) and children[i + 1][:2] == (s, part_rows):
+                    # an isomorphic next sibling: swap the two through their
+                    # canonical labelings, and fix this one setwise by a
+                    # base point of its own
+                    images = list(range(n))
+                    for v, w in zip(part_lab, children[i + 1][2]):
+                        images[v], images[w] = w, v
+                    automorphisms.append(tuple(images))
+                    base += [] if part_base else part_lab[:1]
+                    run += 1
+                    group *= run  # m! for a class of m, as 2·3·…·m
+                else:
+                    run = 1
+            done = (size, canon, lab, base, group)
+        joined[index] = []
+        if parent >= 0:
+            joined[parent].append(done)
+    _, canon, lab, base, group = done
+    result = _aut_result(graph, lab, _row_bytes(canon), automorphisms, base, nodes, leaves)
+    if result.order != group:
+        raise AssertionError(
+            f"the chain's order {result.order} is not the parts' order {group}")
+    return result
 
 
 def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResult:
     """Full automorphism group plus canonical certificate of a graph."""
     if graph.vertex_count < 1:
         raise ValidationError("automorphism search needs at least one vertex")
+    tree = _split_tree(graph.adjacency, graph.vertex_count)
+    if len(tree) > 1:
+        return _search_parts(graph, tree, config)
     search = _IRSearch(graph, config)
     search.run()
-    return search.result()
+    cert_bits, lab = search.best
+    return _aut_result(graph, lab, cert_bits, search.automorphisms, search.first_prefix,
+                       search.nodes, search.leaves)
 
 
 def are_isomorphic(g1: Graph, g2: Graph,

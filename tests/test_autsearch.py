@@ -2,9 +2,11 @@
 
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import sys
+import zlib
 
 import pytest
 
@@ -12,7 +14,7 @@ from arrgraph.autsearch import (SearchStats, _IRSearch, _refine, automorphism_gr
                                 are_isomorphic, equitable_refinement)
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
+from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
 from arrgraph.perms import Permutation, StabilizerChain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
@@ -256,17 +258,19 @@ def test_candidate_generators_sift_into_aut(n, k, r):
 # Certificates as the search produced them before refinement, orbit
 # bookkeeping and permutation arithmetic were optimised; node counts as of
 # the return to the first-path ancestor; bases and fundamental orbits as of
-# the chain built on the first path's base. A change to the search shows
-# here as a diff in review.
+# the chain built on the first path's base. A(4,4,3) is two components,
+# each K_{4,4,4}, whose complement is 3·K4, so it splits down to single
+# vertices: one node each, and its certificate is that of the joined parts.
+# A change to the search shows here as a diff in review.
 
 _ALL = "all"  # a fundamental orbit that is the whole vertex set
 
 PINNED_SEARCHES = {
-    ((4, 4, 3), "plain"): (190, "e3bcc3e00bf5aaf0", None, None),
+    ((4, 4, 3), "plain"): (24, "2a730ed9c662dbe7", None, None),
     ((4, 4, 4), "plain"): (28, "8dddcfe6c632ea11", None, None),
     ((5, 4, 3), "plain"): (21, "a702d45f1f2e08ba", None, None),
     ((4, 4, 3), "shuffled"): (
-        223, "e3bcc3e00bf5aaf0",
+        24, "2a730ed9c662dbe7",
         [0, 3, 10, 1, 14, 16, 6, 11, 18, 2, 4, 8, 5, 7, 12, 9, 13, 17],
         [_ALL, [3, 10, 19], [10, 19], [1, 6, 11, 14, 16, 18, 21, 22],
          [14, 16, 22], [16, 22], [6, 11, 18, 21], [11, 18, 21], [18, 21],
@@ -334,7 +338,19 @@ def test_leaf_certificate_matches_neighbour_lists(nkr):
 # -- the search against the one with orbit pruning only ----------------------
 
 
+def _complement(g):
+    full = (1 << g.vertex_count) - 1
+    return Graph(g.labels, [full ^ row ^ 1 << v for v, row in enumerate(g.adjacency)])
+
+
+def _is_prime(g):
+    """One vertex, or connected with a connected complement."""
+    return g.vertex_count == 1 or (g.is_connected() and _complement(g).is_connected())
+
+
 def _assert_matches_orbit_pruning(g, name):
+    """Returns the certificates of the search and of the oracle, for
+    _assert_certificates_agree."""
     result = automorphism_group(g)
     reference = orbit_pruning_automorphism_group(g)
     # the same group: equal orders, and each chain holds the other's
@@ -342,34 +358,51 @@ def _assert_matches_orbit_pruning(g, name):
     assert result.order == reference.order, name
     assert all(map(result.chain.contains, reference.chain.strong_generators())), name
     assert all(map(reference.chain.contains, result.chain.strong_generators())), name
-    assert result.certificate == reference.certificate, name
-    assert result.canonical_labeling == reference.canonical_labeling, name
+    if _is_prime(g):
+        assert result.certificate == reference.certificate, name
+        assert result.canonical_labeling == reference.canonical_labeling, name
+    else:
+        # the joined parts' certificate is still the graph relabeled by its
+        # canonical labeling
+        nbytes = (g.vertex_count + 7) // 8
+        rows = g.relabeled(result.canonical_labeling).adjacency
+        assert zlib.decompress(result.certificate) == b"".join(
+            row.to_bytes(nbytes, "little") for row in rows), name
     if g.vertex_count <= 8:
         assert result.order == brute_force_automorphism_count(g), name
+    return result.certificate, reference.certificate
+
+
+def _assert_certificates_agree(pairs):
+    # two graphs have equal certificates exactly when the oracle's are equal
+    for (mine1, ref1), (mine2, ref2) in itertools.combinations(pairs, 2):
+        assert (mine1 == mine2) == (ref1 == ref2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_search_matches_orbit_pruning_arrangement_graphs(n):
     rng = random.Random(SEED + 5 + n)
+    pairs = []
     for k in range(1, n + 1):
         for r in range(1, k + 1):
             g = build_arrangement_graph(n, k, r)
             if g.edge_count() == 0:
                 continue
             for i, h in enumerate([g, shuffled(g, rng), shuffled(g, rng)]):
-                _assert_matches_orbit_pruning(h, (n, k, r, i))
+                pairs.append(_assert_matches_orbit_pruning(h, (n, k, r, i)))
+    _assert_certificates_agree(pairs)
 
 
 def test_search_matches_orbit_pruning_corpus(corpus):
-    for name, g in corpus.items():
-        _assert_matches_orbit_pruning(g, name)
+    _assert_certificates_agree([_assert_matches_orbit_pruning(g, name)
+                                for name, g in corpus.items()])
 
 
 def test_search_matches_orbit_pruning_random_graphs():
     rng = random.Random(SEED + 5)
     graphs = [_random_graph(rng, max_vertices=12) for _ in range(40)]
-    for i, g in enumerate(graphs):
-        _assert_matches_orbit_pruning(g, i)
+    _assert_certificates_agree([_assert_matches_orbit_pruning(g, i)
+                                for i, g in enumerate(graphs)])
     assert any(not g.is_connected() and g.edge_count() for g in graphs)
 
 
@@ -516,8 +549,9 @@ def test_aut_isolated_vertices():
 
 
 def test_aut_deeper_than_recursion_limit():
-    # 80 isolated vertices: the search tree is 79 levels deep, and the
-    # interpreter may nest only 40 more frames than the test's own
+    # 80 isolated vertices, while the interpreter may nest only 40 more
+    # frames than the test's own: each vertex is a part of its own, searched
+    # in one node, and the 79 swaps of neighbouring parts generate S_80
     g = graph_from_edges([(i,) for i in range(80)], [])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
@@ -526,10 +560,112 @@ def test_aut_deeper_than_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert result.order == math.factorial(80)
-    assert result.stats == SearchStats(nodes=3240, leaves=80, found=79)
+    assert result.stats == SearchStats(nodes=80, leaves=80, found=79)
 
 
 def test_aut_edgeless_a441():
     g = build_arrangement_graph(4, 4, 1)
     assert g.edge_count() == 0
     assert automorphism_group(g).order == math.factorial(24)
+
+
+# -- graphs split into components and co-components ---------------------------
+
+
+def _joined(a, b, join):
+    """The disjoint union of two graphs given as bit rows, a first, with
+    every edge between them if join."""
+    low, high = (1 << len(a)) - 1, ((1 << len(b)) - 1) << len(a)
+    return ([row | high if join else row for row in a]
+            + [row << len(a) | (low if join else 0) for row in b])
+
+
+def _random_split_graph(rng, max_vertices=40):
+    """Small random pieces, some of them copied, joined by disjoint unions
+    and complete joins until the graph has at least half of max_vertices
+    vertices, then shuffled: it is disconnected or co-disconnected."""
+    rows = _random_graph(rng, max_vertices=8).adjacency
+    while True:
+        # a copy of the graph so far makes isomorphic sibling parts
+        other = rows if rng.random() < 0.3 else _random_graph(rng, max_vertices=8).adjacency
+        rows = _joined(rows, other, rng.random() < 0.5)
+        if len(rows) >= max_vertices // 2:
+            break
+    g = Graph([(i,) for i in range(len(rows))], rows)
+    return shuffled(g, rng)
+
+
+def test_split_search_matches_orbit_pruning():
+    rng = random.Random(SEED + 9)
+    graphs = {i: _random_split_graph(rng) for i in range(30)}
+    for n in range(2, 6):
+        graphs["A%d11" % n] = build_arrangement_graph(n, 1, 1)
+    for n in range(2, 5):  # A(5,5,1): test_split_search_edgeless_a551
+        graphs["A%d%d1" % (n, n)] = build_arrangement_graph(n, n, 1)
+    graphs["A443"] = build_arrangement_graph(4, 4, 3)
+    graphs["A553"] = build_arrangement_graph(5, 5, 3)
+    for n in (4, 5):
+        graphs["Cay(S%d,F%d)" % (n, n - 3)] = build_cayley_graph(
+            n, connection_set(n, "fixed", n - 3))
+    # the six connected graphs on 4 vertices side by side, and the
+    # complement: siblings of one size that only their canonical rows order
+    connected4 = [[(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)],
+                  [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 1), (1, 2), (2, 0), (0, 3)],
+                  [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+                  [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+    graphs["connected4"] = shuffled(graph_from_edges(
+        [(i,) for i in range(24)],
+        [(4 * i + u, 4 * i + v) for i, edges in enumerate(connected4) for u, v in edges]), rng)
+    graphs["connected4 complement"] = _complement(graphs["connected4"])
+    pairs = []
+    for name, g in graphs.items():
+        assert not _is_prime(g), name
+        pairs.append(_assert_matches_orbit_pruning(g, name))
+        # a shuffled twin has the same certificate
+        assert automorphism_group(shuffled(g, rng)).certificate == pairs[-1][0], name
+    _assert_certificates_agree(pairs)
+    assert {g.is_connected() for g in graphs.values()} == {True, False}
+    assert max(g.vertex_count for k, g in graphs.items() if type(k) is int) <= 40
+
+
+def test_split_search_edgeless_a551():
+    # 120 isolated vertices, which the oracle takes minutes over; the order
+    # and the certificate, 120 empty rows, are known
+    g = build_arrangement_graph(5, 5, 1)
+    result = automorphism_group(g)
+    assert result.order == math.factorial(120)
+    assert result.stats == SearchStats(nodes=120, leaves=120, found=119)
+    assert zlib.decompress(result.certificate) == bytes(120 * 15)
+    assert automorphism_group(shuffled(g, random.Random(SEED))).certificate == result.certificate
+
+
+def test_split_deeper_than_recursion_limit():
+    # vertices added alternately isolated and dominating (each even vertex
+    # from 2 on is adjacent to all before it): every part but a single
+    # vertex splits again, 1100 levels deep, while the interpreter may nest
+    # only 40 more frames than the test's own. Only vertices 0 and 1 are twins
+    nv = 1100
+    dominating = sum(1 << v for v in range(2, nv, 2))
+    rows = [dominating & ~((2 << u) - 1) | ((1 << u) - 1 if u % 2 == 0 else 0)
+            for u in range(nv)]
+    g = Graph([(v,) for v in range(nv)], rows)
+    twin = shuffled(g, random.Random(SEED))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        result = automorphism_group(g)
+        twin_result = automorphism_group(twin)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.order == 2
+    assert result.generators == [Permutation([1, 0] + list(range(2, nv)))]
+    assert result.stats == SearchStats(nodes=nv, leaves=nv, found=1)
+    assert twin_result.certificate == result.certificate
+
+
+def test_node_budget_shared_by_the_parts():
+    # 24 isolated vertices are 24 parts of one node each
+    g = graph_from_edges([(i,) for i in range(24)], [])
+    with pytest.raises(BudgetError, match="node budget 23$"):
+        automorphism_group(g, Config(node_budget=23))
+    assert automorphism_group(g, Config(node_budget=24)).order == math.factorial(24)

@@ -196,8 +196,8 @@ def test_gen_cayley_over_composition_budget(capsys, tmp_path):
 
 
 def test_aut_deep_search_over_node_budget(capsys, tmp_path, monkeypatch):
-    # 1100 isolated vertices: the search tree is 1099 levels deep, which
-    # only the node budget bounds
+    # 1100 isolated vertices are 1100 parts of one search node each, all
+    # charged to the one node budget, which 1000 falls short of
     path = tmp_path / "isolated.txt"
     path.write_text("# vertices 1100\n")
     monkeypatch.setenv("ARRGRAPH_NODE_BUDGET", "1000")
