@@ -1,14 +1,16 @@
-"""Graph automorphism groups, canonical certificates, and isomorphism.
+"""Graph automorphism groups and canonical certificates: two graphs are
+isomorphic exactly when their certificates are equal.
 
 A graph is first split until every part is prime (McKay & Piperno 2014;
 Junttila & Kaski, bliss, 2007): a disconnected part into its components,
 a connected one into the components of its complement (co-components),
-each by bitset BFS, until a part is connected and co-connected, or one
-vertex. ``_split_tree`` walks this on an explicit stack. Each component or
-co-component is a module: every vertex outside it is adjacent to all of it
-or to none of it. A prime graph is searched whole. Otherwise each prime
-part is searched on its own rows, under one node budget for all parts,
-and the parts are joined bottom-up (``_search_parts``):
+each by bitset BFS (``graphs._split``), until a part is connected and
+co-connected, or one vertex. ``_split_tree`` walks this on an explicit
+stack. Each component or co-component is a module: every vertex outside
+it is adjacent to all of it or to none of it. A prime graph is searched
+whole. Otherwise each prime part is searched on its own rows, under one
+node budget for all parts, and the parts are joined bottom-up
+(``_search_parts``):
 
 - the children of a split part are sorted by (vertex count, canonical
   rows), and its canonical labeling is theirs joined in that order. Its
@@ -102,45 +104,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 from typing import Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import BudgetError, ValidationError
-from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, _relabel_rows,
+from .graphs import (Graph, _bits, _count_planes, _depth_first, _relabel_rows, _split,
                      is_automorphism)
 from .perms import Permutation, StabilizerChain, orbits
-
-OrderedPartition = list[list[int]]
-
-
-def _validate_partition(graph: Graph, partition: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The cells of partition as lists, each read once, after checking that
-    they hold each vertex exactly once, by exact type int: bool, float and
-    str are kept out, as for graph document edges, and so is a partition or
-    a cell that is not iterable."""
-    try:
-        cells = [list(c) for c in partition]
-    except TypeError:
-        raise ValidationError("the partition and each of its cells must be iterable") from None
-    flat = [v for c in cells for v in c]
-    if set(map(type, flat)) - {int} or sorted(flat) != list(range(graph.vertex_count)):
-        raise ValidationError("cells do not partition the vertex set")
-    return cells
-
-
-def equitable_refinement(graph: Graph, partition: Sequence[Sequence[int]]) -> OrderedPartition:
-    """Coarsest equitable refinement of an ordered partition.
-
-    Splits every cell by neighbor counts into every (current) cell until
-    stable; fragments of a split cell replace it in place, ordered by
-    ascending neighbor count. Deterministic given the cell order, and
-    idempotent. Empty cells are dropped. The cells are refined as vertex
-    bit masks (``_refine``) and returned as sorted lists.
-    """
-    cells = _refine(graph.adjacency, [_mask(c) for c in _validate_partition(graph, partition) if c])
-    return [list(_bits(m)) for m in cells]
 
 
 def _refine(adj: list[int], cells: list[int],
@@ -342,25 +312,6 @@ class _IRSearch:
         self.automorphisms.append(tuple(imgs))
 
 
-def _split(adj: list[int], part: int, co: bool) -> list[int]:
-    """The vertex masks of the components of the subgraph induced on the
-    mask part, or of its complement if co, each by bitset BFS from the
-    lowest vertex not yet reached."""
-    pieces = []
-    rest = part
-    while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            rows = map(adj.__getitem__, _bits(frontier))
-            # a complement neighbour of the frontier is not adjacent to all of it
-            reach = ~reduce(and_, rows, part) if co else reduce(or_, rows, 0)
-            frontier = reach & part & ~seen
-            seen |= frontier
-        pieces.append(seen)
-        rest ^= seen
-    return pieces
-
-
 def _split_tree(adj: list[int], n: int) -> list[tuple[int, Optional[bool], int]]:
     """The parts of the vertex set, in preorder, as (mask, co, parent
     index): a part of two or more vertices that is disconnected is split
@@ -490,21 +441,3 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
     cert_bits, lab = search.best
     return _aut_result(graph, lab, cert_bits, search.automorphisms, search.first_prefix,
                        search.nodes, search.leaves)
-
-
-def are_isomorphic(g1: Graph, g2: Graph,
-                   config: Config = DEFAULT_CONFIG
-                   ) -> tuple[bool, Optional[Permutation]]:
-    """Certificate equality; on success also returns a verified witness
-    bijection mapping vertices of g1 to vertices of g2."""
-    if g1.vertex_count != g2.vertex_count or g1.edge_count() != g2.edge_count():
-        return False, None
-    r1 = automorphism_group(g1, config)
-    r2 = automorphism_group(g2, config)
-    if r1.certificate != r2.certificate:
-        return False, None
-    witness = r1.canonical_labeling.compose(r2.canonical_labeling.inverse())
-    if g1.relabeled(witness).adjacency != g2.adjacency:
-        raise AssertionError("isomorphism witness failed the adjacency check")
-    return True, witness
-

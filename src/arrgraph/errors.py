@@ -13,10 +13,11 @@ class ValidationError(ArrgraphError, ValueError):
 
 
 class BudgetError(ArrgraphError, RuntimeError):
-    """A configured resource guard (the node budget of the automorphism or
-    independent-set search, the vertex-count guard, or the compositions of
-    a Cayley graph build that it allows) was exceeded. Never a wrong
-    answer."""
+    """A configured budget was exceeded: the node budget of the automorphism
+    or independent-set search, or the compositions of a Cayley graph build
+    that the vertex guard allows. The vertex-count guard itself raises
+    ValidationError (perms.check_tuple_count, graphio's loaders). Never a
+    wrong answer."""
 
 
 class FamilyError(ArrgraphError, ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import itemgetter, lshift, or_
+from operator import and_, itemgetter, lshift, or_
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -83,12 +83,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.vertex_count)) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.vertex_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, v)
-
     def relabeled(self, perm: Permutation) -> "Graph":
         """The graph with vertex v moved to index perm(v) (labels follow)."""
         if perm.degree != self.vertex_count:
@@ -98,17 +92,7 @@ class Graph:
                                      _relabel_rows(self.adjacency, pre), self.metadata)
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adjacency[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen.bit_count() == self.vertex_count
+        return len(_split(self.adjacency, (1 << self.vertex_count) - 1, False)) < 2
 
 
 def build_arrangement_graph(n: int, k: int, r: int,
@@ -372,6 +356,25 @@ def _relabel_rows(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     beyond the input."""
     cols = _transpose([rows[v] for v in order])
     return [cols[v] for v in order]
+
+
+def _split(adj: Sequence[int], part: int, co: bool) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on the
+    mask part, or of its complement if co, each by bitset BFS from the
+    lowest vertex not yet reached. The package's one component routine."""
+    pieces = []
+    rest = part
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            rows = map(adj.__getitem__, _bits(frontier))
+            # a complement neighbour of the frontier is not adjacent to all of it
+            reach = ~reduce(and_, rows, part) if co else reduce(or_, rows, 0)
+            frontier = reach & part & ~seen
+            seen |= frontier
+        pieces.append(seen)
+        rest ^= seen
+    return pieces
 
 
 def _count_planes(rows: Sequence[int], vertices: int) -> list[int]:

@@ -76,27 +76,10 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
 from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, is_automorphism,
                      value_relabelings)
-from .perms import (Permutation, _require_ints, check_tuple_count, orbits,
-                    symmetric_group_generators)
+from .perms import Permutation, check_tuple_count, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
 ENUMERATE_ALL = "enumerate_all"
-
-
-def delta_set(n: int, k: int, i: int, j: int,
-              config: Config = DEFAULT_CONFIG) -> frozenset[int]:
-    """Vertex indexes of A(n,k,*) whose tuples have entry j equal to i and
-    avoid i in every other position. i and j are 0-based here; 1-based only
-    in serialized labels. n and k pass check_tuple_count first.
-
-    The entries of a tuple are distinct, so entry j being i already keeps i
-    out of every other position."""
-    check_tuple_count(n, k, config)
-    _require_ints(i=i, j=j)
-    if not (0 <= i < n and 0 <= j < k):
-        raise ValidationError(f"delta set parameters out of range: n={n} k={k} i={i} j={j}")
-    return frozenset(v for v, t in enumerate(itertools.permutations(range(n), k))
-                     if t[j] == i)
 
 
 def delta_family(n: int, k: int, config: Config = DEFAULT_CONFIG

@@ -6,7 +6,11 @@ shared list of generators and their inverses, not as transversal elements
 Schreier-Sims over its whole generator list, which closes each (orbit
 point, generator) pair of a level once, or, when a base and a strong
 generating set for it are known, from one breadth-first pass per level
-(``StabilizerChain.from_strong_generators``).
+(``StabilizerChain.from_strong_generators``). That pass reads an index of
+the generators by the points they move, made once, so a step from an orbit
+point x tries only the level's generators that move x, not all of them:
+the chain of S_m from its m - 1 neighbour swaps takes about m^2 steps in
+place of m^3/3.
 Conventions used throughout the package:
 
 - points are 0-based internally, 1-based only at I/O boundaries;
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -390,9 +394,11 @@ class StabilizerChain:
         """The chain of the group generated by a strong generating set for
         a known base (Seress 2003, ch. 4): level i is generated by the
         generators that fix base[:i] pointwise, and its orbit and Schreier
-        vector come from one breadth-first pass over them. No Schreier
-        generator is sifted. Base points whose orbit is trivial get no
-        level.
+        vector come from one breadth-first pass over them. The pass steps
+        from an orbit point only by the generators that move it, in index
+        order; one that fixes it reaches no new point, so the discovery
+        order is that of trying every generator. No Schreier generator is
+        sifted. Base points whose orbit is trivial get no level.
 
         Raises ValidationError if a base point is not an int in
         0..degree-1, and AssertionError if a generator does not sift to
@@ -409,6 +415,14 @@ class StabilizerChain:
         chain = cls([], degree)
         chain._gens = strong
         chain._invs = [_inverse(g) for g in strong]
+        # movers[x]: the generators that move x, ascending; live[i]: the
+        # generator i fixes the base points of the levels so far
+        points = range(degree)
+        movers: list[list[int]] = [[] for _ in points]
+        for i, g in enumerate(strong):
+            for x in itertools.compress(points, map(ne, g, points)):
+                movers[x].append(i)
+        live = [True] * len(strong)
         gens = list(range(len(strong)))
         for point in base:
             if not gens:
@@ -416,17 +430,18 @@ class StabilizerChain:
             level = _Level(point, degree)
             level.gens = gens
             orbit, reached_by = level.orbit, level.reached_by
-            pairs = [(i, strong[i]) for i in gens]
             for x in orbit:  # the orbit grows while it is scanned
-                for i, g in pairs:
-                    y = g[x]
-                    if reached_by[y] is None:
+                for i in movers[x]:
+                    y = strong[i][x]
+                    if reached_by[y] is None and live[i]:
                         reached_by[y] = i
                         orbit.append(y)
             if len(orbit) > 1:
                 chain._levels.append(level)
             # the generators of the next level also fix this base point
-            gens = [i for i in gens if strong[i][point] == point]
+            for i in movers[point]:
+                live[i] = False
+            gens = [i for i in gens if live[i]]
         for g in strong:
             if chain._sift(g, 0)[0] != chain._identity:
                 raise AssertionError(

@@ -1,16 +1,18 @@
 """Independent oracles the tests check the engines against: closure of a
 generating set, stabilizer chains with a transversal element held per
 orbit point (incremental Schreier-Sims, and the sift of a strong
-generating set), automorphism count by trying every bijection, independence
-number by scanning every vertex subset and by take-or-drop branching,
-independence pair by pair, the min-degree greedy with integer degrees, the
-IR search with orbit pruning only with its leaf certificates from
-neighbour lists, equitable refinement vertex by vertex, tuple ranks, the
-candidate group of Cay(S_n, F_f) built from S_n itself, value relabelings
-of tuples, Cay(S_n, S) one composed tuple at a time, minimal block
-systems, common neighbourhoods, the bit matrix transpose bit by bit, the
-row map edge by edge, the automorphism check by relabeling, and graphs
-given by their edges."""
+generating set), the Schreier vectors of a strong generating set from
+every (orbit point, generator) pair, automorphism count by trying every
+bijection, independence number by scanning every vertex subset and by
+take-or-drop branching, independence pair by pair, the min-degree greedy
+with integer degrees, the IR search with orbit pruning only with its
+leaf certificates from neighbour lists, equitable refinement vertex by
+vertex, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
+itself, value relabelings of tuples, Cay(S_n, S) one composed tuple at a
+time, minimal block systems, common neighbourhoods, the bit matrix
+transpose bit by bit, the row map edge by edge, the automorphism check
+by relabeling, graphs given by their edges, their edge lists, and
+components by breadth-first search over neighbour lists."""
 
 import itertools
 import math
@@ -141,18 +143,47 @@ def transversal_sift(base: Sequence[int], strong: Sequence[Permutation],
     return p
 
 
+def schreier_levels_by_pairs(base: Sequence[int], strong: Sequence[Permutation],
+                             degree: int) -> list[tuple[int, list[int], list[int], list]]:
+    """The levels of the chain of a strong generating set for the base, as
+    (base point, generator indexes, orbit in discovery order, Schreier
+    vector), by a breadth-first pass that tries every (orbit point,
+    generator) pair of a level, generators in index order: level i has the
+    generators fixing base[:i], the point y first reached from the orbit
+    point x by generator i gets i, the base point -1 and a point off the
+    orbit None, and a level whose orbit is trivial is skipped."""
+    gens = list(range(len(strong)))
+    levels = []
+    for point in base:
+        if not gens:
+            break
+        reached_by: list = [None] * degree
+        reached_by[point] = -1
+        orbit = [point]
+        for x in orbit:  # grows while it is read
+            for i in gens:
+                y = strong[i](x)
+                if reached_by[y] is None:
+                    reached_by[y] = i
+                    orbit.append(y)
+        if len(orbit) > 1:
+            levels.append((point, gens, orbit, reached_by))
+        gens = [i for i in gens if strong[i](point) == point]
+    return levels
+
+
 def brute_force_automorphism_count(graph: Graph, limit: int = 8) -> int:
     """Independent oracle: count automorphisms by trying every vertex
     bijection. Only for graphs with at most `limit` vertices."""
     if graph.vertex_count > limit:
         raise ValidationError(f"brute force limited to {limit} vertices")
-    edges = list(graph.edges())
-    edge_set = {frozenset(e) for e in edges}
+    pairs = edges(graph)
+    edge_set = {frozenset(e) for e in pairs}
     # a bijection that maps every edge to an edge maps the edge set onto
     # itself, so it also maps non-edges to non-edges
     return sum(1 for images in itertools.permutations(range(graph.vertex_count))
                if all(frozenset((images[u], images[v])) in edge_set
-                      for u, v in edges))
+                      for u, v in pairs))
 
 
 def is_independent(graph: Graph, vertices) -> bool:
@@ -486,8 +517,9 @@ def common_neighborhood(graph: Graph, vertices: Iterable[int]) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# Graphs given by their edges, adjacency under a vertex map, edge by edge,
-# the row map edge by edge, and the transpose bit by bit
+# Graphs given by their edges, their edges and connectivity read back,
+# adjacency under a vertex map, edge by edge, the row map edge by edge, and
+# the transpose bit by bit
 
 
 def graph_from_edges(labels: Sequence[Sequence[int]], edges: Iterable[tuple[int, int]],
@@ -500,6 +532,34 @@ def graph_from_edges(labels: Sequence[Sequence[int]], edges: Iterable[tuple[int,
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(labels, rows, metadata)
+
+
+def edges(graph: Graph) -> list[tuple[int, int]]:
+    """The edges of a graph as vertex pairs u < v, ascending, read from its
+    rows bit by bit."""
+    return [(u, v) for u, row in enumerate(graph.adjacency)
+            for v in range(u + 1, graph.vertex_count) if row >> v & 1]
+
+
+def components_by_neighbours(graph: Graph) -> list[list[int]]:
+    """The vertices of each component, ascending, the components in the
+    order of their lowest vertex: a breadth-first search over neighbour
+    lists from each vertex not yet reached."""
+    neighbours = [list(graph.neighbors(v)) for v in range(graph.vertex_count)]
+    seen: set[int] = set()
+    components = []
+    for start in range(graph.vertex_count):
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier = [start]
+        for u in frontier:  # grows while it is read
+            for v in neighbours[u]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        components.append(sorted(frontier))
+    return components
 
 
 def transpose_bit_by_bit(rows: Sequence[int]) -> list[int]:
@@ -527,7 +587,7 @@ def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
     from the images of the edges under f, one edge at a time, has the
     graph's own adjacency."""
     images = f.images
-    image = graph_from_edges(graph.labels, ((images[u], images[v]) for u, v in graph.edges()))
+    image = graph_from_edges(graph.labels, ((images[u], images[v]) for u, v in edges(graph)))
     return image.adjacency == graph.adjacency
 
 

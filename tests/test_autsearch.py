@@ -1,4 +1,5 @@
-"""Equitable refinement, the IR search, certificates, and isomorphism."""
+"""Equitable refinement, the IR search, certificates, and isomorphism by
+equal certificates."""
 
 import hashlib
 import inspect
@@ -10,23 +11,19 @@ import zlib
 
 import pytest
 
-from arrgraph.autsearch import (SearchStats, _IRSearch, _refine, automorphism_group,
-                                are_isomorphic, equitable_refinement)
+from arrgraph.autsearch import SearchStats, _IRSearch, _refine, automorphism_group
 from arrgraph.config import Config
-from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
+from arrgraph.errors import BudgetError
+from arrgraph.graphs import (Graph, _bits, _mask, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
 from arrgraph.perms import Permutation, StabilizerChain, connection_set
 from oracles import (brute_force_automorphism_count, brute_force_closure,
-                     common_neighborhood, graph_from_edges, leaf_certificate_by_neighbours,
+                     common_neighborhood, components_by_neighbours, edges, graph_from_edges,
+                     leaf_certificate_by_neighbours,
                      orbit_pruning_automorphism_group, rank_tuple,
-                     reference_refine)
+                     reference_refine, schreier_levels_by_pairs)
 
 SEED = 20240811
-
-
-def unit_partition(graph):
-    return [list(range(graph.vertex_count))]
 
 
 def canonical_certificate(graph):
@@ -46,63 +43,36 @@ def shuffled(graph, rng):
 # -- refinement ---------------------------------------------------------------
 
 
+def whole(graph):
+    """The unit partition, one cell of every vertex, as a mask."""
+    return [(1 << graph.vertex_count) - 1]
+
+
 def test_refinement_regular_graph_unchanged():
     g = build_arrangement_graph(4, 2, 2)
-    assert equitable_refinement(g, unit_partition(g)) == [list(range(12))]
+    assert _refine(g.adjacency, whole(g)) == whole(g)
 
 
 def test_refinement_path_of_three():
     p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
-    cells = equitable_refinement(p3, unit_partition(p3))
-    assert sorted(map(sorted, cells)) == [[0, 2], [1]]
+    cells = _refine(p3.adjacency, whole(p3))
+    assert cells == [0b101, 0b010]
+    assert _as_lists(cells) == reference_refine(p3.adjacency, [[0, 1, 2]])
 
 
 def test_refinement_idempotent(corpus):
     for g in corpus.values():
-        once = equitable_refinement(g, unit_partition(g))
-        assert equitable_refinement(g, once) == once
+        once = _refine(g.adjacency, whole(g))
+        assert _refine(g.adjacency, once) == once
 
 
 def test_refinement_is_equitable(corpus):
     for g in corpus.values():
-        cells = equitable_refinement(g, unit_partition(g))
+        cells = _refine(g.adjacency, whole(g))
         for cell in cells:
             for other in cells:
-                mask = 0
-                for v in other:
-                    mask |= 1 << v
-                counts = {(g.adjacency[v] & mask).bit_count() for v in cell}
+                counts = {(g.adjacency[v] & other).bit_count() for v in _bits(cell)}
                 assert len(counts) == 1
-
-
-def test_refinement_rejects_non_partition():
-    g = build_arrangement_graph(4, 2, 2)
-    with pytest.raises(ValidationError):
-        equitable_refinement(g, [[0, 1], [1, 2]])
-
-
-@pytest.mark.parametrize("cells", [[[0.0, 1, 2]], [[0, 1, "2"]], [[True, 0, 2]],
-                                   [[0, 1], [False]], [[0, 1, 2, None]],
-                                   [[0, 1], 2], [[0, 1, 2], None], 5])
-def test_refinement_rejects_vertices_that_are_not_ints(cells):
-    # a vertex must be an int, not a float, str or bool equal to one, and
-    # the partition and each cell must be iterable
-    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
-    with pytest.raises(ValidationError):
-        equitable_refinement(p3, cells)
-
-
-def test_refinement_drops_empty_cells():
-    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
-    assert equitable_refinement(p3, [[], [2, 0], [], [1], []]) == [[0, 2], [1]]
-
-
-def test_refinement_reads_a_one_pass_partition_once():
-    # a generator of cells, or a cell that is an iterator, is read once by
-    # the check and not found empty by the refinement after it
-    p3 = graph_from_edges([(0,), (1,), (2,)], [(0, 1), (1, 2)])
-    assert equitable_refinement(p3, (c for c in [[0, 1, 2]])) == [[0, 2], [1]]
-    assert equitable_refinement(p3, [iter([0, 1, 2])]) == [[0, 2], [1]]
 
 
 # -- automorphism groups ------------------------------------------------------
@@ -175,27 +145,35 @@ def test_cay_s4_derangements_isomorphic_a444():
     assert canonical_certificate(cay) == canonical_certificate(arr)
 
 
+def isomorphism(g1, g2):
+    """A bijection from the vertices of g1 to those of g2 that maps edges
+    onto edges, through the canonical labelings, when the two certificates
+    are equal; None when they differ."""
+    r1, r2 = automorphism_group(g1), automorphism_group(g2)
+    if r1.certificate != r2.certificate:
+        return None
+    witness = r1.canonical_labeling.compose(r2.canonical_labeling.inverse())
+    assert g1.relabeled(witness).adjacency == g2.adjacency
+    return witness
+
+
 def test_are_isomorphic_with_witness():
     g = build_arrangement_graph(4, 2, 2)
     rng = random.Random(SEED + 1)
     h = shuffled(g, rng)
-    ok, witness = are_isomorphic(g, h)
-    assert ok
-    for u, v in g.edges():
+    witness = isomorphism(g, h)
+    for u, v in edges(g):
         assert h.adjacency[witness(u)] >> witness(v) & 1
 
 
 def test_are_isomorphic_cay_f1_a443():
     cay = build_cayley_graph(4, connection_set(4, "fixed", 1))
     arr = build_arrangement_graph(4, 4, 3)
-    ok, witness = are_isomorphic(cay, arr)
-    assert ok and witness is not None
+    assert isomorphism(cay, arr) is not None
 
 
 def test_are_isomorphic_negative():
-    ok, witness = are_isomorphic(build_arrangement_graph(4, 2, 1),
-                                 build_arrangement_graph(4, 2, 2))
-    assert not ok and witness is None
+    assert isomorphism(build_arrangement_graph(4, 2, 1), build_arrangement_graph(4, 2, 2)) is None
 
 
 # -- common neighborhoods -----------------------------------------------------
@@ -345,7 +323,8 @@ def _complement(g):
 
 def _is_prime(g):
     """One vertex, or connected with a connected complement."""
-    return g.vertex_count == 1 or (g.is_connected() and _complement(g).is_connected())
+    return g.vertex_count == 1 or (len(components_by_neighbours(g)) == 1
+                                   and len(components_by_neighbours(_complement(g))) == 1)
 
 
 def _assert_matches_orbit_pruning(g, name):
@@ -439,10 +418,7 @@ def _random_ordered_partition(rng, nv):
     rng.shuffle(vertices)
     cuts = sorted(rng.sample(range(1, nv), rng.randint(0, min(nv - 1, 5)))) if nv > 1 else []
     bounds = [0] + cuts + [nv]
-    cells = [vertices[a:b] for a, b in zip(bounds, bounds[1:])]
-    if rng.random() < 0.1:
-        cells.insert(rng.randint(0, len(cells)), [])  # dropped by refinement
-    return cells
+    return [vertices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def test_refinement_matches_reference_random_graphs(corpus):
@@ -455,7 +431,7 @@ def test_refinement_matches_reference_random_graphs(corpus):
         for _ in range(3):
             cells = _random_ordered_partition(rng, g.vertex_count)
             expected = reference_refine(g.adjacency, [sorted(c) for c in cells])
-            assert equitable_refinement(g, cells) == expected
+            assert _as_lists(_refine(g.adjacency, [_mask(c) for c in cells])) == expected
         shapes.add((g.edge_count() == 0, g.is_connected()))
     # edgeless, disconnected and connected graphs all took part
     assert {(True, False), (False, False), (False, True)} <= shapes
@@ -476,7 +452,7 @@ def test_search_refinement_matches_reference(corpus):
     for g in graphs:
         adj = g.adjacency
         parent = reference_refine(
-            adj, [sorted(c) for c in _random_ordered_partition(rng, g.vertex_count) if c])
+            adj, [sorted(c) for c in _random_ordered_partition(rng, g.vertex_count)])
         while any(len(c) > 1 for c in parent):
             # every vertex of one open cell, then down one of the children
             t = rng.choice([i for i, c in enumerate(parent) if len(c) > 1])
@@ -661,6 +637,26 @@ def test_split_deeper_than_recursion_limit():
     assert result.generators == [Permutation([1, 0] + list(range(2, nv)))]
     assert result.stats == SearchStats(nodes=nv, leaves=nv, found=1)
     assert twin_result.certificate == result.certificate
+
+
+def _assert_chain_matches_pairs(g, name):
+    """The search's chain, against the chain of its strong generators and
+    base from the pass that tries every (orbit point, generator) pair."""
+    result = automorphism_group(g)
+    levels = [(level.point, level.gens, level.orbit, level.reached_by)
+              for level in result.chain._levels]
+    expected = schreier_levels_by_pairs(result.chain.base, result.generators, g.vertex_count)
+    assert levels == expected, name
+
+
+def test_search_chains_match_pairs(corpus):
+    for name, g in corpus.items():
+        _assert_chain_matches_pairs(g, name)
+
+
+def test_edgeless_a551_chain_matches_pairs():
+    # S_120 from the 119 swaps of neighbouring parts
+    _assert_chain_matches_pairs(build_arrangement_graph(5, 5, 1), "A(5,5,1)")
 
 
 def test_node_budget_shared_by_the_parts():

@@ -11,6 +11,7 @@ from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import build_arrangement_graph, build_cayley_graph
 from arrgraph.perms import Permutation, connection_set
+from oracles import edges
 
 
 def test_edgelist_round_trip():
@@ -19,7 +20,7 @@ def test_edgelist_round_trip():
     assert text.startswith("# vertices 12\n")
     h = graphio.from_edgelist(text)
     assert h.vertex_count == 12
-    assert sorted(h.edges()) == sorted(g.edges())
+    assert sorted(edges(h)) == sorted(edges(g))
 
 
 def test_edgelist_isolated_vertices_survive():
@@ -66,7 +67,7 @@ def test_edgelist_vertex_count_line():
                         ("#vertices 4\n# a comment\n0\t1\r\n", 4), ("", 0)]:
         g = graphio.from_edgelist(text)
         assert g.vertex_count == count and g.labels == tuple((i,) for i in range(count))
-    assert sorted(graphio.from_edgelist("2 0\n1 3\n2 0\n0 2\n").edges()) == [(0, 2), (1, 3)]
+    assert sorted(edges(graphio.from_edgelist("2 0\n1 3\n2 0\n0 2\n"))) == [(0, 2), (1, 3)]
 
 
 def test_edgelist_guard_is_checked_on_the_count_line():
@@ -108,11 +109,11 @@ def test_writers_build_one_string_per_row():
         dot_peak = tracemalloc.get_traced_memory()[1] - len(text)
     finally:
         tracemalloc.stop()
-    assert text == "".join(["# vertices 720\n"] + [f"{u} {v}\n" for u, v in g.edges()])
+    assert text == "".join(["# vertices 720\n"] + [f"{u} {v}\n" for u, v in edges(g)])
     assert dot == "".join(["graph G {\n"]
                           + [f'  {v} [label="[{",".join(str(x + 1) for x in lab)}]"];\n'
                              for v, lab in enumerate(g.labels)]
-                          + [f"  {u} -- {v};\n" for u, v in g.edges()] + ["}\n"])
+                          + [f"  {u} -- {v};\n" for u, v in edges(g)] + ["}\n"])
     assert edgelist_peak < 3 * len(text), (edgelist_peak, len(text))
     assert dot_peak < 3 * len(dot), (dot_peak, len(dot))
 
@@ -224,7 +225,7 @@ def test_dump_load_dispatch():
     for fmt in (graphio.FORMAT_EDGELIST, graphio.FORMAT_GRAPHDOC):
         h = graphio.load(graphio.dump(g, fmt))
         assert h.vertex_count == g.vertex_count
-        assert sorted(h.edges()) == sorted(g.edges())
+        assert sorted(edges(h)) == sorted(edges(g))
     with pytest.raises(ValidationError):
         graphio.dump(g, "gml")
 

@@ -9,15 +9,15 @@ import pytest
 from arrgraph import graphs
 from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _count_planes,
-                             _depth_first, _relabel_rows, _transpose, apply_position_permutation,
+from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _bits, _count_planes,
+                             _depth_first, _relabel_rows, _split, _transpose, apply_position_permutation,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple,
                              is_automorphism, value_relabelings, vertex_permutation)
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import (apply_value_permutation, cayley_by_composition, differing_coordinates,
-                     graph_from_edges, is_automorphism_by_relabeling, rank_tuple,
+from oracles import (apply_value_permutation, cayley_by_composition, components_by_neighbours,
+                     differing_coordinates, edges, graph_from_edges, is_automorphism_by_relabeling, rank_tuple,
                      relabel_rows_by_edges, transpose_bit_by_bit, tuple_count,
                      unrank_tuple)
 
@@ -343,7 +343,7 @@ _PATH3 = [(0,), (1,), (2,)]  # the path 0 - 1 - 2 has rows 0b010, 0b101, 0b010
 def test_graph_from_rows():
     g = Graph(_PATH3, [2, 5, 2], {"family": "plain"})
     assert g.labels == ((0,), (1,), (2,)) and g.adjacency == [2, 5, 2]
-    assert list(g.edges()) == [(0, 1), (1, 2)] and g.metadata == {"family": "plain"}
+    assert edges(g) == [(0, 1), (1, 2)] and g.metadata == {"family": "plain"}
     # any sequences of ints label the vertices, and are stored as tuples
     h = Graph([[0, 1], range(2, 4)], (0, 0))
     assert h.labels == ((0, 1), (2, 3)) and h.adjacency == [0, 0] and h.metadata == {}
@@ -387,7 +387,7 @@ def test_relabeled_preserves_structure():
     p = Permutation(imgs)
     h = g.relabeled(p)
     assert sorted(h.labels) == sorted(g.labels)
-    for u, v in g.edges():
+    for u, v in edges(g):
         assert has_edge(h, p(u), p(v))
     assert h.edge_count() == g.edge_count()
     # labels travel with their vertices
@@ -406,13 +406,56 @@ def test_relabeled_matches_validated_construction():
         p = Permutation(imgs)
         inv = p.inverse()
         oracle = graph_from_edges([g.labels[inv(i)] for i in range(g.vertex_count)],
-                                  [(p(u), p(v)) for u, v in g.edges()], g.metadata)
+                                  [(p(u), p(v)) for u, v in edges(g)], g.metadata)
         assert_same_graph(g.relabeled(p), oracle)
 
 
 def test_is_connected():
     assert build_arrangement_graph(4, 2, 2).is_connected()
     assert not build_arrangement_graph(3, 3, 1).is_connected()
+
+
+def _sparse_or_dense_graph(rng, nv):
+    """A random graph on nv vertices labelled (i,), often disconnected, and
+    with a disconnected complement when dense."""
+    p = rng.choice([0.02, 0.08, 0.3, 0.9, 0.98])
+    return graph_from_edges([(i,) for i in range(nv)],
+                            [e for e in itertools.combinations(range(nv), 2) if rng.random() < p])
+
+
+def test_is_connected_matches_neighbour_bfs():
+    rng = random.Random(SEED + 11)
+    graphs = [_sparse_or_dense_graph(rng, rng.randint(0, 30)) for _ in range(200)]
+    answers = [g.is_connected() for g in graphs]
+    assert answers == [len(components_by_neighbours(g)) <= 1 for g in graphs]
+    assert {True, False} <= set(answers)
+
+
+@pytest.mark.parametrize("co", [False, True], ids=["components", "co-components"])
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "part"])
+def test_split_matches_neighbour_bfs(co, whole):
+    # the pieces of the subgraph on a mask, or of its complement, are its
+    # components by BFS over neighbour lists, in the order of their lowest
+    # vertex
+    rng = random.Random(SEED + 12)
+    counts = set()
+    for _ in range(150):
+        g = _sparse_or_dense_graph(rng, rng.randint(1, 30))
+        nv = g.vertex_count
+        part = (1 << nv) - 1 if whole else rng.getrandbits(nv)
+        verts = list(_bits(part))
+        place = {v: i for i, v in enumerate(verts)}
+        sub = graph_from_edges([(i,) for i in range(len(verts))],
+                               [(place[u], place[v]) for u, v in edges(g)
+                                if u in place and v in place and not co]
+                               + [(place[u], place[v]) for u, v in itertools.combinations(verts, 2)
+                                  if co and not g.adjacency[u] >> v & 1])
+        expected = [[verts[i] for i in c] for c in components_by_neighbours(sub)]
+        pieces = _split(g.adjacency, part, co)
+        assert [list(_bits(m)) for m in pieces] == expected
+        counts.add(min(len(pieces), 2))
+    # some parts split, and some do not
+    assert {1, 2} <= counts
 
 
 # -- psi and the vertex maps --------------------------------------------------

@@ -14,12 +14,13 @@ from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
 from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
                              is_automorphism, value_relabelings)
-from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, delta_set,
-                              is_maximal_independent, max_independent_sets)
+from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, is_maximal_independent,
+                              max_independent_sets)
 from arrgraph.perms import connection_set, orbits, symmetric_group_generators
 from arrgraph.suite import verify_prop_2_1
-from oracles import (differing_coordinates, graph_from_edges, independence_number_by_branching,
-                     independence_number_oracle, is_independent, min_degree_independent_set)
+from oracles import (differing_coordinates, edges, graph_from_edges,
+                     independence_number_by_branching, independence_number_oracle,
+                     is_independent, min_degree_independent_set)
 
 SEED = 20240811
 
@@ -30,22 +31,23 @@ SEED = 20240811
 def test_delta_set_example():
     # Delta_{1,1} of (4,2): tuples with first entry 1 (1-based), avoiding 1 elsewhere
     g = build_arrangement_graph(4, 2, 2)
-    labels = {g.labels[v] for v in delta_set(4, 2, 0, 0)}
+    labels = {g.labels[v] for v in dict(delta_family(4, 2))[(0, 0)]}
     assert labels == {(0, 1), (0, 2), (0, 3)}
 
 
 def test_delta_set_size():
-    assert len(delta_set(5, 3, 1, 1)) == 12  # (n-1)!/(n-k)! = 4*3
+    assert len(dict(delta_family(5, 3))[(1, 1)]) == 12  # (n-1)!/(n-k)! = 4*3
     for n, k in [(4, 2), (4, 4), (5, 3)]:
         expect = math.factorial(n - 1) // math.factorial(n - k)
+        family = dict(delta_family(n, k))
         for i in range(n):
             for j in range(k):
-                assert len(delta_set(n, k, i, j)) == expect
+                assert len(family[(i, j)]) == expect
 
 
 def test_delta_set_is_independent_in_a_nkk():
     g = build_arrangement_graph(4, 4, 4)
-    d = delta_set(4, 4, 0, 0)
+    d = dict(delta_family(4, 4))[(0, 0)]
     for u, v in itertools.combinations(d, 2):
         assert differing_coordinates(g.labels[u], g.labels[v]) < 4
     assert is_independent(g, d)
@@ -53,30 +55,20 @@ def test_delta_set_is_independent_in_a_nkk():
 
 def test_delta_set_matches_definition():
     g = build_arrangement_graph(4, 3, 3)
+    family = dict(delta_family(4, 3))
     for i in range(4):
         for j in range(3):
             expected = {v for v in range(g.vertex_count)
                         if g.labels[v][j] == i and g.labels[v].count(i) == 1}
-            assert delta_set(4, 3, i, j) == expected
-
-
-def test_delta_set_range_checks():
-    for i, j in [(-1, 0), (4, 0), (0, -1), (0, 2)]:
-        with pytest.raises(ValidationError):
-            delta_set(4, 2, i, j)
+            assert family[(i, j)] == expected
 
 
 def test_delta_sets_pass_the_vertex_guard():
     # 8! = 40320 tuples, over a guard of 1000; under the default guard,
     # n = 10^4, k = 3 (10^12 tuples) fails before any tuple is formed
-    guard = Config(vertex_guard=1000)
-    for call in (lambda config: delta_set(8, 8, 0, 0, config),
-                 lambda config: delta_family(8, 8, config)):
-        with pytest.raises(ValidationError, match="over the vertex guard"):
-            call(guard)
-        assert call(Config())
     with pytest.raises(ValidationError, match="over the vertex guard"):
-        delta_set(10**4, 3, 0, 0)
+        delta_family(8, 8, Config(vertex_guard=1000))
+    assert delta_family(8, 8, Config())
     with pytest.raises(ValidationError, match="over the vertex guard"):
         delta_family(10**4, 3)
     with pytest.raises(ValidationError, match="0 <= k <= n"):
@@ -467,7 +459,7 @@ def test_root_rule_drops_relabelings_that_are_not_automorphisms(nkr):
     # the tuple labels are closed under S_n, but with one edge removed no
     # value relabeling is an automorphism, so none may prune
     full = build_arrangement_graph(*nkr)
-    g = graph_from_edges(full.labels, list(full.edges())[1:])  # without the edge at vertex 0
+    g = graph_from_edges(full.labels, edges(full)[1:])  # without the edge at vertex 0
     assert g.edge_count() == full.edge_count() - 1
     assert lifted_symmetries(g) == []
     assert_root_rule_keeps_answer(g)
@@ -475,8 +467,8 @@ def test_root_rule_drops_relabelings_that_are_not_automorphisms(nkr):
 
 def test_root_rule_needs_labels_over_0_to_n_minus_1():
     g = build_arrangement_graph(4, 2, 2)
-    shifted = graph_from_edges([tuple(x - 1 for x in t) for t in g.labels], g.edges())
-    huge = graph_from_edges([tuple(x + 10**12 for x in t) for t in g.labels], g.edges())
+    shifted = graph_from_edges([tuple(x - 1 for x in t) for t in g.labels], edges(g))
+    huge = graph_from_edges([tuple(x + 10**12 for x in t) for t in g.labels], edges(g))
     assert lifted_symmetries(shifted) == lifted_symmetries(huge) == []
     assert max_independent_sets(shifted)[0] == max_independent_sets(huge)[0] == 3
 
@@ -508,7 +500,7 @@ def test_row_zero_rejects_before_the_whole_check(monkeypatch):
     # 3 and 4 of 0: both maps keep row 0, and only the whole check finds
     # that neither maps {5, 6} onto itself
     full = build_arrangement_graph(4, 2, 2)
-    g = graph_from_edges(full.labels, [e for e in full.edges() if e != (5, 6)])
+    g = graph_from_edges(full.labels, [e for e in edges(full) if e != (5, 6)])
     assert g.edge_count() == full.edge_count() - 1
     checked.clear()
     assert lifted_symmetries(g) == [] and len(checked) == 2
@@ -718,7 +710,7 @@ def test_cover_order_with_root_pruning(n, k, monkeypatch):
     # a second branch and prunes by the value relabelings, moved to the
     # searched order
     nkk, extra = build_arrangement_graph(n, k, k), build_arrangement_graph(n, k, k - 1)
-    g = graph_from_edges(nkk.labels, itertools.chain(nkk.edges(), extra.edges()))
+    g = graph_from_edges(nkk.labels, itertools.chain(edges(nkk), edges(extra)))
     assert uses_cover_order(g, monkeypatch)
     asked = []
     search = indsets._max_cliques

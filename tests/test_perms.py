@@ -14,7 +14,7 @@ from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
                             check_tuple_count, connection_set, cycle, orbits,
                             transposition)
 from oracles import (TransversalChain, brute_force_closure, fixed_point_count,
-                     transversal_sift)
+                     schreier_levels_by_pairs, transversal_sift)
 
 SEED = 20240811
 
@@ -380,6 +380,39 @@ def test_chain_matches_explicit_transversals_random():
                 assert chain.sift(p) == oracle.sift(p)[0]
 
 
+def _assert_levels_match_pairs(base, strong, degree):
+    """The chain from a strong generating set keeps, level by level, the
+    base point, generators, orbit in discovery order and Schreier vector
+    of the pass that tries every (orbit point, generator) pair."""
+    chain = StabilizerChain.from_strong_generators(base, strong, degree)
+    levels = [(level.point, level.gens, level.orbit, level.reached_by)
+              for level in chain._levels]
+    assert levels == schreier_levels_by_pairs(base, strong, degree)
+    return chain
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 57, 200])
+def test_chain_levels_match_pairs_for_neighbour_swaps(m):
+    # S_m from its m - 1 neighbour swaps, as given and relabeled by a
+    # random permutation with the swaps in random order
+    swaps = [transposition(m, i, i + 1) for i in range(m - 1)]
+    chain = _assert_levels_match_pairs(range(m - 1), swaps, m)
+    assert chain.order() == math.factorial(m)
+    rng = random.Random(SEED + m)
+    pi = random_perm(rng, m)
+    moved = [pi.inverse().compose(g).compose(pi) for g in swaps]
+    rng.shuffle(moved)
+    chain = _assert_levels_match_pairs([pi(i) for i in range(m - 1)], moved, m)
+    assert chain.order() == math.factorial(m)
+
+
+def test_chain_levels_match_pairs_random():
+    rng = random.Random(SEED + 9)
+    for _, gens in _random_groups(rng, 40):
+        full = StabilizerChain(gens, degree=gens[0].degree)
+        _assert_levels_match_pairs(full.base, full.strong_generators(), full.degree)
+
+
 def test_chain_from_strong_generators_drops_trivial_orbits():
     chain = StabilizerChain.from_strong_generators([2, 0, 1], [transposition(3, 0, 1)], 3)
     assert chain.base == [0]
@@ -509,6 +542,18 @@ def test_internal_arithmetic_matches_validated_constructor():
         assert type(composite.images) is tuple
         assert p.inverse() == Permutation(sorted(range(d), key=p))
         assert Permutation.identity(d) == Permutation(range(d))
+
+
+def test_second_routes_not_exported():
+    # isomorphism is read from certificates, refinement runs in the search,
+    # the delta sets come from delta_family, and edges from the rows
+    import arrgraph
+    from arrgraph import autsearch, graphs, indsets
+    for module, name in [(arrgraph, "are_isomorphic"), (arrgraph, "equitable_refinement"),
+                         (arrgraph, "delta_set"), (autsearch, "are_isomorphic"),
+                         (autsearch, "equitable_refinement"), (autsearch, "OrderedPartition"),
+                         (indsets, "delta_set"), (graphs.Graph, "edges")]:
+        assert not hasattr(module, name), name
 
 
 def test_trusted_constructor_not_exported():

@@ -18,7 +18,7 @@ from arrgraph.config import Config
 from arrgraph.errors import BudgetError, ValidationError
 from arrgraph.graphs import (Graph, build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism)
-from arrgraph.indsets import delta_family, delta_set
+from arrgraph.indsets import delta_family
 from arrgraph.perms import StabilizerChain, check_tuple_count, connection_set, transposition
 from arrgraph.suite import (Context, ReportDocument, run_full_suite, suite_jobs,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
@@ -38,16 +38,13 @@ from oracles import brute_force_closure
     (build_arrangement_graph, (4, 2, 1.5)),
     (build_arrangement_graph, (4, True, 1)),
     (build_cayley_graph, (4.0, connection_set(4, "derangements"))),
-    (delta_set, (4.0, 2, 0, 0)),
-    (delta_set, (4, 2, 0, False)),
     (delta_family, (4, 2.0)),
     (verify_theorem_1_2, (4.0, 4, 4)),
     (verify_prop_2_6, (True,)),
     (conjecture_probe, (4, 1.0)),
 ], ids=["fixed-float", "fixed-bool", "set-n-float", "tuple-count-str", "arrangement-n-float",
-        "arrangement-r-float", "arrangement-k-bool", "cayley-n-float", "delta-set-n-float",
-        "delta-set-j-bool", "delta-family-k-float", "theorem-n-float", "prop-2-6-bool",
-        "conjecture-f-float"])
+        "arrangement-r-float", "arrangement-k-bool", "cayley-n-float", "delta-family-k-float",
+        "theorem-n-float", "prop-2-6-bool", "conjecture-f-float"])
 def test_parameters_are_exact_ints(function, args):
     with pytest.raises(ValidationError, match="must be an int"):
         function(*args)
