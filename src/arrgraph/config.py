@@ -29,9 +29,7 @@ class Config:
     # Max nodes of each search tree: the individualization-refinement
     # search and the maximum-independent-set search.
     node_budget: int = 10**7
-    # Max vertex count for graph construction and for loaded graphs. A
-    # Cayley graph build may also form at most 200 products s*g, one per
-    # adjacency bit and |S|*n! in all, per vertex of this guard.
+    # Max vertex count for graph construction and for loaded graphs.
     vertex_guard: int = 50_000
     # Worker pool size for the verification suite.
     workers: int = 1

@@ -14,8 +14,7 @@ class ValidationError(ArrgraphError, ValueError):
 
 class BudgetError(ArrgraphError, RuntimeError):
     """A configured budget was exceeded: the node budget of the automorphism
-    or independent-set search, or the compositions of a Cayley graph build
-    that the vertex guard allows. The vertex-count guard itself raises
+    or independent-set search. The vertex-count guard raises
     ValidationError (perms.check_tuple_count, graphio's loaders). Never a
     wrong answer."""
 

@@ -5,19 +5,22 @@ Vertices are indexed 0..V-1 by the lexicographic rank of their k-tuple
 label. Cayley graph vertices are ordered by the rank of the one-line form,
 which makes the tuple<->permutation bijection the identity on indexes (a
 deliberate debugging aid; isomorphism tests elsewhere run on independently
-shuffled copies to stay honest).
+shuffled copies to stay honest). A(n,k,r) is built from bit-sliced
+agreement counts, and Cay(S_n, S) from the identity's row by right
+translates, each one value swap from a lex-smaller row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import reduce
-from operator import and_, itemgetter, lshift, or_
+from operator import and_, or_
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .perms import (ConnectionSet, Permutation, _require_ints, check_tuple_count,
                     symmetric_group_generators)
 
@@ -140,110 +143,80 @@ def build_arrangement_graph(n: int, k: int, r: int,
         labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
-# A Cayley graph build forms one product s*g per adjacency bit, |S|*n! in
-# all, and may form this many for each vertex the vertex guard admits: 10 M
-# under the default guard.
-CAYLEY_COMPOSITIONS_PER_VERTEX = 200
-
-# Vertices whose rows are built together; even, so that every block of the
-# n! vertices (n >= 2) holds at least two.
-_CAYLEY_BLOCK = 64
-
-
 def build_cayley_graph(n: int, cset: ConnectionSet,
                        config: Config = DEFAULT_CONFIG) -> Graph:
     """Cay(S_n, S): vertices are the n! permutations (ordered by one-line
     form), with an edge from g to s*g for every s in S.
 
-    Row g holds one bit for each s*g, so |S|*n! bits over
-    CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard raise BudgetError
-    before any work starts (Cay(S_8, D) would need 598 M).
-
-    The vertex map of a permutation s sends vertex v to the index of
-    s*lab(v), where lab(v) is the one-line form of v; the map of a*b is the
-    map of b followed by that of a. The map of each position swap (p q) is
-    made once from the labels. The elements of S, in lexicographic order,
-    are reached from the identity through a prefix trie (see
-    _vertex_map_steps), each trie node by one swap from its parent, so a
-    node's map is its parent's composed with a swap map. The maps are made
-    for one block of _CAYLEY_BLOCK vertices at a time, and row v of the
-    block is the OR of the bits at the |S| leaf maps' entries for v."""
+    Row 0, the identity's, holds one bit per element of S, and every other
+    row is a right translate of an earlier one: row(g*t) = {h*t : h in
+    row(g)}, and h*t is h with its values relabeled by t. A vertex v > 0
+    whose one-line form starts 0, 1, ..., j-1 but not j has a value a+1 > j
+    at position j, so a comes later. Swapping a and a+1 gives the vertex p
+    = v - (n-1-j)!, and v = p*(a a+1); row v is row p with each bit moved
+    by that swap, as _value_swap_tables gives. That is 2(n-1) masked
+    shifts per row whatever |S| is, so the build is bounded by the vertex
+    guard alone."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
     check_tuple_count(n, n, config)
-    work = len(cset) * math.factorial(n)
-    limit = CAYLEY_COMPOSITIONS_PER_VERTEX * config.vertex_guard
-    if work > limit:
-        raise BudgetError(f"Cay(S_{n}, {cset.label()}) needs {work} compositions, "
-                          f"over the {limit} the vertex guard allows")
-    labels = list(itertools.permutations(range(n)))
-    nv = len(labels)
-    metadata = {"family": "cayley", "n": n, "kind": cset.label()}
-    if not cset.elements:
-        return Graph._from_adjacency(labels, [0] * nv, metadata)
-    steps, leaves = _vertex_map_steps(n, cset, labels)
-    ones = itertools.repeat(1)
-    adjacency = []
-    # S is inverse-closed and identity-free, so the rows are symmetric and
-    # loop-free; every block has at least two vertices, so each getter
-    # returns a tuple
-    for lo in range(0, nv, _CAYLEY_BLOCK):
-        maps = [range(lo, min(lo + _CAYLEY_BLOCK, nv))]
-        for parent, swap in steps:
-            maps.append(itemgetter(*maps[parent])(swap))
-        for images in zip(*[maps[leaf] for leaf in leaves]):
-            adjacency.append(reduce(or_, map(lshift, ones, images)))
-    return Graph._from_adjacency(labels, adjacency, metadata)
+    labels = list(itertools.permutations(range(n)))  # lexicographic = rank order
+    # S is inverse-closed and identity-free, so the rows are symmetric and loop-free
+    adjacency = [_mask(bisect_left(labels, s.images) for s in cset.elements)]
+    tables = _value_swap_tables(n)
+    for m in range(1, n):
+        # the vertices q*m! .. (q+1)*m! - 1 start 0, ..., j-1, j+q with j =
+        # n-1-m; their parents, m! lower, swap the values j+q-1 and j+q
+        width = math.factorial(m)
+        for q in range(1, m + 1):
+            pairs = tables[n - 2 - m + q]
+            for row in adjacency[(q - 1) * width:q * width]:
+                out = 0
+                for offset, up in pairs:
+                    out |= (row & up) << offset | (row >> offset) & up
+                adjacency.append(out)
+    return Graph._from_adjacency(
+        labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
 
 
-def _vertex_map_steps(n: int, cset: ConnectionSet, labels: Sequence[tuple[int, ...]]
-                      ) -> tuple[list[tuple[int, Sequence[int]]], list[int]]:
-    """The prefix trie of S's one-line forms, as steps from the identity.
+def _value_swap_tables(n: int) -> list[list[tuple[int, int]]]:
+    """tables[a], for each value swap (a a+1) of S_n: the pairs (offset,
+    mask), one per position j = 0..n-2, such that swapping the values a and
+    a+1 of a vertex moves its rank up by offset = (n-1-j)! for every vertex
+    in mask, and down by offset for every vertex in mask << offset; the
+    2(n-1) masks partition the vertices.
 
-    Node 0 is the identity; node i > 0 is the permutation made by the step
-    steps[i-1] = (parent, swap map): the parent's one-line form with the
-    entries at two positions p < q swapped, that is (p q)*parent. The trie
-    reaches an element s of S by fixing its entries in position order:
-    position p gets s[p] by swapping it in from the position q > p that
-    holds it, and needs no step when q = p. Nodes are keyed by their
-    permutation, so elements that share a prefix share its nodes.
-    leaves[j] is the node of the j-th element of S in lexicographic order.
-    """
-    index = {lab: i for i, lab in enumerate(labels)}
-    swaps: dict[tuple[int, int], Sequence[int]] = {}
-
-    def swap_map(p: int, q: int) -> Sequence[int]:
-        """The vertex map of (p q), each made once: an adjacent swap from
-        the labels, as (p q)*lab(v) is lab(v) with entries p and q swapped,
-        and any other as the composition (q-1 q)*(p q-1)*(q-1 q)."""
-        if (p, q) not in swaps:
-            if q == p + 1:
-                images = list(range(n))
-                images[p], images[q] = q, p
-                swaps[p, q] = list(map(index.__getitem__, map(itemgetter(*images), labels)))
-            else:
-                outer = swap_map(q - 1, q)
-                swaps[p, q] = itemgetter(*itemgetter(*outer)(swap_map(p, q - 1)))(outer)
-        return swaps[p, q]
-
-    node_of = {tuple(range(n)): 0}
-    steps: list[tuple[int, Sequence[int]]] = []
-    leaves = []
-    for s in sorted(p.images for p in cset.elements):
-        sigma = list(range(n))
-        node = 0
-        for p in range(n - 1):
-            q = sigma.index(s[p], p)
-            if q == p:
-                continue
-            sigma[p], sigma[q] = sigma[q], sigma[p]
-            key = tuple(sigma)
-            if key not in node_of:
-                steps.append((node, swap_map(p, q)))
-                node_of[key] = len(steps)
-            node = node_of[key]
-        leaves.append(node)
-    return steps, leaves
+    Let j be the first position of h that holds a or a+1. Swapping the two
+    values keeps the entries before j and the relative order of the values
+    after j, and moves the entry at j one place up (from a) or down (from
+    a+1) among the values left, so the rank moves by +-(n-1-j)!. The mask
+    of the vertices with a at j is made over S_m for m = 2..n from those
+    over S_(m-1), by blocks of the (m-1)! vertices with the same first
+    entry x: for j = 0 it is block a; for j > 0, a block with x < a holds
+    the mask of (a-1, j-1) over S_(m-1), as the values over x move down by
+    one, and a block with x > a+1 that of (a, j-1). Equal blocks side by
+    side are one product with a repunit, so no vertex is visited."""
+    masks: list[list[int]] = []  # masks[a][j] over S_m, none for S_1
+    for m in range(2, n + 1):
+        width = math.factorial(m - 1)
+        # repunit[x]: bit 0 of each of the blocks 0..x-1
+        repunit = [0]
+        for x in range(m):
+            repunit.append(repunit[-1] | 1 << x * width)
+        below = masks
+        masks = []
+        for a in range(m - 1):
+            held = [((1 << width) - 1) << a * width]
+            for j in range(1, m - 1):
+                mask = 0
+                if a > 0:
+                    mask += below[a - 1][j - 1] * repunit[a]
+                if a < m - 2:
+                    mask += below[a][j - 1] * (repunit[m] - repunit[a + 2])
+                held.append(mask)
+            masks.append(held)
+    offsets = [math.factorial(n - 1 - j) for j in range(n - 1)]
+    return [list(zip(offsets, held)) for held in masks]
 
 
 # --------------------------------------------------------------------------

@@ -185,14 +185,16 @@ def test_conjecture_budget_exit_code(fixed, capsys, monkeypatch):
     assert out == "" and "search exceeded node budget 3" in err
 
 
-def test_gen_cayley_over_composition_budget(capsys, tmp_path):
-    # Cay(S_8, D) passes the vertex guard, but its build would compose each
-    # of 40320 vertices with 14833 derangements; it exits 3 before that
+def test_gen_cayley_s8_derangements_bounded_by_vertex_guard(capsys, tmp_path, monkeypatch):
+    # a Cayley build costs the same per row whatever the connection set, so
+    # Cay(S_8, D) is bounded as A(8,8,8) is: one vertex under 8! = 40320,
+    # it exits 2 and writes nothing
+    monkeypatch.setenv("ARRGRAPH_VERTEX_GUARD", "40319")
     path = tmp_path / "c8d.json"
-    code, _, err = run(capsys, "gen", "cayley", "--n", "8", "--set", "derangements",
-                       "-o", str(path))
-    assert code == EXIT_BUDGET
-    assert "598066560 compositions" in err and not path.exists()
+    code, out, err = run(capsys, "gen", "cayley", "--n", "8", "--set", "derangements",
+                         "-o", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert "S_8 has more than 40319 elements" in err and not path.exists()
 
 
 def test_aut_deep_search_over_node_budget(capsys, tmp_path, monkeypatch):

@@ -3,14 +3,15 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from arrgraph import graphs
 from arrgraph.config import Config
-from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import (CAYLEY_COMPOSITIONS_PER_VERTEX, Graph, _bits, _count_planes,
-                             _depth_first, _relabel_rows, _split, _transpose, apply_position_permutation,
+from arrgraph.errors import ValidationError
+from arrgraph.graphs import (Graph, _bits, _count_planes, _depth_first, _relabel_rows,
+                             _split, _transpose, _value_swap_tables, apply_position_permutation,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, invert_tuple,
                              is_automorphism, value_relabelings, vertex_permutation)
@@ -270,9 +271,10 @@ def test_cayley_matches_composition(n, kind, fixed):
 
 def test_cayley_random_subsets_match_composition():
     # inverse-closed subsets of F_f, made directly: each keeps some elements
-    # of F_f with their inverses, so the trie has gaps a full F_f lacks
+    # of F_f with their inverses, so unlike a full F_f it need not be closed
+    # under conjugation, and left translates would give the wrong rows
     rng = random.Random(SEED)
-    for n in range(2, 6):
+    for n in range(2, 7):
         for f in range(n - 1):
             elements = sorted(connection_set(n, "fixed", f).elements, key=lambda p: p.images)
             for _ in range(4):
@@ -282,37 +284,34 @@ def test_cayley_random_subsets_match_composition():
                 assert_same_graph(build_cayley_graph(n, cset), cayley_by_composition(n, cset))
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_value_swap_tables_move_each_vertex_to_its_swapped_rank(n):
+    # for each swap (a a+1), the vertices whose label with a and a+1
+    # swapped has rank v + offset, by offset, read from a dict of the labels
+    labels = list(itertools.permutations(range(n)))
+    rank = {lab: v for v, lab in enumerate(labels)}
+    tables = _value_swap_tables(n)
+    assert len(tables) == n - 1
+    for a, pairs in enumerate(tables):
+        swap = list(range(n))
+        swap[a], swap[a + 1] = a + 1, a
+        moved: dict[int, int] = {}
+        for v, lab in enumerate(labels):
+            offset = rank[tuple(swap[x] for x in lab)] - v
+            moved[offset] = moved.get(offset, 0) | 1 << v
+        signed = pairs + [(-offset, up << offset) for offset, up in pairs]
+        assert len(signed) == 2 * (n - 1) and dict(signed) == moved
+        # the 2(n-1) masks partition the n! vertices
+        assert sum(up.bit_count() for _, up in signed) == len(labels)
+        assert reduce(or_, (up for _, up in signed)) == (1 << len(labels)) - 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cayley_empty_set_is_edgeless(n):
     cset = ConnectionSet(n, "transpositions", None, frozenset())
     g = build_cayley_graph(n, cset)
     assert g.vertex_count == math.factorial(n) and g.edge_count() == 0
     assert_same_graph(g, cayley_by_composition(n, cset))
-
-
-def test_cayley_composition_guard():
-    # the |S| * n! products s*g of the build are bounded by 200 per vertex
-    # of the vertex guard before any is formed: D(6) = 265 derangements
-    # times 720 vertices is 190800 = 200 * 954
-    assert CAYLEY_COMPOSITIONS_PER_VERTEX == 200
-    cset = connection_set(6, "derangements")
-    assert build_cayley_graph(6, cset, Config(vertex_guard=954)).vertex_count == 720
-    with pytest.raises(BudgetError, match="190800 compositions, over the 190600"):
-        build_cayley_graph(6, cset, Config(vertex_guard=953))
-    # the search budget does not bound the build
-    assert build_cayley_graph(6, cset, Config(node_budget=1)).vertex_count == 720
-
-
-def test_cayley_s8_derangements_over_budget_before_building(monkeypatch):
-    # D(8) = 14833 derangements times 40320 vertices is 598 M products,
-    # over the 10 M of the default guard: no vertex map is made
-    cset = connection_set(8, "derangements")
-
-    def no_maps(*args):
-        raise AssertionError("vertex maps made before the composition guard")
-    monkeypatch.setattr(graphs, "_vertex_map_steps", no_maps)
-    with pytest.raises(BudgetError, match="598066560 compositions, over the 10000000"):
-        build_cayley_graph(8, cset)
 
 
 def test_arrangement_7_7_7_is_derangement_regular():
