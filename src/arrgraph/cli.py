@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import graphio
 from .autsearch import automorphism_group
@@ -44,13 +45,14 @@ def _parse_connection_kind(spec: str) -> tuple[str, int | None]:
         f"bad connection set {spec!r}; use transpositions, derangements or fixed:K")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    # built fully before writing, so invalid flags never leave partial files
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    # callers build and check what they write before this opens the file,
+    # so that invalid flags never leave partial files
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_gen(args, config: Config) -> int:
@@ -59,8 +61,7 @@ def cmd_gen(args, config: Config) -> int:
     else:
         kind, f = _parse_connection_kind(args.set)
         graph = build_cayley_graph(args.n, connection_set(args.n, kind, f, config), config)
-    doc = graphio.dump(graph, args.format)
-    _write_output(doc, args.output)
+    _write_output(graphio.dump(graph, args.format), args.output)
     print(f"{graph.vertex_count} vertices, {graph.edge_count()} edges",
           file=sys.stderr if args.output in (None, "-") else sys.stdout)
     return EXIT_OK
@@ -112,9 +113,9 @@ def cmd_blocks(args, config: Config) -> int:
 def cmd_verify(args, config: Config) -> int:
     doc = run_full_suite(args.n_max, config)
     summary = doc.summary_text()
-    _write_output(doc.to_jsonl(), args.report)
+    _write_output([doc.to_jsonl()], args.report)
     if args.summary:
-        _write_output(summary, args.summary)
+        _write_output([summary], args.summary)
     print(summary, end="")
     return EXIT_OK if doc.all_expected_pass() else EXIT_CLAIM_FAILED
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from operator import or_
+from typing import Iterator
 
 from .config import Config, DEFAULT_CONFIG, decimal
 from .errors import ValidationError
@@ -34,7 +35,12 @@ def _label_str(label: tuple[int, ...]) -> str:
 
 def to_edgelist(graph: Graph) -> str:
     """One `u v` pair per line, 0-based vertex indexes."""
-    return "".join([f"# vertices {graph.vertex_count}\n", *_edge_lines(graph, "", " ", "\n")])
+    return "".join(_edgelist_chunks(graph))
+
+
+def _edgelist_chunks(graph: Graph):
+    yield f"# vertices {graph.vertex_count}\n"
+    yield from _edge_lines(graph, "", " ", "\n")
 
 
 def _edge_lines(graph: Graph, pre: str, mid: str, post: str):
@@ -128,8 +134,15 @@ def _lines(text: str, chunk: int = 1 << 16):
 
 
 def to_dot(graph: Graph) -> str:
-    labels = (f'  {v} [label="{_label_str(lab)}"];\n' for v, lab in enumerate(graph.labels))
-    return "".join(["graph G {\n", *labels, *_edge_lines(graph, "  ", " -- ", ";\n"), "}\n"])
+    return "".join(_dot_chunks(graph))
+
+
+def _dot_chunks(graph: Graph):
+    yield "graph G {\n"
+    for v, lab in enumerate(graph.labels):
+        yield f'  {v} [label="{_label_str(lab)}"];\n'
+    yield from _edge_lines(graph, "  ", " -- ", ";\n")
+    yield "}\n"
 
 
 def to_graphdoc(graph: Graph) -> str:
@@ -137,16 +150,28 @@ def to_graphdoc(graph: Graph) -> str:
     row v as ceil(V/4) lowercase hex digits with bit u for vertex u.
     Canonical serialization (sorted keys, fixed separators) so re-export of
     an imported document is byte-identical."""
-    width = (graph.vertex_count + 3) // 4
+    return "".join(_graphdoc_chunks(graph))
+
+
+def _graphdoc_chunks(graph: Graph):
+    """The graphdoc in pieces: the JSON text of the document with no rows,
+    cut at its empty rows array, with one piece per row in between. "rows"
+    is the last key with a string value in sorted order, so the cut is at
+    the text's last '"rows":[]'; a metadata key "rows" comes before it."""
     doc = {
         "format": _GRAPHDOC_MAGIC,
         "version": _GRAPHDOC_VERSION,
         "metadata": graph.metadata,
         "vertex_count": graph.vertex_count,
         "labels": [[x + 1 for x in lab] for lab in graph.labels],
-        "rows": [format(row, f"0{width}x") for row in graph.adjacency],
+        "rows": [],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    head, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).rsplit('"rows":[]', 1)
+    yield head + '"rows":['
+    width = (graph.vertex_count + 3) // 4
+    for v, row in enumerate(graph.adjacency):
+        yield f'{"," if v else ""}"{row:0{width}x}"'
+    yield "]" + tail + "\n"
 
 
 def from_graphdoc(text: str, config: Config = DEFAULT_CONFIG) -> Graph:
@@ -205,12 +230,15 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
-def dump(graph: Graph, fmt: str) -> str:
-    writer = {FORMAT_EDGELIST: to_edgelist, FORMAT_DOT: to_dot,
-              FORMAT_GRAPHDOC: to_graphdoc}.get(fmt)
-    if writer is None:
+def dump(graph: Graph, fmt: str) -> Iterator[str]:
+    """The text of graph in format fmt, one row's string at a time, as the
+    to_* writers join it. The format is checked here, before the first
+    piece is made, so that a bad format leaves no file."""
+    chunks = {FORMAT_EDGELIST: _edgelist_chunks, FORMAT_DOT: _dot_chunks,
+              FORMAT_GRAPHDOC: _graphdoc_chunks}.get(fmt)
+    if chunks is None:
         raise ValidationError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    return writer(graph)
+    return chunks(graph)
 
 
 def load(text: str, config: Config = DEFAULT_CONFIG) -> Graph:

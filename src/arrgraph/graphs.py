@@ -256,13 +256,63 @@ def value_relabelings(graph: Graph, n: int,
         generators = symmetric_group_generators(n)
     if generators and max(itertools.chain.from_iterable(graph.labels), default=-1) >= n:
         raise ValidationError("tuple entries exceed permutation degree")
+    return _lift_label_maps(graph, [lambda t, image=g.images.__getitem__: tuple(map(image, t))
+                                    for g in generators])
+
+
+def stabilizer_relabelings(graph: Graph, n: int, v: int) -> list[Permutation]:
+    """Relabelings that fix the label t1 of vertex v, a k-tuple of distinct
+    values in 0..n-1, lifted to vertex permutations of graph as
+    value_relabelings lifts its maps: the diagonal S_k (the position map
+    Q(h) with the value map t1 h t1^-1), S_{n-k} on the values missing from
+    t1, and t -> t1 t^-1 t1 when k = n. Each symmetric factor is given by
+    symmetric_group_generators, so there are at most 5 maps. On A(n,k,r)
+    they generate the stabilizer of v in the candidate group, of order
+    k!(n-k)!, times 2 when k = n (n >= 3). A map that carries some label to
+    a tuple that is no label is left out; the maps are not checked against
+    the edges."""
+    if set(itertools.chain.from_iterable(graph.labels)).difference(range(n)):
+        raise ValidationError("tuple entries outside 0..n-1")
+    t1 = graph.labels[v]
+    k = len(t1)
+    if len(set(t1)) != k:
+        return []
+    maps = []
+    for h in symmetric_group_generators(k):
+        value = list(range(n))
+        for j, x in enumerate(t1):
+            value[x] = t1[h(j)]
+        # entry j of the image is value[t[h^-1(j)]], and t1 maps onto itself
+        maps.append(lambda t, value=value, pre=h.inverse().images:
+                    tuple(value[t[i]] for i in pre) if len(t) == k else None)
+    missing = [x for x in range(n) if x not in t1]
+    for s in symmetric_group_generators(len(missing)):
+        value = list(range(n))
+        for i, x in enumerate(missing):
+            value[x] = missing[s(i)]
+        maps.append(lambda t, image=value.__getitem__: tuple(map(image, t)))
+    if k == n:
+        def conjugated_inverse(t: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+            if len(t) != n or len(set(t)) != n:
+                return None
+            inverse = [0] * n
+            for i, x in enumerate(t):
+                inverse[x] = i
+            return tuple(t1[inverse[x]] for x in t1)
+        maps.append(conjugated_inverse)
+    return _lift_label_maps(graph, maps)
+
+
+def _lift_label_maps(graph: Graph, maps) -> list[Permutation]:
+    """The maps on tuple labels that carry every label of graph to a label,
+    as vertex permutations through one label index; a map may return None
+    for a tuple outside its domain, and is then left out. Each map is
+    injective on its domain, so distinct labels have distinct images."""
     index = {lab: i for i, lab in enumerate(graph.labels)}
     out = []
-    for g in generators:
-        image = g.images.__getitem__
-        images = [index.get(tuple(map(image, lab))) for lab in graph.labels]
+    for f in maps:
+        images = [index.get(f(lab)) for lab in graph.labels]
         if None not in images:
-            # g is a bijection of the values, so distinct labels have distinct images
             out.append(Permutation._trusted(tuple(images)))
     return out
 

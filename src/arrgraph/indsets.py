@@ -43,6 +43,21 @@ through vj. So a skipped branch cannot beat the best, and size_only, which
 keeps only strictly larger cliques, returns the same one. enumerate_all
 keeps ties, which such a branch can hold, so it never skips.
 
+The root's first child, with clique {v1}, skips in the same way, under the
+automorphisms that fix v1. Its candidates are all of v1's neighbours in the
+complement, as the root has dropped nothing yet, and every automorphism
+that fixes v1 maps them onto themselves, so the root's argument holds with
+the graph replaced by that neighbourhood. The rule stops there, because
+there its group has a form on the labels. The root's later children open
+only when the root keeps more than one orbit, which the value relabelings
+never leave on A(n,k,r) and Cay(S_n, S). A deeper node would need the
+pointwise stabilizer of its clique of two or more vertices, which has no
+such form and would need a stabilizer chain with that clique as its base.
+(Such a node's candidates lack the vertices its ancestors branched on, but
+the argument still holds, by induction over the order in which branches
+are searched: g^-1 of a skipped clique passes through an explored sibling,
+or through a vertex an ancestor branched on or skipped earlier.)
+
 Both modes take the vertices orbit by orbit under the lifted n-cycle c, the
 value relabeling t -> c(t), when every orbit is a clique of the graph, and
 in index order otherwise. A cover of the vertices by m cliques bounds alpha
@@ -58,24 +73,35 @@ edge lists, where reordering gains no bound and can slow the search
 search runs on the graph relabeled into that order, and the sets found are
 mapped back to the graph's indexes.
 
-The automorphisms are the value relabelings f of the searched graph's
-tuple labels by (0 1) and c (graphs.value_relabelings) that carry row 0
-onto row f(0) and pass is_automorphism; they are lifted and the orbits
-computed only when the root is about to open a second branch. They act
+The automorphisms at the root are the value relabelings f of the searched
+graph's tuple labels by (0 1) and c (graphs.value_relabelings); those at
+its first child are the relabelings that fix v1's label t1
+(graphs.stabilizer_relabelings): the diagonal S_k, each position swap with
+the matching value swap of t1, S_{n-k} on the values missing from t1, and
+t -> t1 t^-1 t1 when k = n, at most 5 maps. A map is kept when it fixes the
+node's clique, carries row 0 onto row f(0) and passes is_automorphism; a
+smaller group than the whole stabilizer still skips only redundant
+branches. The maps are lifted and the orbits computed only when the node
+is about to open a second branch, so a search that the root's bound ends
+after the first branch pays for neither. The value relabelings act
 transitively on A(n,k,r) and Cay(S_n, S), so the root keeps one branch
-there; on plain graphs, labelled (i,), they are almost never
-automorphisms.
+there, and on A(n,k,r) the maps at the first child generate the stabilizer
+of v1 in the candidate group, of order k!(n-k)!, times 2 when k = n. With
+both rules the seeded search of A(5,5,3) opens 640 nodes (2173 with the
+root's alone), A(6,3,2) 427 (1745), A(5,4,3) 212 (378), A(5,5,4) 24 (101).
+On plain graphs, labelled (i,), the maps are almost never automorphisms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
 from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, is_automorphism,
-                     value_relabelings)
+                     stabilizer_relabelings, value_relabelings)
 from .perms import Permutation, check_tuple_count, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
@@ -111,12 +137,21 @@ def _value_degree(graph: Graph) -> int:
     return max(values) + 1
 
 
-def _value_symmetries(graph: Graph, lift: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """Images of the maps f of lift that are automorphisms of graph (and its
-    complement): f must carry row 0 onto row f(0), then pass is_automorphism."""
+def _symmetries(graph: Graph, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Images of automorphisms of graph (and its complement) that fix each
+    vertex of prefix, which is () or one vertex: the value relabelings, or
+    the relabelings that fix the vertex's label (graphs.stabilizer_relabelings).
+    A map is kept if it fixes the prefix, carries row 0 onto row f(0), and
+    then passes is_automorphism. Labels whose values are not 0..n-1 give
+    none."""
+    n = _value_degree(graph)
+    if not n:
+        return []
+    lift = stabilizer_relabelings(graph, n, *prefix) if prefix else value_relabelings(graph, n)
     row0 = list(graph.neighbors(0))
     return [f.images for f in lift
-            if _mask(f.images[u] for u in row0) == graph.adjacency[f.images[0]]
+            if all(f.images[v] == v for v in prefix)
+            and _mask(f.images[u] for u in row0) == graph.adjacency[f.images[0]]
             and is_automorphism(graph, f)]
 
 
@@ -149,17 +184,19 @@ def _clique_cover_order(graph: Graph, lift: Sequence[Permutation]) -> Optional[l
 
 
 def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
-                 symmetries: Optional[Callable[[], list[tuple[int, ...]]]] = None,
+                 symmetries: Optional[Callable[[tuple[int, ...]], list[tuple[int, ...]]]] = None,
                  seed: Sequence[int] = ()) -> list[list[int]]:
     """Maximum cliques of the graph with bitmask adjacency adj, by branch and
     bound with a greedy coloring bound (Tomita & Kameda, J. Global Optim.
     2007) kept as bitmask color classes (San Segundo et al., Comput. Oper.
     Res. 2011): one maximum clique, or with enumerate_all every one, each
     sorted. More than node_budget nodes raise BudgetError. Without
-    enumerate_all the search starts from the seed clique, and symmetries,
-    called at most once, when the root is about to open its second branch,
-    may give automorphisms as image tuples, whose orbits the root then
-    skips (the module docstring has the arguments)."""
+    enumerate_all the search starts from the seed clique, and symmetries(C)
+    may give automorphisms that fix each vertex of the clique C, as image
+    tuples, whose orbits the node with clique C then skips: the root, with
+    C = (), and its first child, with C = (v1,), each call it at most once,
+    when about to open a second branch (the module docstring has the
+    arguments)."""
     best = len(seed)
     found = [sorted(seed)] if seed else []
     nodes = 0
@@ -199,7 +236,7 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 found.append(clique)
             return
         orbit: Optional[list[int]] = None
-        opened: set[int] = set()  # the root's branch vertices, then their orbits
+        opened: set[int] = set()  # the node's branch vertices, then their orbits
         for color in range(m, 0, -1):
             members = classes[color - 1]
             while members:
@@ -212,13 +249,14 @@ def _max_cliques(adj: list[int], nv: int, enumerate_all: bool, node_budget: int,
                 candidates ^= 1 << v
                 if prune:
                     if opened and orbit is None:
-                        orbit = orbits(symmetries(), nv)
+                        orbit = orbits(symmetries(tuple(current)), nv)
                         opened = {orbit[u] for u in opened}
                     if orbit is not None and orbit[v] in opened:
                         continue
                     opened.add(v if orbit is None else orbit[v])
                 current.append(v)
-                yield node(candidates & adj[v], False)
+                # the root's first child prunes too; opened then holds v alone
+                yield node(candidates & adj[v], prune and len(current) == 1 and len(opened) == 1)
                 current.pop()
 
     _depth_first(node((1 << nv) - 1, symmetries is not None and not enumerate_all))
@@ -279,21 +317,17 @@ def max_independent_sets(graph: Graph, mode: str = SIZE_ONLY,
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValidationError(f"unknown mode {mode!r}")
     n = _value_degree(graph)
-    generators = symmetric_group_generators(n)
     # the lifted n-cycle orders the search; (0 1) is lifted only to prune
-    order = _clique_cover_order(graph, value_relabelings(graph, n, generators[-1:]))
+    cycle = symmetric_group_generators(n)[-1:]
+    order = _clique_cover_order(graph, value_relabelings(graph, n, cycle))
     searched = graph
     if order is not None:
         # vertex order[i] of graph is vertex i of the searched graph
         searched = graph.relabeled(Permutation._trusted(tuple(order)).inverse())
     adj = searched.adjacency
-
-    def symmetries() -> list[tuple[int, ...]]:
-        return _value_symmetries(searched, value_relabelings(searched, n, generators))
-
     seed = () if mode == ENUMERATE_ALL else _min_degree_independent_set(adj)
-    sets = _max_cliques(_complement(adj), graph.vertex_count,
-                        mode == ENUMERATE_ALL, config.node_budget, symmetries, seed)
+    sets = _max_cliques(_complement(adj), graph.vertex_count, mode == ENUMERATE_ALL,
+                        config.node_budget, functools.partial(_symmetries, searched), seed)
     if order is not None:
         sets = [sorted(map(order.__getitem__, s)) for s in sets]
     for s in sets:

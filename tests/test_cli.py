@@ -101,6 +101,19 @@ def test_gen_to_stdout(capsys):
     assert "6 vertices" in err  # counts go to stderr when the doc is on stdout
 
 
+@pytest.mark.parametrize("fmt", ["graphdoc", "edgelist", "dot"])
+def test_gen_writes_the_text_of_the_writer(capsys, tmp_path, fmt):
+    # the file is written piece by piece, and holds what graphio's to_*
+    # writer returns as one string
+    out_path = tmp_path / "g.out"
+    code, _, _ = run(capsys, "gen", "arrangement", "--n", "4", "--k", "3", "--r", "2",
+                     "--format", fmt, "-o", str(out_path))
+    assert code == EXIT_OK
+    writer = {"graphdoc": graphio.to_graphdoc, "edgelist": graphio.to_edgelist,
+              "dot": graphio.to_dot}[fmt]
+    assert out_path.read_text() == writer(build_arrangement_graph(4, 3, 2))
+
+
 def test_gen_invalid_parameters_no_partial_file(capsys, tmp_path):
     out_path = str(tmp_path / "bad.json")
     code, _, err = run(capsys, "gen", "arrangement", "--n", "4", "--k", "5",

@@ -223,11 +223,41 @@ def test_dot_output():
 def test_dump_load_dispatch():
     g = build_arrangement_graph(4, 2, 1)
     for fmt in (graphio.FORMAT_EDGELIST, graphio.FORMAT_GRAPHDOC):
-        h = graphio.load(graphio.dump(g, fmt))
+        h = graphio.load("".join(graphio.dump(g, fmt)))
         assert h.vertex_count == g.vertex_count
         assert sorted(edges(h)) == sorted(edges(g))
     with pytest.raises(ValidationError):
         graphio.dump(g, "gml")
+
+
+def test_graphdoc_pieces_match_one_json_text():
+    # the document is written a row at a time around a head and a tail cut
+    # from the JSON text of the rowless document; joined, it is the text that
+    # json.dumps gives for the whole one, also when the metadata or a string
+    # in it holds "rows"
+    cases = [build_arrangement_graph(4, 3, 2), graphs.Graph([], [], None),
+             graphs.Graph([(1, 2), (0,)], [2, 1], {"rows": [], "note": '"rows":[]'})]
+    for g in cases:
+        pieces = list(graphio.dump(g, graphio.FORMAT_GRAPHDOC))
+        assert len(pieces) == g.vertex_count + 2
+        width = (g.vertex_count + 3) // 4
+        doc = {"format": "arrgraph-graphdoc", "version": 2, "metadata": g.metadata,
+               "vertex_count": g.vertex_count,
+               "labels": [[x + 1 for x in lab] for lab in g.labels],
+               "rows": [format(row, f"0{width}x") for row in g.adjacency]}
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert "".join(pieces) == graphio.to_graphdoc(g) == expected
+        assert graphio.load(expected).adjacency == g.adjacency
+
+
+def test_dump_yields_a_row_at_a_time():
+    g = build_arrangement_graph(4, 2, 1)
+    for fmt, to_text in [(graphio.FORMAT_EDGELIST, graphio.to_edgelist),
+                         (graphio.FORMAT_DOT, graphio.to_dot)]:
+        pieces = list(graphio.dump(g, fmt))
+        assert "".join(pieces) == to_text(g)
+        # no piece holds the edges of two rows
+        assert max(len({line.split()[0] for line in p.splitlines()}) for p in pieces) == 1
 
 
 def test_load_file(tmp_path):

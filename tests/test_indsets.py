@@ -1,5 +1,6 @@
 """Delta families and exact maximum-independent-set search."""
 
+import functools
 import inspect
 import itertools
 import math
@@ -12,11 +13,12 @@ from arrgraph import graphio, indsets, suite
 from arrgraph.autsearch import automorphism_group
 from arrgraph.config import Config
 from arrgraph.errors import ArrgraphError, BudgetError, ValidationError
-from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph,
-                             is_automorphism, value_relabelings)
+from arrgraph.graphs import (build_arrangement_graph, build_cayley_graph, is_automorphism,
+                             stabilizer_relabelings)
 from arrgraph.indsets import (ENUMERATE_ALL, SIZE_ONLY, delta_family, is_maximal_independent,
                               max_independent_sets)
-from arrgraph.perms import connection_set, orbits, symmetric_group_generators
+from arrgraph.perms import (Permutation, StabilizerChain, connection_set, orbits,
+                            symmetric_group_generators)
 from arrgraph.suite import verify_prop_2_1
 from oracles import (differing_coordinates, edges, graph_from_edges,
                      independence_number_by_branching, independence_number_oracle,
@@ -111,7 +113,7 @@ def test_mis_size_only():
 
 def test_mis_guard_and_mode_validation():
     # size_only ends A(4,2,2) at its root, whose coloring bound the seed
-    # reaches; the seeded search of A(5,5,3) opens about 2170 nodes
+    # reaches; the seeded search of A(5,5,3) opens 640 nodes
     with pytest.raises(BudgetError):
         max_independent_sets(build_arrangement_graph(5, 5, 3), SIZE_ONLY, Config(node_budget=2))
     g = build_arrangement_graph(4, 2, 2)
@@ -294,17 +296,19 @@ def test_greedy_matches_integer_degrees():
         assert is_maximal_independent(g, chosen)
 
 
-# (n, k, r): search nodes without symmetries, then with the root rule, then
-# with the root rule from the min-degree greedy seed, as max_independent_sets
-# searches, and the one maximum independent set that the unseeded size_only
-# returns either way; the first count and the set were recorded from the
-# search with (vertex, color) tuples
+# (n, k, r): search nodes without symmetries, then with the root and
+# depth-1 rules, then with both rules from the min-degree greedy seed, as
+# max_independent_sets searches, and the one maximum independent set that
+# the unseeded size_only returns either way; the first count and the set
+# were recorded from the search with (vertex, color) tuples. With the root
+# rule alone the last two counts were 2210/2173, 1787/1745, 378/378 and
+# 121/101
 PINNED_SIZE_ONLY = {
-    (5, 5, 3): (22623, 2210, 2173, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92,
-                                    93, 112, 113, 118, 119]),
-    (6, 3, 2): (27805, 1787, 1745, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
-    (5, 4, 3): (6332, 378, 378, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
-    (5, 5, 4): (1569, 121, 101, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
+    (5, 5, 3): (22623, 677, 640, [0, 1, 6, 7, 26, 27, 36, 37, 52, 53, 66, 67, 82, 83, 92,
+                                  93, 112, 113, 118, 119]),
+    (6, 3, 2): (27805, 469, 427, [19, 39, 59, 79, 83, 87, 91, 95, 116, 117, 118, 119]),
+    (5, 4, 3): (6332, 212, 212, [18, 19, 68, 69, 92, 93, 98, 100, 108, 113, 114, 119]),
+    (5, 5, 4): (1569, 44, 24, [9, 21, 22, 24, 36, 43, 58, 72, 75, 87, 113, 114, 117]),
 }
 
 
@@ -322,11 +326,12 @@ def test_size_only_clique_descent_pinned(nkr):
 
 def lifted_symmetries(g):
     """The value relabelings of g's labels that are automorphisms of g."""
-    return indsets._value_symmetries(g, value_relabelings(g, indsets._value_degree(g)))
+    return indsets._symmetries(g, ())
 
 
-def value_symmetries(g):
-    return lambda: lifted_symmetries(g)
+def label_symmetries(g):
+    """The symmetries callable that max_independent_sets passes for g."""
+    return functools.partial(indsets._symmetries, g)
 
 
 @pytest.mark.parametrize("nkr", list(PINNED_SIZE_ONLY), ids=lambda nkr: "A(%d,%d,%d)" % nkr)
@@ -336,9 +341,9 @@ def test_size_only_search_pinned(nkr):
     adj = indsets._complement(g.adjacency)
     assert cliques_within_exact_budget(adj, g.vertex_count, False, nodes) == [clique]
     assert indsets._max_cliques(adj, g.vertex_count, False, pruned,
-                                value_symmetries(g)) == [clique]
+                                label_symmetries(g)) == [clique]
     with pytest.raises(BudgetError):
-        indsets._max_cliques(adj, g.vertex_count, False, pruned - 1, value_symmetries(g))
+        indsets._max_cliques(adj, g.vertex_count, False, pruned - 1, label_symmetries(g))
     assert max_independent_sets(g, SIZE_ONLY, Config(node_budget=seeded)) == (len(clique), None)
     with pytest.raises(BudgetError):
         max_independent_sets(g, SIZE_ONLY, Config(node_budget=seeded - 1))
@@ -394,7 +399,7 @@ def assert_root_rule_keeps_answer(g, unpruned=None):
     if unpruned is None:
         unpruned = indsets._max_cliques(adj, g.vertex_count, False, 10**7)
     assert indsets._max_cliques(adj, g.vertex_count, False, 10**7,
-                                value_symmetries(g)) == unpruned
+                                label_symmetries(g)) == unpruned
     assert max_independent_sets(g, SIZE_ONLY) == (len(unpruned[0]), None)
 
 
@@ -471,6 +476,12 @@ def test_root_rule_needs_labels_over_0_to_n_minus_1():
     huge = graph_from_edges([tuple(x + 10**12 for x in t) for t in g.labels], edges(g))
     assert lifted_symmetries(shifted) == lifted_symmetries(huge) == []
     assert max_independent_sets(shifted)[0] == max_independent_sets(huge)[0] == 3
+    # the search of A(5,5,3) reaches the root's first child's second branch,
+    # which asks for the maps that fix its vertex: there are none either
+    g = build_arrangement_graph(5, 5, 3)
+    shifted = graph_from_edges([tuple(x - 1 for x in t) for t in g.labels], edges(g))
+    assert indsets._symmetries(shifted, (0,)) == []
+    assert max_independent_sets(shifted) == (20, None)
 
 
 def test_root_rule_leaves_edge_lists_unpruned():
@@ -507,8 +518,8 @@ def test_row_zero_rejects_before_the_whole_check(monkeypatch):
 
 
 def test_root_rule_computes_orbits_only_for_a_second_root_branch():
-    def refuse():
-        raise AssertionError("symmetries asked for")
+    def refuse(prefix):
+        raise AssertionError(f"symmetries asked for at {prefix}")
 
     # A(6,6,2): the root's first branch reaches alpha = 360, and the
     # coloring bound then closes the root
@@ -520,6 +531,89 @@ def test_root_rule_computes_orbits_only_for_a_second_root_branch():
     g = build_arrangement_graph(4, 4, 4)
     cliques = indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count, True, 10**6, refuse)
     assert len(cliques) == 16
+
+
+# -- the depth-1 rule of size_only ----------------------------------------------
+
+
+def stabilizer_order(n, k):
+    """The order of the stabilizer of a vertex of A(n,k,r) in the group of
+    value and position relabelings (and tuple inversion when k = n); for
+    k = n <= 2 that group acts trivially."""
+    if k == n <= 2:
+        return 1
+    return math.factorial(k) * math.factorial(n - k) * (2 if k == n else 1)
+
+
+def assert_depth_one_maps(g, n, k):
+    """For a few vertices v1 of g: every label relabeling that fixes v1's
+    label is kept as an automorphism that fixes v1, and the kept maps
+    generate the stabilizer of v1, of order k!(n-k)! (times 2 when k = n)."""
+    for v in sorted({0, g.vertex_count // 2, g.vertex_count - 1}):
+        maps = indsets._symmetries(g, (v,))
+        assert len(maps) == len(stabilizer_relabelings(g, n, v))
+        for images in maps:
+            assert images[v] == v and is_automorphism(g, Permutation(images))
+        group = StabilizerChain([Permutation(images) for images in maps], g.vertex_count)
+        assert group.order() == stabilizer_order(n, k)
+
+
+def test_depth_one_maps_every_arrangement_graph_up_to_n5():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                assert_depth_one_maps(build_arrangement_graph(n, k, r), n, k)
+
+
+@pytest.mark.parametrize("kind,fixed", [("transpositions", None), ("derangements", None)]
+                         + [("fixed", f) for f in range(4)],
+                         ids=["T", "D", "F0", "F1", "F2", "F3"])
+def test_depth_one_maps_cayley_s5(kind, fixed):
+    assert_depth_one_maps(build_cayley_graph(5, connection_set(5, kind, fixed)), 5, 5)
+
+
+@pytest.mark.parametrize("nkr", [(5, 5, 3), (6, 3, 2)], ids=["A(5,5,3)", "A(6,3,2)"])
+def test_depth_one_rule_leaves_edge_lists_unpruned(nkr):
+    # the edge list's labels (i,) give S_{V-1} on the other indexes, whose
+    # maps fail on row 0; the search, unpruned, finds the same alpha
+    g = build_arrangement_graph(*nkr)
+    listed = graphio.load(graphio.to_edgelist(g))
+    assert [indsets._symmetries(listed, (v,)) for v in range(listed.vertex_count)] == [
+        []] * listed.vertex_count
+    assert max_independent_sets(listed) == max_independent_sets(g) == (
+        UNSEEDED_ALPHA[nkr], None)
+
+
+def test_depth_one_rule_asks_for_the_first_child_only(monkeypatch):
+    # A(5,5,3): the root's first child opens a second branch, and asks for
+    # the maps that fix its vertex once; no other node but the root asks
+    asked = []
+    search = indsets._max_cliques
+
+    def recorded(adj, nv, enumerate_all, node_budget, symmetries, seed):
+        def ask(prefix):
+            asked.append(prefix)
+            return symmetries(prefix)
+        return search(adj, nv, enumerate_all, node_budget, ask, seed)
+
+    monkeypatch.setattr(indsets, "_max_cliques", recorded)
+    assert max_independent_sets(build_arrangement_graph(5, 5, 3)) == (20, None)
+    assert len(asked) == 2 and asked[1] == () and len(asked[0]) == 1
+
+
+def test_stabilizer_relabelings_fix_the_label():
+    g = build_arrangement_graph(5, 3, 3)
+    v = g.labels.index((4, 0, 2))
+    maps = stabilizer_relabelings(g, 5, v)
+    # (0 1) and the 3-cycle of the diagonal S_3, one swap of S_2 on {1, 3}
+    assert len(maps) == 3 and all(f(v) == v for f in maps)
+    swap = g.labels.index((3, 2, 0))
+    assert g.labels[maps[0](swap)] == (2, 3, 4)  # positions 0, 1 and values 4, 0 swapped
+    assert g.labels[maps[2](swap)] == (1, 2, 0)  # values 1 and 3 swapped
+    # labels with a repeated value, or entries outside 0..n-1
+    assert stabilizer_relabelings(graph_from_edges([(0, 0), (0, 1)], []), 2, 0) == []
+    with pytest.raises(ValidationError):
+        stabilizer_relabelings(g, 4, v)
 
 
 @pytest.mark.parametrize("n,k,nodes", [(4, 4, 69), (5, 3, 169)])
@@ -703,35 +797,52 @@ def _mask_image(images, row):
     return out
 
 
-@pytest.mark.parametrize("n,k", [(4, 3), (4, 4), (5, 3)])
-def test_cover_order_with_root_pruning(n, k, monkeypatch):
-    # A(n,k,k) with the edges of A(n,k,k-1) added: the c-orbits stay
-    # cliques, but the orbit cover no longer meets alpha, so the root opens
-    # a second branch and prunes by the value relabelings, moved to the
-    # searched order
-    nkk, extra = build_arrangement_graph(n, k, k), build_arrangement_graph(n, k, k - 1)
+def pruning_in_cover_order(n, k, r, monkeypatch):
+    """A(n,k,k) with the edges of A(n,k,r) added, searched by size_only in
+    the order of the c-orbits, which stay cliques; every map the search is
+    given, moved to the searched order, is an automorphism of the searched
+    complement that fixes its prefix. Returns the prefixes asked for."""
+    nkk, extra = build_arrangement_graph(n, k, k), build_arrangement_graph(n, k, r)
     g = graph_from_edges(nkk.labels, itertools.chain(edges(nkk), edges(extra)))
     assert uses_cover_order(g, monkeypatch)
     asked = []
     search = indsets._max_cliques
 
     def checked_search(adj, nv, enumerate_all, node_budget, symmetries, seed):
-        def moved():
-            images = symmetries()
-            asked.append(images)
-            # each moved map is an automorphism of the searched complement
+        def moved(prefix):
+            images = symmetries(prefix)
+            asked.append((prefix, len(images)))
             for f in images:
                 assert all(_mask_image(f, adj[v]) == adj[f[v]] for v in range(nv))
+                assert all(f[v] == v for v in prefix)
             return images
         return search(adj, nv, enumerate_all, node_budget, moved, seed)
 
     monkeypatch.setattr(indsets, "_max_cliques", checked_search)
     size, _ = max_independent_sets(g, SIZE_ONLY)
     monkeypatch.undo()
-    assert asked and len(asked[0]) == len(symmetric_group_generators(n))
     unpruned = indsets._max_cliques(indsets._complement(g.adjacency), g.vertex_count,
                                     False, 10**7)
     assert size == len(unpruned[0])
+    return asked
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (4, 4), (5, 3)])
+def test_cover_order_with_root_pruning(n, k, monkeypatch):
+    # with the edges of A(n,k,k-1) the orbit cover no longer meets alpha, so
+    # the root opens a second branch and prunes by the value relabelings
+    asked = pruning_in_cover_order(n, k, k - 1, monkeypatch)
+    assert asked == [((), len(symmetric_group_generators(n)))]
+
+
+@pytest.mark.parametrize("n,k,r,kept", [(5, 3, 1, 3), (5, 4, 2, 2), (5, 5, 3, 3)])
+def test_cover_order_with_depth_one_pruning(n, k, r, kept, monkeypatch):
+    # here the root's first child opens a second branch too, before the root
+    # does, and prunes by the relabelings that fix its vertex's label: the
+    # diagonal S_k's two, one for S_{n-k} = S_2, or one for t -> t1 t^-1 t1
+    [(prefix, count), root] = pruning_in_cover_order(n, k, r, monkeypatch)
+    assert len(prefix) == 1 and count == kept
+    assert root == ((), len(symmetric_group_generators(n)))
 
 
 # -- the characterization, as the prop2.1 claim checks it ---------------------
