@@ -213,12 +213,11 @@ def _row_bytes(rows: list[int]) -> bytes:
 
 
 class _IRSearch:
-    def __init__(self, graph: Graph, config: Config, nodes: int = 0):
-        """nodes: the nodes already charged to config.node_budget by the
-        searches of earlier parts of the same graph."""
-        self.graph = graph
-        self.adj = graph.adjacency
-        self.n = graph.vertex_count
+    def __init__(self, adj: list[int], config: Config, nodes: int = 0):
+        """adj: the searched graph's bit rows; nodes: those already charged to
+        config.node_budget by the searches of earlier parts of the graph."""
+        self.adj = adj
+        self.n = len(adj)
         self.config = config
         self.nodes = nodes
         self.leaves = 0
@@ -374,10 +373,8 @@ def _search_parts(graph: Graph, tree: list[tuple[int, Optional[bool], int]],
         if co is None:
             end -= size
             verts = order[end:end + size]
-            part = Graph._from_adjacency(
-                [graph.labels[v] for v in verts],
-                [row >> end & ((1 << size) - 1) for row in rows[end:end + size]], {})
-            search = _IRSearch(part, config, nodes)
+            search = _IRSearch([row >> end & ((1 << size) - 1) for row in rows[end:end + size]],
+                               config, nodes)
             search.run()
             nodes, leaves = search.nodes, leaves + search.leaves
             lab = search.best[1]
@@ -389,7 +386,7 @@ def _search_parts(graph: Graph, tree: list[tuple[int, Optional[bool], int]],
             group = StabilizerChain.from_strong_generators(
                 search.first_prefix, map(Permutation._trusted, search.automorphisms),
                 size).order()
-            done = (size, _relabel_rows(part.adjacency, lab), [verts[x] for x in lab],
+            done = (size, _relabel_rows(search.adj, lab), [verts[x] for x in lab],
                     [verts[x] for x in search.first_prefix], group)
         else:
             children = sorted(reversed(joined[index]), key=lambda c: c[:2])
@@ -436,7 +433,7 @@ def automorphism_group(graph: Graph, config: Config = DEFAULT_CONFIG) -> AutResu
     tree = _split_tree(graph.adjacency, graph.vertex_count)
     if len(tree) > 1:
         return _search_parts(graph, tree, config)
-    search = _IRSearch(graph, config)
+    search = _IRSearch(graph.adjacency, config)
     search.run()
     cert_bits, lab = search.best
     return _aut_result(graph, lab, cert_bits, search.automorphisms, search.first_prefix,

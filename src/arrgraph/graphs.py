@@ -16,12 +16,12 @@ import itertools
 import math
 from bisect import bisect_left
 from functools import reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ValidationError
-from .perms import (ConnectionSet, Permutation, _require_ints, check_tuple_count,
+from .perms import (ConnectionSet, Permutation, _inverse, _require_ints, check_tuple_count,
                     symmetric_group_generators)
 
 
@@ -116,10 +116,7 @@ def build_arrangement_graph(n: int, k: int, r: int,
     nv = len(labels)
     full = (1 << nv) - 1
     at = []
-    for j in range(k):
-        holders: list[list[int]] = [[] for _ in range(n)]
-        for v, t in enumerate(labels):
-            holders[t[j]].append(v)
+    for holders in _delta_lists(labels, n, k):
         masks = []
         for vertices in holders:
             digits = bytearray(b"0") * nv  # digits[v] is bit v, read reversed
@@ -141,6 +138,18 @@ def build_arrangement_graph(n: int, k: int, r: int,
         adjacency.append(row)
     return Graph._from_adjacency(
         labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
+
+
+def _delta_lists(labels: Sequence[tuple[int, ...]], n: int, k: int) -> list[list[list[int]]]:
+    """held[j][i]: the delta set D_{i,j} of the k-tuples over 0..n-1 in rank
+    order, the ranks of those with value i at position j, ascending."""
+    held = []
+    for j in range(k):
+        holders: list[list[int]] = [[] for _ in range(n)]
+        for v, t in enumerate(labels):
+            holders[t[j]].append(v)
+        held.append(holders)
+    return held
 
 
 def build_cayley_graph(n: int, cset: ConnectionSet,
@@ -220,101 +229,93 @@ def _value_swap_tables(n: int) -> list[list[tuple[int, int]]]:
 
 
 # --------------------------------------------------------------------------
-# The three automorphism families. A full-length tuple t is the one-line
-# form of the permutation Permutation(t), mapping i to t[i].
+# The three automorphism families: each map on tuple labels is a chain of the
+# three primitives below, lifted by _lift_label_maps alone. A full-length
+# tuple t is the one-line form of the permutation i -> t[i].
 
 
-def apply_position_permutation(h: Permutation, t: Sequence[int]) -> tuple[int, ...]:
-    """Permute positions: entry j of the result is entry h^-1(j). The map Q(h)."""
-    if h.degree != len(t):
-        raise ValidationError(f"position permutation degree {h.degree} != k={len(t)}")
-    hinv = h.inverse()
-    return tuple(t[hinv(j)] for j in range(len(t)))
+def _value_map(g: Sequence[int]):
+    """t -> g(t): entry j of the image is g[t[j]]."""
+    image = g.__getitem__
+    return lambda t: tuple(map(image, t))
 
 
-def invert_tuple(t: Sequence[int]) -> tuple[int, ...]:
-    """One-line form of the inverse permutation; an involution on full-length
-    tuples (the extra vertex map beyond value/position relabelings)."""
-    return Permutation(t).inverse().images
+def _position_map(pre: Sequence[int]):
+    """Q(h) for pre = h^-1, the identity for degree <= 1: entry j of the image
+    is t[h^-1(j)]; None for a tuple whose length is not h's degree."""
+    get = itemgetter(*pre) if len(pre) > 1 else tuple
+    return lambda t: get(t) if len(t) == len(pre) else None
 
 
-def vertex_permutation(graph: Graph, tuple_map) -> Permutation:
-    """Lift a map on tuple labels to a permutation of vertex indexes."""
+def _inversion(t: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """t^-1 when t lists 0..len(t)-1, else None."""
+    return _inverse(t) if sorted(t) == list(range(len(t))) else None
+
+
+def _lift_label_maps(graph: Graph, n: int, maps) -> list[Permutation]:
+    """The maps on tuple labels, each a sequence of primitives applied in turn,
+    that carry every label of graph to a label, as vertex permutations through
+    one label index; a step giving None for some label leaves its map out. The
+    maps are injective on their domains. Label entries outside 0..n-1 raise
+    ValidationError, unless there is no map."""
+    if not maps:
+        return []
+    if any(not 0 <= x < n for x in set(itertools.chain.from_iterable(graph.labels))):
+        raise ValidationError(f"tuple entries outside 0..n-1 for n={n}")
     index = {lab: i for i, lab in enumerate(graph.labels)}
-    return Permutation(index[tuple(tuple_map(lab))] for lab in graph.labels)
+    out = []
+    for steps in maps:
+        images = graph.labels
+        for step in (*steps, index.get):
+            images = list(map(step, images))
+            if None in images:
+                break
+        else:
+            out.append(Permutation._trusted(tuple(images)))
+    return out
 
 
 def value_relabelings(graph: Graph, n: int,
                       generators: Optional[Sequence[Permutation]] = None
                       ) -> list[Permutation]:
-    """The value relabelings t -> g(t), for g in generators (by default
+    """The value maps t -> g(t), for g in generators (by default
     symmetric_group_generators(n), whose last map is the n-cycle for n >= 2),
-    lifted to vertex permutations of a graph whose label entries lie in
-    0..n-1. A g that maps some label to a tuple that is no label is left
-    out. The maps are not checked against the edges."""
+    lifted by _lift_label_maps. A g that maps some label to a tuple that is
+    no label is left out. The maps are not checked against the edges."""
     if generators is None:
         generators = symmetric_group_generators(n)
-    if generators and max(itertools.chain.from_iterable(graph.labels), default=-1) >= n:
-        raise ValidationError("tuple entries exceed permutation degree")
-    return _lift_label_maps(graph, [lambda t, image=g.images.__getitem__: tuple(map(image, t))
-                                    for g in generators])
+    return _lift_label_maps(graph, n, [(_value_map(g.images),) for g in generators])
 
 
 def stabilizer_relabelings(graph: Graph, n: int, v: int) -> list[Permutation]:
     """Relabelings that fix the label t1 of vertex v, a k-tuple of distinct
-    values in 0..n-1, lifted to vertex permutations of graph as
-    value_relabelings lifts its maps: the diagonal S_k (the position map
-    Q(h) with the value map t1 h t1^-1), S_{n-k} on the values missing from
-    t1, and t -> t1 t^-1 t1 when k = n. Each symmetric factor is given by
+    values in 0..n-1, lifted by _lift_label_maps: the diagonal S_k (the
+    position map Q(h), then the value map t1 h t1^-1), S_{n-k} on the
+    values missing from t1, and t -> t1 t^-1 t1 when k = n (inversion, then
+    Q(t1^-1), then the value map t1). Each symmetric factor is given by
     symmetric_group_generators, so there are at most 5 maps. On A(n,k,r)
     they generate the stabilizer of v in the candidate group, of order
     k!(n-k)!, times 2 when k = n (n >= 3). A map that carries some label to
     a tuple that is no label is left out; the maps are not checked against
     the edges."""
-    if set(itertools.chain.from_iterable(graph.labels)).difference(range(n)):
-        raise ValidationError("tuple entries outside 0..n-1")
     t1 = graph.labels[v]
     k = len(t1)
     if len(set(t1)) != k:
         return []
-    maps = []
-    for h in symmetric_group_generators(k):
-        value = list(range(n))
-        for j, x in enumerate(t1):
-            value[x] = t1[h(j)]
-        # entry j of the image is value[t[h^-1(j)]], and t1 maps onto itself
-        maps.append(lambda t, value=value, pre=h.inverse().images:
-                    tuple(value[t[i]] for i in pre) if len(t) == k else None)
+
+    def moving(values: Sequence[int], h: Permutation):
+        """values[i] -> values[h(i)] on 0..n-1, the rest fixed; an entry of
+        t1 off 0..n-1 is skipped here and rejected by the lift."""
+        moved = dict(zip(values, (values[i] for i in h.images)))
+        return _value_map([moved.get(x, x) for x in range(n)])
+
+    maps = [(_position_map(h.inverse().images), moving(t1, h))
+            for h in symmetric_group_generators(k)]
     missing = [x for x in range(n) if x not in t1]
-    for s in symmetric_group_generators(len(missing)):
-        value = list(range(n))
-        for i, x in enumerate(missing):
-            value[x] = missing[s(i)]
-        maps.append(lambda t, image=value.__getitem__: tuple(map(image, t)))
+    maps += [(moving(missing, s),) for s in symmetric_group_generators(len(missing))]
     if k == n:
-        def conjugated_inverse(t: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-            if len(t) != n or len(set(t)) != n:
-                return None
-            inverse = [0] * n
-            for i, x in enumerate(t):
-                inverse[x] = i
-            return tuple(t1[inverse[x]] for x in t1)
-        maps.append(conjugated_inverse)
-    return _lift_label_maps(graph, maps)
-
-
-def _lift_label_maps(graph: Graph, maps) -> list[Permutation]:
-    """The maps on tuple labels that carry every label of graph to a label,
-    as vertex permutations through one label index; a map may return None
-    for a tuple outside its domain, and is then left out. Each map is
-    injective on its domain, so distinct labels have distinct images."""
-    index = {lab: i for i, lab in enumerate(graph.labels)}
-    out = []
-    for f in maps:
-        images = [index.get(f(lab)) for lab in graph.labels]
-        if None not in images:
-            out.append(Permutation._trusted(tuple(images)))
-    return out
+        maps.append((_inversion, _position_map(t1), _value_map(t1)))
+    return _lift_label_maps(graph, n, maps)
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -459,21 +460,23 @@ def is_automorphism(graph: Graph, f: Permutation) -> bool:
 
 def candidate_aut_generators(n: int, k: int, graph: Graph) -> list[Permutation]:
     """Vertex permutations of a graph with the labels of A(n,k,r), for any r,
-    generating the expected automorphism group: value relabelings for the
-    generators of S_n, position relabelings for those of S_k, plus tuple
-    inversion when k = n. Cay(S_n, F_{n-r}) has the labels of A(n,n,r),
-    and there the value relabelings are the right multiplications and the
-    position relabelings the left ones.
+    generating the expected automorphism group: the value maps for the
+    generators of S_n, the position maps for those of S_k, and inversion
+    when k = n, lifted by _lift_label_maps; a map off the labels raises
+    ValidationError. Cay(S_n, F_{n-r}) has the labels of A(n,n,r), and there
+    the value maps are the right multiplications, the position maps the left.
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
-    out = value_relabelings(graph, n)
-    if len(out) != len(symmetric_group_generators(n)):
-        raise ValidationError(f"the graph's labels are not closed under S_{n}")
-    for h in symmetric_group_generators(k):
-        out.append(vertex_permutation(graph, lambda t: apply_position_permutation(h, t)))
+    _require_ints(n=n, k=k)
+    maps = [(_value_map(g.images),) for g in symmetric_group_generators(n)]
+    maps += [(_position_map(h.inverse().images),) for h in symmetric_group_generators(k)]
     if k == n:
-        out.append(vertex_permutation(graph, invert_tuple))
+        maps.append((_inversion,))
+    out = _lift_label_maps(graph, n, maps)
+    if len(out) != len(maps):
+        raise ValidationError(f"the graph's labels are not closed under S_{n} on values, "
+                              f"S_{k} on positions" + (" and inversion" if k == n else ""))
     for f in out:
         if not is_automorphism(graph, f):
             raise AssertionError(

@@ -78,8 +78,10 @@ graph's tuple labels by (0 1) and c (graphs.value_relabelings); those at
 its first child are the relabelings that fix v1's label t1
 (graphs.stabilizer_relabelings): the diagonal S_k, each position swap with
 the matching value swap of t1, S_{n-k} on the values missing from t1, and
-t -> t1 t^-1 t1 when k = n, at most 5 maps. A map is kept when it fixes the
-node's clique, carries row 0 onto row f(0) and passes is_automorphism; a
+t -> t1 t^-1 t1 when k = n, at most 5 maps, each a chain of graphs' value
+map, position map Q(h) and inversion, lifted by _lift_label_maps as the
+candidate generators are. A map is kept when it fixes the node's clique,
+carries row 0 onto row f(0) and passes is_automorphism; a
 smaller group than the whole stabilizer still skips only redundant
 branches. The maps are lifted and the orbits computed only when the node
 is about to open a second branch, so a search that the root's bound ends
@@ -100,8 +102,8 @@ from typing import Callable, Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask, is_automorphism,
-                     stabilizer_relabelings, value_relabelings)
+from .graphs import (Graph, _bits, _count_planes, _delta_lists, _depth_first, _mask,
+                     is_automorphism, stabilizer_relabelings, value_relabelings)
 from .perms import Permutation, check_tuple_count, orbits, symmetric_group_generators
 
 SIZE_ONLY = "size_only"
@@ -110,15 +112,11 @@ ENUMERATE_ALL = "enumerate_all"
 
 def delta_family(n: int, k: int, config: Config = DEFAULT_CONFIG
                  ) -> list[tuple[tuple[int, int], frozenset[int]]]:
-    """All delta sets in (i, j)-lexicographic order, from one pass over the
-    tuples, once n and k pass check_tuple_count: vertex v joins the set
-    (i, j) for each entry i at position j of its tuple."""
+    """All delta sets D_{i,j} in (i, j)-lexicographic order, as
+    graphs._delta_lists lists them, once n and k pass check_tuple_count."""
     check_tuple_count(n, k, config)
-    members: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
-    for v, t in enumerate(itertools.permutations(range(n), k)):
-        for j, i in enumerate(t):
-            members[i][j].append(v)
-    return [((i, j), frozenset(members[i][j])) for i in range(n) for j in range(k)]
+    held = _delta_lists(list(itertools.permutations(range(n), k)), n, k)
+    return [((i, j), frozenset(held[j][i])) for i in range(n) for j in range(k)]
 
 
 def _complement(adj: Sequence[int]) -> list[int]:

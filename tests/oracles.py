@@ -8,7 +8,8 @@ take-or-drop branching, independence pair by pair, the min-degree greedy
 with integer degrees, the IR search with orbit pruning only with its
 leaf certificates from neighbour lists, equitable refinement vertex by
 vertex, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
-itself, value relabelings of tuples, Cay(S_n, S) one composed tuple at a
+itself, value and position relabelings and inversion of tuples, lifted
+one validated permutation per map, Cay(S_n, S) one composed tuple at a
 time, minimal block systems, common neighbourhoods, the bit matrix
 transpose bit by bit, the row map edge by edge, the automorphism check
 by relabeling, graphs given by their edges, their edge lists, and
@@ -301,7 +302,8 @@ class OrbitPruningSearch(_IRSearch):
     so its group does not rest on the search's first path."""
 
     def __init__(self, graph, config):
-        super().__init__(graph, config)
+        super().__init__(graph.adjacency, config)
+        self.graph = graph
         self.seen = set()
         self.neighbours = [list(graph.neighbors(v)) for v in range(self.n)]
 
@@ -487,6 +489,27 @@ def apply_value_permutation(g: Permutation, t: Sequence[int]) -> tuple[int, ...]
     if any(x >= g.degree for x in t):
         raise ValidationError("tuple entries exceed permutation degree")
     return tuple(g(x) for x in t)
+
+
+def apply_position_permutation(h: Permutation, t: Sequence[int]) -> tuple[int, ...]:
+    """Permute positions: entry j of the result is entry h^-1(j). The map Q(h)."""
+    if h.degree != len(t):
+        raise ValidationError(f"position permutation degree {h.degree} != k={len(t)}")
+    hinv = h.inverse()
+    return tuple(t[hinv(j)] for j in range(len(t)))
+
+
+def invert_tuple(t: Sequence[int]) -> tuple[int, ...]:
+    """One-line form of the inverse permutation; an involution on full-length
+    tuples (the extra vertex map beyond value/position relabelings)."""
+    return Permutation(t).inverse().images
+
+
+def vertex_permutation(graph: Graph, tuple_map) -> Permutation:
+    """Lift a map on tuple labels to a permutation of vertex indexes, through
+    a validating Permutation: the reference for graphs._lift_label_maps."""
+    index = {lab: i for i, lab in enumerate(graph.labels)}
+    return Permutation(index[tuple(tuple_map(lab))] for lab in graph.labels)
 
 
 def differing_coordinates(s: Sequence[int], t: Sequence[int]) -> int:

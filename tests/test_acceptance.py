@@ -14,16 +14,16 @@ import time
 import pytest
 
 from arrgraph.autsearch import automorphism_group
-from arrgraph.graphs import (apply_position_permutation, build_arrangement_graph,
-                             invert_tuple, vertex_permutation)
+from arrgraph.graphs import build_arrangement_graph
 from arrgraph.indsets import max_independent_sets
 from arrgraph.perms import Permutation, StabilizerChain
 from arrgraph.suite import (Context, test_conjecture as conjecture_probe,
                             verify_blocks, verify_lemma_2_5, verify_prop_2_1,
                             verify_prop_2_2, verify_prop_2_6,
                             verify_section3_iso, verify_theorem_1_2)
-from oracles import (apply_value_permutation, brute_force_closure, common_neighborhood,
-                     graph_from_edges, independence_number_oracle)
+from oracles import (apply_position_permutation, apply_value_permutation, brute_force_closure,
+                     common_neighborhood, graph_from_edges, independence_number_oracle,
+                     invert_tuple, vertex_permutation)
 
 SEED = 20240811
 

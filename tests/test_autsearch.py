@@ -304,7 +304,7 @@ def test_leaf_certificate_matches_neighbour_lists(nkr):
     # sparse (A(5,4,1), A(6,6,2)) and dense (A(5,5,5), A(6,6,6)) graphs,
     # in the plain labelling and in seeded ones
     g = build_arrangement_graph(*nkr)
-    search = _IRSearch(g, Config())
+    search = _IRSearch(g.adjacency, Config())
     neighbours = [list(g.neighbors(v)) for v in range(g.vertex_count)]
     rng = random.Random(SEED)
     labellings = [list(range(g.vertex_count))]

@@ -11,16 +11,17 @@ import pytest
 from arrgraph.config import Config
 from arrgraph.errors import ValidationError
 from arrgraph.graphs import (Graph, _bits, _count_planes, _depth_first, _relabel_rows,
-                             _split, _transpose, _value_swap_tables, apply_position_permutation,
+                             _split, _transpose, _value_swap_tables,
                              build_arrangement_graph, build_cayley_graph,
-                             candidate_aut_generators, invert_tuple,
-                             is_automorphism, value_relabelings, vertex_permutation)
+                             candidate_aut_generators, is_automorphism,
+                             stabilizer_relabelings, value_relabelings)
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import (apply_value_permutation, cayley_by_composition, components_by_neighbours,
-                     differing_coordinates, edges, graph_from_edges, is_automorphism_by_relabeling, rank_tuple,
+from oracles import (apply_position_permutation, apply_value_permutation, cayley_by_composition,
+                     components_by_neighbours, differing_coordinates, edges, graph_from_edges,
+                     invert_tuple, is_automorphism_by_relabeling, rank_tuple,
                      relabel_rows_by_edges, transpose_bit_by_bit, tuple_count,
-                     unrank_tuple)
+                     unrank_tuple, vertex_permutation)
 
 SEED = 20240811
 
@@ -622,7 +623,7 @@ def test_relabel_rows_matches_edge_oracle(nv):
         assert rows == before
 
 
-# -- value relabelings ----------------------------------------------------------
+# -- the lifted label maps --------------------------------------------------------
 
 
 def test_value_relabelings_match_vertex_permutation():
@@ -641,10 +642,101 @@ def test_value_relabelings_leave_out_maps_off_the_labels():
     assert value_relabelings(g, 1) == []  # S_1 has no generators
 
 
+def reference_candidates(g, n, k):
+    """candidate_aut_generators' maps, each lifted by vertex_permutation."""
+    maps = [lambda t, p=p: apply_value_permutation(p, t) for p in symmetric_group_generators(n)]
+    maps += [lambda t, h=h: apply_position_permutation(h, t) for h in symmetric_group_generators(k)]
+    if k == n:
+        maps.append(invert_tuple)
+    return [vertex_permutation(g, f) for f in maps]
+
+
+def reference_stabilizer(g, n, v):
+    """stabilizer_relabelings' maps, each lifted by vertex_permutation: Q(h)
+    then t1 h t1^-1 on values, S_{n-k} on the values missing from t1, and
+    t -> t1 t^-1 t1 when k = n."""
+    t1 = g.labels[v]
+    k = len(t1)
+    maps = []
+    for h in symmetric_group_generators(k):
+        value = list(range(n))
+        for j, x in enumerate(t1):
+            value[x] = t1[h(j)]
+        maps.append(lambda t, h=h, p=Permutation(value):
+                    apply_value_permutation(p, apply_position_permutation(h, t)))
+    missing = [x for x in range(n) if x not in t1]
+    for s in symmetric_group_generators(len(missing)):
+        value = list(range(n))
+        for i, x in enumerate(missing):
+            value[x] = missing[s(i)]
+        maps.append(lambda t, p=Permutation(value): apply_value_permutation(p, t))
+    if k == n:
+        p1 = Permutation(t1)
+        maps.append(lambda t: p1.compose(Permutation(invert_tuple(t))).compose(p1).images)
+    return [vertex_permutation(g, f) for f in maps]
+
+
+LIFTED = ([("A", (n, k, k)) for n in range(1, 6) for k in range(1, n + 1)] + [("A", (5, 5, 3))]
+          + [("Cay", kind) for kind in ("transpositions", "derangements", "F1")])
+
+
+@pytest.mark.parametrize("family,params", LIFTED,
+                         ids=["A(%d,%d,%d)" % p if f == "A" else "Cay(S5,%s)" % p[0].upper()
+                              for f, p in LIFTED])
+def test_lifted_maps_match_the_reference_lift(family, params):
+    if family == "A":
+        n, k, _ = params
+        g = build_arrangement_graph(*params)
+    else:
+        n = k = 5
+        cset = (connection_set(5, "fixed", 1) if params == "F1"
+                else connection_set(5, params))
+        g = build_cayley_graph(5, cset)
+    expected = reference_candidates(g, n, k)
+    assert candidate_aut_generators(n, k, g) == expected
+    assert value_relabelings(g, n) == expected[:len(symmetric_group_generators(n))]
+    vertices = range(g.vertex_count)
+    if n > 4:
+        vertices = sorted({0, g.vertex_count // 2, g.vertex_count - 1}
+                          | set(random.Random(SEED + k).sample(vertices, 3)))
+    for v in vertices:
+        assert stabilizer_relabelings(g, n, v) == reference_stabilizer(g, n, v), v
+
+
+def test_candidate_generators_reject_labels_off_a_position_map():
+    # the six labels (a, a, b) are closed under S_3 on values, but the
+    # position 3-cycle carries (1, 1, 0) to (0, 1, 1), which is no label
+    labels = [(a, a, b) for a in range(3) for b in range(3) if a != b]
+    with pytest.raises(ValidationError, match="not closed"):
+        candidate_aut_generators(3, 3, graph_from_edges(labels, []))
+    # labels of length 2 have no image under the position maps of S_3, and
+    # (2,) lists no 0..len-1, so it has no inverse either
+    with pytest.raises(ValidationError, match="not closed"):
+        candidate_aut_generators(4, 3, build_arrangement_graph(4, 2, 2))
+    with pytest.raises(ValidationError, match="not closed"):
+        candidate_aut_generators(3, 3, graph_from_edges([(0, 1, 2), (2,)], []))
+
+
+def test_no_map_to_lift_skips_the_range_check():
+    from arrgraph import indsets
+    g = graph_from_edges([(0,), (7,)], [])
+    assert value_relabelings(g, 1) == value_relabelings(g, 0) == []
+    assert candidate_aut_generators(1, 0, g) == []
+    assert stabilizer_relabelings(g, 2, 0) == []  # S_1 on positions and on the value 1
+    # indsets finds no n for these labels, and lifts nothing
+    assert indsets._value_degree(g) == 0
+    assert indsets._symmetries(g, ()) == indsets._symmetries(g, (0,)) == []
+    with pytest.raises(ValidationError, match=r"outside 0\.\.n-1"):
+        value_relabelings(g, 2)
+
+
 def test_value_relabelings_reject_entries_beyond_n():
     g = build_arrangement_graph(4, 2, 2)
-    with pytest.raises(ValidationError, match="exceed permutation degree"):
+    with pytest.raises(ValidationError, match=r"outside 0\.\.n-1"):
         value_relabelings(g, 3)
+    # a negative entry too, which would otherwise index from the end
+    with pytest.raises(ValidationError, match=r"outside 0\.\.n-1"):
+        value_relabelings(graph_from_edges([(0, 1), (1, -1)], []), 2)
 
 
 # -- automorphism checks ------------------------------------------------------

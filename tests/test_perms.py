@@ -546,13 +546,16 @@ def test_internal_arithmetic_matches_validated_constructor():
 
 def test_second_routes_not_exported():
     # isomorphism is read from certificates, refinement runs in the search,
-    # the delta sets come from delta_family, and edges from the rows
+    # the delta sets come from delta_family, edges from the rows, and label
+    # maps are lifted by graphs._lift_label_maps alone
     import arrgraph
     from arrgraph import autsearch, graphs, indsets
     for module, name in [(arrgraph, "are_isomorphic"), (arrgraph, "equitable_refinement"),
                          (arrgraph, "delta_set"), (autsearch, "are_isomorphic"),
                          (autsearch, "equitable_refinement"), (autsearch, "OrderedPartition"),
-                         (indsets, "delta_set"), (graphs.Graph, "edges")]:
+                         (indsets, "delta_set"), (graphs.Graph, "edges"),
+                         (graphs, "vertex_permutation"), (graphs, "apply_position_permutation"),
+                         (graphs, "invert_tuple")]:
         assert not hasattr(module, name), name
 
 

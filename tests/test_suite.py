@@ -42,9 +42,12 @@ from oracles import brute_force_closure
     (verify_theorem_1_2, (4.0, 4, 4)),
     (verify_prop_2_6, (True,)),
     (conjecture_probe, (4, 1.0)),
+    (candidate_aut_generators, ("3", 3, build_arrangement_graph(3, 3, 3))),
+    (candidate_aut_generators, (3, True, build_arrangement_graph(3, 3, 3))),  # once k = 1
 ], ids=["fixed-float", "fixed-bool", "set-n-float", "tuple-count-str", "arrangement-n-float",
         "arrangement-r-float", "arrangement-k-bool", "cayley-n-float", "delta-family-k-float",
-        "theorem-n-float", "prop-2-6-bool", "conjecture-f-float"])
+        "theorem-n-float", "prop-2-6-bool", "conjecture-f-float", "candidate-n-str",
+        "candidate-k-bool"])
 def test_parameters_are_exact_ints(function, args):
     with pytest.raises(ValidationError, match="must be an int"):
         function(*args)
