@@ -5,9 +5,10 @@ Vertices are indexed 0..V-1 by the lexicographic rank of their k-tuple
 label. Cayley graph vertices are ordered by the rank of the one-line form,
 which makes the tuple<->permutation bijection the identity on indexes (a
 deliberate debugging aid; isomorphism tests elsewhere run on independently
-shuffled copies to stay honest). A(n,k,r) is built from bit-sliced
-agreement counts, and Cay(S_n, S) from the identity's row by right
-translates, each one value swap from a lex-smaller row.
+shuffled copies to stay honest). Value relabelings map both families to
+themselves, so each builder makes only row 0, that of (0, ..., k-1), and
+one engine (_translate_rows) makes every other row as the value translate
+of a lex-smaller row one value swap away.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 from bisect import bisect_left
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, ne, or_
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -103,53 +104,18 @@ def build_arrangement_graph(n: int, k: int, r: int,
     """A(n,k,r): vertices are k-tuples of distinct values in 0..n-1, edges
     join tuples differing in exactly r coordinates.
 
-    Two tuples differ in r coordinates when they agree in k - r. The
-    vertices with value x at position j form the mask at[j][x]. For each
-    tuple t the k masks at[j][t[j]] are summed into bit-planes
-    (_count_planes), and the row of t is one AND over the planes that
-    selects the count k - r. No edge list is formed."""
+    Row 0 holds the tuples that differ from (0, ..., k-1) in exactly r
+    coordinates. A value relabeling keeps the number of coordinates in
+    which two tuples differ, so _translate_rows makes every other row from
+    row 0. No edge list is formed."""
     _require_ints(n=n, k=k, r=r)
     if not 1 <= r <= k <= n:
         raise ValidationError(f"need 1 <= r <= k <= n, got r={r} k={k} n={n}")
     check_tuple_count(n, k, config)
     labels = list(itertools.permutations(range(n), k))  # lexicographic = rank order
-    nv = len(labels)
-    full = (1 << nv) - 1
-    at = []
-    for holders in _delta_lists(labels, n, k):
-        masks = []
-        for vertices in holders:
-            digits = bytearray(b"0") * nv  # digits[v] is bit v, read reversed
-            for v in vertices:
-                digits[v] = 49  # "1"
-            masks.append(int(digits[::-1], 2))
-        at.append(masks)
-    positions = (1 << k) - 1
-    agree = k - r
-    adjacency = []
-    for t in labels:
-        # planes[p]: bit p of every vertex's agreement count with t. t
-        # agrees with itself in k positions, so there are k.bit_length()
-        # planes, enough for every bit of k - r
-        planes = _count_planes(list(map(list.__getitem__, at, t)), positions)
-        row = full
-        for p, plane in enumerate(planes):
-            row &= plane if agree >> p & 1 else ~plane
-        adjacency.append(row)
-    return Graph._from_adjacency(
-        labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
-
-
-def _delta_lists(labels: Sequence[tuple[int, ...]], n: int, k: int) -> list[list[list[int]]]:
-    """held[j][i]: the delta set D_{i,j} of the k-tuples over 0..n-1 in rank
-    order, the ranks of those with value i at position j, ascending."""
-    held = []
-    for j in range(k):
-        holders: list[list[int]] = [[] for _ in range(n)]
-        for v, t in enumerate(labels):
-            holders[t[j]].append(v)
-        held.append(holders)
-    return held
+    row0 = _mask(v for v, t in enumerate(labels) if sum(map(ne, t, range(k))) == r)
+    return Graph._from_adjacency(labels, _translate_rows(n, k, row0),
+                                 {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
 def build_cayley_graph(n: int, cset: ConnectionSet,
@@ -157,74 +123,90 @@ def build_cayley_graph(n: int, cset: ConnectionSet,
     """Cay(S_n, S): vertices are the n! permutations (ordered by one-line
     form), with an edge from g to s*g for every s in S.
 
-    Row 0, the identity's, holds one bit per element of S, and every other
-    row is a right translate of an earlier one: row(g*t) = {h*t : h in
-    row(g)}, and h*t is h with its values relabeled by t. A vertex v > 0
-    whose one-line form starts 0, 1, ..., j-1 but not j has a value a+1 > j
-    at position j, so a comes later. Swapping a and a+1 gives the vertex p
-    = v - (n-1-j)!, and v = p*(a a+1); row v is row p with each bit moved
-    by that swap, as _value_swap_tables gives. That is 2(n-1) masked
-    shifts per row whatever |S| is, so the build is bounded by the vertex
-    guard alone."""
+    Row 0, the identity's, holds one bit per element of S. The one-line
+    form of s*g is that of s with its values relabeled by g, so the row of
+    g is row 0 with every bit relabeled by g, and _translate_rows makes
+    every other row from row 0: the build costs the same whatever |S| is,
+    and is bounded by the vertex guard alone."""
     if cset.degree != n:
         raise ValidationError(f"connection set degree {cset.degree} != n={n}")
     check_tuple_count(n, n, config)
     labels = list(itertools.permutations(range(n)))  # lexicographic = rank order
     # S is inverse-closed and identity-free, so the rows are symmetric and loop-free
-    adjacency = [_mask(bisect_left(labels, s.images) for s in cset.elements)]
-    tables = _value_swap_tables(n)
-    for m in range(1, n):
-        # the vertices q*m! .. (q+1)*m! - 1 start 0, ..., j-1, j+q with j =
-        # n-1-m; their parents, m! lower, swap the values j+q-1 and j+q
-        width = math.factorial(m)
-        for q in range(1, m + 1):
-            pairs = tables[n - 2 - m + q]
+    row0 = _mask(bisect_left(labels, s.images) for s in cset.elements)
+    return Graph._from_adjacency(labels, _translate_rows(n, n, row0),
+                                 {"family": "cayley", "n": n, "kind": cset.label()})
+
+
+def _translate_rows(n: int, k: int, row0: int) -> list[int]:
+    """The rows, in rank order, of a graph on the k-tuples of distinct values
+    in 0..n-1 that every value relabeling t -> g(t) maps to itself, from
+    row 0, that of (0, ..., k-1): the package's one row construction.
+
+    g carries the row of t to the row of g(t), with every bit moved by g.
+    The tuples that start 0, ..., j-1 come first, in n - j blocks of
+    perm(n-1-j, k-1-j) by their entry j + q at j, and block q >= 1 is block
+    q - 1 with the values j+q-1 and j+q swapped: the entry at j moves one
+    value up among those left, and the rest of the tuple keeps its relative
+    order (_value_swap_tables). Going through j = k-1, ..., 0 makes each
+    row from one made before it, in at most k delta swaps (Warren, *Hacker's
+    Delight*, 2nd ed., 2-20) whatever its number of bits; a bit in none of
+    the swaps' masks, a tuple without a or a+1, stays where it is."""
+    adjacency = [row0]
+    tables = _value_swap_tables(n, k)
+    for j in range(k - 1, -1, -1):
+        width = math.perm(n - 1 - j, k - 1 - j)
+        for q in range(1, n - j):
+            pairs = tables[j + q - 1]
             for row in adjacency[(q - 1) * width:q * width]:
-                out = 0
                 for offset, up in pairs:
-                    out |= (row & up) << offset | (row >> offset) & up
-                adjacency.append(out)
-    return Graph._from_adjacency(
-        labels, adjacency, {"family": "cayley", "n": n, "kind": cset.label()})
+                    # swap the bits in up with those offset above them
+                    t = (row ^ row >> offset) & up
+                    row ^= t ^ t << offset
+                adjacency.append(row)
+    return adjacency
 
 
-def _value_swap_tables(n: int) -> list[list[tuple[int, int]]]:
-    """tables[a], for each value swap (a a+1) of S_n: the pairs (offset,
-    mask), one per position j = 0..n-2, such that swapping the values a and
-    a+1 of a vertex moves its rank up by offset = (n-1-j)! for every vertex
-    in mask, and down by offset for every vertex in mask << offset; the
-    2(n-1) masks partition the vertices.
+def _value_swap_tables(n: int, k: int) -> list[list[tuple[int, int]]]:
+    """tables[a], for each value swap (a a+1) of S_n acting on the k-tuples
+    of distinct values in 0..n-1 in rank order: the pairs (offset, mask),
+    one per position j < min(k, n-1) (an n-tuple holds a or a+1 before its
+    last position), such that swapping the values a and a+1
+    of a tuple moves its rank up by offset = perm(n-1-j, k-1-j) for every
+    vertex in mask, and down by offset for every vertex in mask << offset.
+    The tuples that hold neither a nor a+1 stay where they are; they and
+    the masks and their shifts partition the vertices.
 
-    Let j be the first position of h that holds a or a+1. Swapping the two
-    values keeps the entries before j and the relative order of the values
-    after j, and moves the entry at j one place up (from a) or down (from
-    a+1) among the values left, so the rank moves by +-(n-1-j)!. The mask
-    of the vertices with a at j is made over S_m for m = 2..n from those
-    over S_(m-1), by blocks of the (m-1)! vertices with the same first
-    entry x: for j = 0 it is block a; for j > 0, a block with x < a holds
-    the mask of (a-1, j-1) over S_(m-1), as the values over x move down by
-    one, and a block with x > a+1 that of (a, j-1). Equal blocks side by
-    side are one product with a repunit, so no vertex is visited."""
-    masks: list[list[int]] = []  # masks[a][j] over S_m, none for S_1
-    for m in range(2, n + 1):
-        width = math.factorial(m - 1)
+    Let j be the first position of a tuple that holds a or a+1. Swapping
+    the two values keeps the entries before j and the relative order of the
+    values after j, and moves the entry at j one place up (from a) or down
+    (from a+1) among the values left, so the rank moves by
+    +-perm(n-1-j, k-1-j). The masks over the d-tuples of 0..m-1, d = m -
+    (n-k), are made for m = n-k+1..n from those for m - 1, starting from
+    the one empty tuple, which holds no value. The tuples with the same
+    first entry x form a block of perm(m-1, d-1): for j = 0 the mask is
+    block a; for j > 0, a block with x < a holds the mask of (a-1, j-1)
+    one level down, as the values over x move down by one, and a block
+    with x > a+1 that of (a, j-1). Equal blocks side by side are one
+    product with a repunit, so no vertex is visited."""
+    masks: list[list[int]] = [[]] * (n - k - 1)  # masks[a][j], over the empty tuple
+    for m in range(n - k + 1, n + 1):
+        d = m - (n - k)
+        width = math.perm(m - 1, d - 1)
         # repunit[x]: bit 0 of each of the blocks 0..x-1
         repunit = [0]
         for x in range(m):
             repunit.append(repunit[-1] | 1 << x * width)
+        none = [0] * (d - 1)
         below = masks
         masks = []
         for a in range(m - 1):
-            held = [((1 << width) - 1) << a * width]
-            for j in range(1, m - 1):
-                mask = 0
-                if a > 0:
-                    mask += below[a - 1][j - 1] * repunit[a]
-                if a < m - 2:
-                    mask += below[a][j - 1] * (repunit[m] - repunit[a + 2])
-                held.append(mask)
-            masks.append(held)
-    offsets = [math.factorial(n - 1 - j) for j in range(n - 1)]
+            low = below[a - 1] if a > 0 else none
+            high = below[a] if a < m - 2 else none
+            masks.append([((1 << width) - 1) << a * width]
+                         + [x * repunit[a] + y * (repunit[m] - repunit[a + 2])
+                            for x, y in zip(low, high)])
+    offsets = [math.perm(n - 1 - j, k - 1 - j) for j in range(min(k, n - 1))]
     return [list(zip(offsets, held)) for held in masks]
 
 
@@ -462,21 +444,25 @@ def candidate_aut_generators(n: int, k: int, graph: Graph) -> list[Permutation]:
     """Vertex permutations of a graph with the labels of A(n,k,r), for any r,
     generating the expected automorphism group: the value maps for the
     generators of S_n, the position maps for those of S_k, and inversion
-    when k = n, lifted by _lift_label_maps; a map off the labels raises
-    ValidationError. Cay(S_n, F_{n-r}) has the labels of A(n,n,r), and there
-    the value maps are the right multiplications, the position maps the left.
+    when k = n, lifted by _lift_label_maps. A k outside 1..n, a label that
+    is no k-tuple, or a map off the labels raises ValidationError.
+    Cay(S_n, F_{n-r}) has the labels of A(n,n,r), and there the value maps
+    are the right multiplications, the position maps the left.
 
     Every returned map is verified edge-preserving; a failure means an
     implementation bug, not a property of the graph."""
     _require_ints(n=n, k=k)
+    if not 1 <= k <= n:
+        raise ValidationError(f"need 1 <= k <= n, got k={k} n={n}")
     maps = [(_value_map(g.images),) for g in symmetric_group_generators(n)]
     maps += [(_position_map(h.inverse().images),) for h in symmetric_group_generators(k)]
     if k == n:
         maps.append((_inversion,))
     out = _lift_label_maps(graph, n, maps)
-    if len(out) != len(maps):
-        raise ValidationError(f"the graph's labels are not closed under S_{n} on values, "
-                              f"S_{k} on positions" + (" and inversion" if k == n else ""))
+    if len(out) != len(maps) or any(len(t) != k for t in graph.labels):
+        raise ValidationError(f"the graph's labels are not {k}-tuples, or not closed under "
+                              f"S_{n} on values, S_{k} on positions"
+                              + (" and inversion" if k == n else ""))
     for f in out:
         if not is_automorphism(graph, f):
             raise AssertionError(

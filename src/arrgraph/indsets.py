@@ -102,7 +102,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import ArrgraphError, BudgetError, ValidationError
-from .graphs import (Graph, _bits, _count_planes, _delta_lists, _depth_first, _mask,
+from .graphs import (Graph, _bits, _count_planes, _depth_first, _mask,
                      is_automorphism, stabilizer_relabelings, value_relabelings)
 from .perms import Permutation, check_tuple_count, orbits, symmetric_group_generators
 
@@ -112,10 +112,14 @@ ENUMERATE_ALL = "enumerate_all"
 
 def delta_family(n: int, k: int, config: Config = DEFAULT_CONFIG
                  ) -> list[tuple[tuple[int, int], frozenset[int]]]:
-    """All delta sets D_{i,j} in (i, j)-lexicographic order, as
-    graphs._delta_lists lists them, once n and k pass check_tuple_count."""
+    """All delta sets D_{i,j} in (i, j)-lexicographic order, once n and k
+    pass check_tuple_count: D_{i,j} holds the ranks of the k-tuples over
+    0..n-1 with value i at position j."""
     check_tuple_count(n, k, config)
-    held = _delta_lists(list(itertools.permutations(range(n), k)), n, k)
+    held = [[[] for _ in range(n)] for _ in range(k)]
+    for v, t in enumerate(itertools.permutations(range(n), k)):
+        for j, x in enumerate(t):
+            held[j][x].append(v)
     return [((i, j), frozenset(held[j][i])) for i in range(n) for j in range(k)]
 
 

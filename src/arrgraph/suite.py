@@ -377,7 +377,9 @@ def verify_prop_2_6(n: int, *, ctx: Context) -> ClaimReport:
     results = {}
     for kind, fixed in (("transpositions", n - 2), ("derangements", 0)):
         # the one-line vertex order makes the tuple<->permutation bijection
-        # the identity on indexes, so it is a witness iff adjacency agrees
+        # the identity on indexes, so it is a witness iff adjacency agrees;
+        # both builders share graphs._translate_rows, and the tests compare
+        # each with an oracle that makes every row on its own
         witness_ok = (ctx.arrangement(n, n, n - fixed).adjacency
                       == ctx.cayley(n, fixed).adjacency)
         arr, cay = ctx.shuffled_iso(n, fixed)

@@ -7,13 +7,14 @@ bijection, independence number by scanning every vertex subset and by
 take-or-drop branching, independence pair by pair, the min-degree greedy
 with integer degrees, the IR search with orbit pruning only with its
 leaf certificates from neighbour lists, equitable refinement vertex by
-vertex, tuple ranks, the candidate group of Cay(S_n, F_f) built from S_n
-itself, value and position relabelings and inversion of tuples, lifted
-one validated permutation per map, Cay(S_n, S) one composed tuple at a
-time, minimal block systems, common neighbourhoods, the bit matrix
-transpose bit by bit, the row map edge by edge, the automorphism check
-by relabeling, graphs given by their edges, their edge lists, and
-components by breadth-first search over neighbour lists."""
+vertex, tuple ranks, A(n,k,r) from bit-sliced agreement counts, the
+candidate group of Cay(S_n, F_f) built from S_n itself, value and
+position relabelings and inversion of tuples, lifted one validated
+permutation per map, Cay(S_n, S) one composed tuple at a time, minimal
+block systems, common neighbourhoods, the bit matrix transpose bit by
+bit, the row map edge by edge, the automorphism check by relabeling,
+graphs given by their edges, their edge lists, and components by
+breadth-first search over neighbour lists."""
 
 import itertools
 import math
@@ -25,7 +26,7 @@ from arrgraph.actions import ActionOnSets, BlockSystem
 from arrgraph.autsearch import AutResult, SearchStats, _IRSearch, _refine
 from arrgraph.config import DEFAULT_CONFIG, Config
 from arrgraph.errors import BudgetError, ValidationError
-from arrgraph.graphs import Graph, is_automorphism
+from arrgraph.graphs import Graph, _count_planes, is_automorphism
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain,
                             check_tuple_count, symmetric_group_generators)
 
@@ -612,6 +613,41 @@ def is_automorphism_by_relabeling(graph: Graph, f: Permutation) -> bool:
     images = f.images
     image = graph_from_edges(graph.labels, ((images[u], images[v]) for u, v in edges(graph)))
     return image.adjacency == graph.adjacency
+
+
+# --------------------------------------------------------------------------
+# A(n,k,r) from bit-sliced agreement counts
+
+
+def arrangement_by_agreement_counts(n: int, k: int, r: int) -> Graph:
+    """A(n,k,r) with every row made on its own, from no other row.
+
+    Two tuples differ in r coordinates when they agree in k - r. The
+    vertices with value x at position j form the mask at[j][x]. For each
+    tuple t the k masks at[j][t[j]] are summed into bit-planes
+    (graphs._count_planes), and the row of t is one AND over the planes
+    that selects the count k - r."""
+    labels = list(itertools.permutations(range(n), k))
+    nv = len(labels)
+    full = (1 << nv) - 1
+    at = [[0] * n for _ in range(k)]
+    for v, t in enumerate(labels):
+        for j, x in enumerate(t):
+            at[j][x] |= 1 << v
+    positions = (1 << k) - 1
+    agree = k - r
+    adjacency = []
+    for t in labels:
+        # planes[p]: bit p of every vertex's agreement count with t. t
+        # agrees with itself in k positions, so there are k.bit_length()
+        # planes, enough for every bit of k - r
+        planes = _count_planes(list(map(list.__getitem__, at, t)), positions)
+        row = full
+        for p, plane in enumerate(planes):
+            row &= plane if agree >> p & 1 else ~plane
+        adjacency.append(row)
+    return Graph._from_adjacency(
+        labels, adjacency, {"family": "arrangement", "n": n, "k": k, "r": r})
 
 
 # --------------------------------------------------------------------------

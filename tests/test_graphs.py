@@ -10,14 +10,15 @@ import pytest
 
 from arrgraph.config import Config
 from arrgraph.errors import ValidationError
-from arrgraph.graphs import (Graph, _bits, _count_planes, _depth_first, _relabel_rows,
+from arrgraph.graphs import (Graph, _bits, _count_planes, _depth_first, _mask, _relabel_rows,
                              _split, _transpose, _value_swap_tables,
                              build_arrangement_graph, build_cayley_graph,
                              candidate_aut_generators, is_automorphism,
                              stabilizer_relabelings, value_relabelings)
 from arrgraph.perms import (ConnectionSet, Permutation, StabilizerChain, connection_set,
                             cycle, symmetric_group_generators, transposition)
-from oracles import (apply_position_permutation, apply_value_permutation, cayley_by_composition,
+from oracles import (apply_position_permutation, apply_value_permutation,
+                     arrangement_by_agreement_counts, cayley_by_composition,
                      components_by_neighbours, differing_coordinates, edges, graph_from_edges,
                      invert_tuple, is_automorphism_by_relabeling, rank_tuple,
                      relabel_rows_by_edges, transpose_bit_by_bit, tuple_count,
@@ -270,6 +271,17 @@ def test_cayley_matches_composition(n, kind, fixed):
     assert_symmetric_loop_free(g)
 
 
+AGREEMENT_ORACLE_CASES = [(7, k, r) for k in range(1, 8) for r in range(1, k + 1)] + [
+    (8, k, r) for k in range(1, 5) for r in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("n,k,r", AGREEMENT_ORACLE_CASES,
+                         ids=[f"A({n},{k},{r})" for n, k, r in AGREEMENT_ORACLE_CASES])
+def test_arrangement_matches_agreement_counts(n, k, r):
+    # every row of the oracle is made on its own, none from another row
+    assert_same_graph(build_arrangement_graph(n, k, r), arrangement_by_agreement_counts(n, k, r))
+
+
 def test_cayley_random_subsets_match_composition():
     # inverse-closed subsets of F_f, made directly: each keeps some elements
     # of F_f with their inverses, so unlike a full F_f it need not be closed
@@ -285,26 +297,34 @@ def test_cayley_random_subsets_match_composition():
                 assert_same_graph(build_cayley_graph(n, cset), cayley_by_composition(n, cset))
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_value_swap_tables_move_each_vertex_to_its_swapped_rank(n):
-    # for each swap (a a+1), the vertices whose label with a and a+1
-    # swapped has rank v + offset, by offset, read from a dict of the labels
-    labels = list(itertools.permutations(range(n)))
-    rank = {lab: v for v, lab in enumerate(labels)}
-    tables = _value_swap_tables(n)
-    assert len(tables) == n - 1
-    for a, pairs in enumerate(tables):
-        swap = list(range(n))
-        swap[a], swap[a + 1] = a + 1, a
-        moved: dict[int, int] = {}
-        for v, lab in enumerate(labels):
-            offset = rank[tuple(swap[x] for x in lab)] - v
-            moved[offset] = moved.get(offset, 0) | 1 << v
-        signed = pairs + [(-offset, up << offset) for offset, up in pairs]
-        assert len(signed) == 2 * (n - 1) and dict(signed) == moved
-        # the 2(n-1) masks partition the n! vertices
-        assert sum(up.bit_count() for _, up in signed) == len(labels)
-        assert reduce(or_, (up for _, up in signed)) == (1 << len(labels)) - 1
+    # for each k and each swap (a a+1), the vertices whose label with a and
+    # a+1 swapped has rank v + offset, by offset, read from a dict of the labels
+    for k in range(1, n + 1):
+        labels = list(itertools.permutations(range(n), k))
+        rank = {lab: v for v, lab in enumerate(labels)}
+        tables = _value_swap_tables(n, k)
+        assert len(tables) == n - 1
+        for a, pairs in enumerate(tables):
+            swap = list(range(n))
+            swap[a], swap[a + 1] = a + 1, a
+            moved: dict[int, int] = {}
+            for v, lab in enumerate(labels):
+                offset = rank[tuple(swap[x] for x in lab)] - v
+                moved[offset] = moved.get(offset, 0) | 1 << v
+            # a vertex stays exactly when it holds neither a nor a+1
+            stay = _mask(v for v, lab in enumerate(labels) if a not in lab and a + 1 not in lab)
+            assert moved.pop(0, 0) == stay
+            assert [offset for offset, _ in pairs] == [math.perm(n - 1 - j, k - 1 - j)
+                                                       for j in range(min(k, n - 1))]
+            # each pair's vertices move by +-offset
+            signed = pairs + [(-offset, up << offset) for offset, up in pairs]
+            assert dict(signed) == moved
+            # the 2 min(k, n-1) masks and the vertices that stay partition them
+            masks = [up for _, up in signed] + [stay]
+            assert sum(up.bit_count() for up in masks) == len(labels)
+            assert reduce(or_, masks) == (1 << len(labels)) - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -717,11 +737,21 @@ def test_candidate_generators_reject_labels_off_a_position_map():
         candidate_aut_generators(3, 3, graph_from_edges([(0, 1, 2), (2,)], []))
 
 
+@pytest.mark.parametrize("n,k,nkr", [(3, 1, (3, 3, 3)), (3, 0, (3, 3, 3)), (3, -2, (3, 3, 3)),
+                                     (4, 1, (4, 2, 2))],
+                         ids=["A333-k1", "A333-k0", "A333-k-2", "A422-k1"])
+def test_candidate_generators_check_k_against_the_labels(n, k, nkr):
+    # S_k has no generators here, so no position map can fail to lift
+    with pytest.raises(ValidationError):
+        candidate_aut_generators(n, k, build_arrangement_graph(*nkr))
+
+
 def test_no_map_to_lift_skips_the_range_check():
     from arrgraph import indsets
     g = graph_from_edges([(0,), (7,)], [])
     assert value_relabelings(g, 1) == value_relabelings(g, 0) == []
-    assert candidate_aut_generators(1, 0, g) == []
+    with pytest.raises(ValidationError, match="1 <= k <= n"):
+        candidate_aut_generators(1, 0, g)
     assert stabilizer_relabelings(g, 2, 0) == []  # S_1 on positions and on the value 1
     # indsets finds no n for these labels, and lifts nothing
     assert indsets._value_degree(g) == 0
